@@ -36,7 +36,6 @@ from .clouds import (
     CloudRequest,
     restricted_zeta_schedule,
     enumerate_cloud,
-    duplicate_pairs,
 )
 from .lattice import LatticeSpec, CircleSpec, PointFit, FitReport, predict_locus, fit_cloud
 from .magm import (
@@ -82,7 +81,6 @@ __all__ = [
     "CloudRequest",
     "restricted_zeta_schedule",
     "enumerate_cloud",
-    "duplicate_pairs",
     "LatticeSpec",
     "CircleSpec",
     "PointFit",

@@ -47,6 +47,10 @@ FILL_DEFAULTS = {
     "fill-z-restricted": ("Z_restricted", 0.8, 0, 4, 0),
 }
 
+# Sweep shape of each cloud kind, which `verify` shares with its fill.
+SHAPE_FLAGS = ("sinphi", "sigma_bits", "delta_bits", "gamma_bits")
+KIND_SHAPES = {kind: shape for kind, *shape in FILL_DEFAULTS.values()}
+
 VERIFY_KINDS = {
     "k": "K",
     "k-both": "K_both",
@@ -222,14 +226,17 @@ def _cmd_fill(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_bits(parser, args)
     kind = VERIFY_KINDS[args.kind]
+    cloud_kind = "K" if kind == "K_both" else kind
+    for name, default in zip(SHAPE_FLAGS, KIND_SHAPES[cloud_kind]):
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+    _check_bits(parser, args)
     _, b = _moduli(args)
     refs = reference_set(b=b)
     phi = math.asin(args.sinphi) if kind in ("F", "Z_restricted") else None
     spec = predict_locus(kind, refs, phi=phi)
 
-    cloud_kind = "K" if kind == "K_both" else kind
     points = _cloud(args, cloud_kind, 1)
     if kind == "K_both":
         points = points + _cloud(args, cloud_kind, -1)
@@ -312,14 +319,28 @@ def _cmd_ref(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, sinphi: float, sigma: int, delta: int, gamma: int) -> None:
+def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
+    """Modulus, sweep-shape and iteration flags.
+
+    With ``shape`` None the sweep-shape flags default to None, for the
+    command to fill from `KIND_SHAPES`.
+    """
+    sinphi, sigma, delta, gamma = shape or (None,) * len(SHAPE_FLAGS)
+
+    def default(value) -> str:
+        return "per --kind" if value is None else str(value)
+
     mod = sub.add_mutually_exclusive_group()
     mod.add_argument("--b", type=float, default=None, help="complementary modulus (default 0.25)")
     mod.add_argument("--k", type=float, default=None, help="modulus (alternative to --b)")
-    sub.add_argument("--sinphi", type=float, default=sinphi, help=f"sine of the amplitude (default {sinphi})")
-    sub.add_argument("--sigma-bits", type=int, default=sigma, help=f"free geometric-mean sign bits (default {sigma})")
-    sub.add_argument("--delta-bits", type=int, default=delta, help=f"free forward-root sign bits (default {delta})")
-    sub.add_argument("--gamma-bits", type=int, default=gamma, help=f"free zeta-root sign bits (default {gamma})")
+    sub.add_argument("--sinphi", type=float, default=sinphi, help=f"sine of the amplitude (default {default(sinphi)})")
+    sub.add_argument(
+        "--sigma-bits", type=int, default=sigma, help=f"free geometric-mean sign bits (default {default(sigma)})"
+    )
+    sub.add_argument(
+        "--delta-bits", type=int, default=delta, help=f"free forward-root sign bits (default {default(delta)})"
+    )
+    sub.add_argument("--gamma-bits", type=int, default=gamma, help=f"free zeta-root sign bits (default {default(gamma)})")
     sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration count (default 20)")
     sub.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL, help="convergence tolerance")
 
@@ -331,9 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, (kind, sinphi, sigma, delta, gamma) in FILL_DEFAULTS.items():
+    for name, (kind, *shape) in FILL_DEFAULTS.items():
         sub = commands.add_parser(name, help=f"emit the {kind} point cloud")
-        _add_common(sub, sinphi, sigma, delta, gamma)
+        _add_common(sub, shape)
         if name == "fill-k":
             sub.add_argument("--signb", choices=("both", "+1", "-1", "1"), default="both")
         else:
@@ -344,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("verify", help="fit a cloud against its predicted locus")
     sub.add_argument("--kind", choices=sorted(VERIFY_KINDS), required=True)
-    _add_common(sub, 0.8, 5, 0, 0)
+    _add_common(sub, None)
     sub.add_argument("--tol", type=float, default=DEFAULT_FIT_TOL, help="max residual to pass (default 1e-6)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -370,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.signb = "1"
             return _cmd_fill(parser, args)
         if args.command == "verify":
-            _apply_verify_shape(args, argv)
             return _cmd_verify(parser, args)
         if args.command == "magm-check":
             return _cmd_magm_check(parser, args)
@@ -379,32 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
     raise AssertionError("unreachable")
-
-
-def _apply_verify_shape(args: argparse.Namespace, argv: list[str] | None) -> None:
-    # Flags the user did not pass fall back to the per-kind sweep shape.
-    raw = list(argv if argv is not None else sys.argv[1:])
-
-    def given(flag: str) -> bool:
-        return any(arg == flag or arg.startswith(flag + "=") for arg in raw)
-
-    shapes = {
-        "k": (0.5, 5, 0, 0),
-        "k-both": (0.5, 5, 0, 0),
-        "e": (0.5, 5, 0, 0),
-        "n": (0.5, 5, 0, 0),
-        "f": (0.8, 3, 4, 0),
-        "z-restricted": (0.8, 0, 4, 0),
-    }
-    sinphi, sigma, delta, gamma = shapes[args.kind]
-    if not given("--sinphi"):
-        args.sinphi = sinphi
-    if not given("--sigma-bits"):
-        args.sigma_bits = sigma
-    if not given("--delta-bits"):
-        args.delta_bits = delta
-    if not given("--gamma-bits"):
-        args.gamma_bits = gamma
 
 
 def console_main() -> None:

@@ -29,7 +29,6 @@ __all__ = [
     "CloudRequest",
     "restricted_zeta_schedule",
     "enumerate_cloud",
-    "duplicate_pairs",
     "DUPLICATE_RTOL",
 ]
 
@@ -125,18 +124,32 @@ def _mark_duplicates(points: list[MultivaluePoint]) -> list[MultivaluePoint]:
     if scale == 0.0:
         scale = 1.0
     threshold = DUPLICATE_RTOL * scale
+    # Points closer than the threshold lie in the same or adjacent grid
+    # cells; the factor 2 leaves room for rounding in the division.  A
+    # threshold that underflows to zero matches nothing, so any cell works.
+    cell = 2.0 * threshold or 1.0
+    grid: dict[tuple[int, int], list[int]] = {}
     out: list[MultivaluePoint] = []
     for i, point in enumerate(points):
         dup = None
-        if not point.ill_conditioned and cmath.isfinite(point.value):
-            for j in range(i):
-                other = out[j]
-                if other.ill_conditioned or not cmath.isfinite(other.value):
-                    continue
-                if abs(point.value - other.value) < threshold:
-                    dup = j if other.duplicate_of is None else other.duplicate_of
-                    break
-        out.append(replace(point, duplicate_of=dup))
+        value = point.value
+        if not point.ill_conditioned and cmath.isfinite(value):
+            cx = math.floor(value.real / cell)
+            cy = math.floor(value.imag / cell)
+            # the earliest match over the 3x3 block, as a scan in index order finds it
+            first = i
+            for x in (cx - 1, cx, cx + 1):
+                for y in (cy - 1, cy, cy + 1):
+                    for j in grid.get((x, y), ()):
+                        if j >= first:
+                            break
+                        if abs(value - out[j].value) < threshold:
+                            first = j
+                            break
+            if first < i:
+                dup = first if out[first].duplicate_of is None else out[first].duplicate_of
+            grid.setdefault((cx, cy), []).append(i)
+        out.append(point if point.duplicate_of == dup else replace(point, duplicate_of=dup))
     return out
 
 
@@ -163,7 +176,3 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
         )
     return _mark_duplicates(points)
 
-
-def duplicate_pairs(points: list[MultivaluePoint]) -> list[tuple[int, int]]:
-    """(duplicate, original) index pairs recorded in a cloud."""
-    return [(i, p.duplicate_of) for i, p in enumerate(points) if p.duplicate_of is not None]

@@ -32,11 +32,15 @@ __all__ = [
     "jacobi_Z",
     "DEFAULT_MAX_ITER",
     "DEFAULT_CONV_TOL",
+    "MAX_ITER_LIMIT",
     "ILL_CONDITION_RATIO",
 ]
 
 DEFAULT_MAX_ITER = 20
 DEFAULT_CONV_TOL = 1e-12
+
+# The series weights reach 2**(max_iter-1), the largest finite power of two.
+MAX_ITER_LIMIT = 1024
 
 # |a_inf| below this fraction of |a_0| marks a trace as untrustworthy.
 ILL_CONDITION_RATIO = 1e-6
@@ -101,6 +105,8 @@ class QuartetParams:
             raise ValueError("signb must be +1 or -1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
+        if self.max_iter > MAX_ITER_LIMIT:
+            raise ValueError(f"max_iter must be at most {MAX_ITER_LIMIT}")
         if not self.conv_tol > 0:
             raise ValueError("conv_tol must be positive")
 
@@ -180,24 +186,33 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
 
     s_ag, d_ag, p_ag = a + g, a - g, a * g
     s_uv, d_uv = u + v, u - v
+    sigma_mask = schedule.sigma_mask
+    delta_mask = schedule.delta_mask
+    gamma_mask = schedule.gamma_mask
+    isfinite = cmath.isfinite
 
     rows: list[Quartet] = [(a, g, u, v)]
     s_sum = complex(0.0)
     z_sum = complex(0.0)
+    # 2**(n-1) and 2**n; doubling a power of two is exact
+    s_weight = 0.5
+    z_weight = 1.0
     collapsed = False
     degenerate = False
     zeta_defined = True
-    finite = all(cmath.isfinite(x) for x in (a, g, u, v))
+    finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
     for n in range(params.max_iter):
-        s_sum += 2.0 ** (n - 1) * (s_ag * d_ag)
+        s_sum += s_weight * (s_ag * d_ag)
         if zeta_defined:
             if u == 0:
                 zeta_defined = False
                 z_sum = complex(math.nan, math.nan)
             else:
                 zr = signed_root(u * u - a * a, u)
-                z_sum += 2.0**n * schedule.gamma(n) * d_uv * zr / u
+                z_sum += (-z_weight if (gamma_mask >> n) & 1 else z_weight) * d_uv * zr / u
+        s_weight *= 2.0
+        z_weight *= 2.0
 
         if p_ag == 0:
             collapsed = True
@@ -213,27 +228,29 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
 
         q = d_ag * d_ag / 4
         a = s_ag / 2
-        g = near if schedule.sigma(n) > 0 else -near
-        p_ag = a * g
-        if schedule.sigma(n) > 0:
-            s_ag = a + near
-            d_ag = _safe_div(q, s_ag)
-        else:
+        if (sigma_mask >> n) & 1:
+            g = -near
             d_ag = a + near
             s_ag = _safe_div(q, d_ag)
+        else:
+            g = near
+            s_ag = a + near
+            d_ag = _safe_div(q, s_ag)
+        p_ag = a * g
 
         u = s_uv / 2
-        v = w if schedule.delta(n) > 0 else -w
-        if schedule.delta(n) > 0:
-            s_uv = u + w
-            d_uv = _safe_div(q, s_uv)
-        else:
+        if (delta_mask >> n) & 1:
+            v = -w
             d_uv = u + w
             s_uv = _safe_div(q, d_uv)
+        else:
+            v = w
+            s_uv = u + w
+            d_uv = _safe_div(q, s_uv)
 
         rows.append((a, g, u, v))
         if finite:
-            finite = all(cmath.isfinite(x) for x in (a, g, u, v))
+            finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
     scale = abs(a)
     converged = bool(

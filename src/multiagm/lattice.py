@@ -10,6 +10,7 @@ computed cloud strays from the predicted locus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -152,6 +153,9 @@ def _point_flag(point) -> bool:
 
 
 def _fit_lattice(value: complex, spec: LatticeSpec) -> tuple[int, int, int, float]:
+    if not cmath.isfinite(value):
+        # no lattice cell to round to
+        return 0, 0, 0, math.inf
     best: tuple[int, int, int, float] | None = None
     for ci, coset in enumerate(spec.cosets):
         d = value - spec.origin - coset

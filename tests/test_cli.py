@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -71,6 +72,22 @@ class TestFillCommands:
         assert float(base[6]) == pytest.approx(2.801206084665204, rel=1e-9)
 
 
+# stdout SHA-256 of deep fills, recorded before the grid dedupe and the
+# leaner quartet loop; both must leave every byte unchanged
+DEEP_FILL_DIGESTS = {
+    "fill-k --sigma-bits 10 --signb both": "46a6bd75c60ba4d53ccefe4cad1660a15471c875f97349d4c0149dfa8b124738",
+    "fill-f --sigma-bits 4 --delta-bits 6": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
+    "fill-z-restricted --delta-bits 9": "3f1b567e692e4f613cd1d08cd2d872fbdc1393bdd536ba97c7c74b1d8f28a80a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_FILL_DIGESTS))
+def test_deep_fill_bytes(command, capsys):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == DEEP_FILL_DIGESTS[command]
+
+
 class TestFlagValidation:
     def test_b_and_k_conflict(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -94,6 +111,25 @@ class TestVerify:
         assert main(["verify", "--kind", kind]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.mark.parametrize(
+        "abbreviated,full",
+        [
+            (["--kind", "f", "--sig", "1"], ["--kind", "f", "--sigma-bits", "1"]),
+            (["--kind", "z-restricted", "--sinp", "0.6"], ["--kind", "z-restricted", "--sinphi", "0.6"]),
+        ],
+    )
+    def test_abbreviated_shape_flags_are_honoured(self, abbreviated, full, capsys):
+        outputs = []
+        for args in (abbreviated, full):
+            code = main(["verify", *args, "--format", "json"])
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        if full[1] == "f":
+            assert len(json.loads(outputs[0][1])["points"]) == 2 * 16
+        else:
+            assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0
+            assert capsys.readouterr().out != outputs[0][1]
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "--kind", "k", "--tol", "1e-20"]) == 1

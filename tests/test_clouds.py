@@ -1,17 +1,20 @@
 import cmath
 import math
+import random
+from dataclasses import replace
 
 import pytest
 
 from multiagm import (
     CloudRequest,
+    MultivaluePoint,
     QuartetParams,
     SignSchedule,
     complete_from_complement,
-    duplicate_pairs,
     enumerate_cloud,
     restricted_zeta_schedule,
 )
+from multiagm.clouds import DUPLICATE_RTOL, _mark_duplicates
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -88,10 +91,9 @@ class TestKCloud:
             assert p.generation <= 5
 
     def test_duplicate_report_is_produced(self):
-        report = duplicate_pairs(k_cloud())
-        assert isinstance(report, list)
-        for dup, orig in report:
-            assert orig < dup
+        for i, p in enumerate(k_cloud()):
+            if p.duplicate_of is not None:
+                assert p.duplicate_of < i
 
     def test_finite_values(self):
         assert all(cmath.isfinite(p.value) for p in k_cloud())
@@ -144,3 +146,118 @@ class TestOtherKinds:
         cloud = enumerate_cloud(CloudRequest(kind="K", params=bad, sigma_bits=1))
         assert len(cloud) == 2
         assert all(p.ill_conditioned for p in cloud)
+
+
+def reference_mark_duplicates(points):
+    """The pairwise scan that the grid dedupe must reproduce exactly."""
+    scale = max((abs(p.value) for p in points if not p.ill_conditioned and cmath.isfinite(p.value)), default=0.0)
+    if scale == 0.0:
+        scale = 1.0
+    threshold = DUPLICATE_RTOL * scale
+    out = []
+    for i, point in enumerate(points):
+        dup = None
+        if not point.ill_conditioned and cmath.isfinite(point.value):
+            for j in range(i):
+                other = out[j]
+                if other.ill_conditioned or not cmath.isfinite(other.value):
+                    continue
+                if abs(point.value - other.value) < threshold:
+                    dup = j if other.duplicate_of is None else other.duplicate_of
+                    break
+        out.append(replace(point, duplicate_of=dup))
+    return out
+
+
+def synthetic(values, flagged=()):
+    return [
+        MultivaluePoint(value=complex(v), schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=i in flagged)
+        for i, v in enumerate(values)
+    ]
+
+
+def duplicate_links(points):
+    return [p.duplicate_of for p in points]
+
+
+class TestDedupeMatchesPairwiseScan:
+    @pytest.mark.parametrize(
+        "kind,signb,bits",
+        [
+            ("K", 1, (8, 0, 0)),
+            ("K", -1, (8, 0, 0)),
+            ("F", 1, (4, 6, 0)),
+            ("Z", 1, (3, 3, 3)),
+            ("Z_restricted", 1, (0, 9, 0)),
+        ],
+    )
+    def test_real_clouds(self, kind, signb, bits):
+        sigma, delta, gamma = bits
+        cloud = enumerate_cloud(
+            CloudRequest(
+                kind=kind,
+                params=params(sinphi=0.8, signb=signb),
+                sigma_bits=sigma,
+                delta_bits=delta,
+                gamma_bits=gamma,
+            )
+        )
+        assert duplicate_links(cloud) == duplicate_links(reference_mark_duplicates(cloud))
+        if kind == "Z_restricted":
+            # the deep restricted cloud carries flagged non-finite points
+            assert any(p.ill_conditioned and not cmath.isfinite(p.value) for p in cloud)
+        if kind == "F":
+            assert any(p.duplicate_of is not None for p in cloud)
+
+    def test_pairs_around_the_threshold(self):
+        # scale 1000 sets the threshold to 1e-6
+        threshold = DUPLICATE_RTOL * 1000.0
+        values = [1000.0]
+        for base in (3 + 4j, -7.5 + 2j, 0j, -2.25 - 9j):
+            for factor in (0.5, 0.999, 1.001):
+                for direction in (1, 1j, -1, -1j, (1 + 1j) / abs(1 + 1j), (1 - 1j) / abs(1 - 1j)):
+                    values += [base, base + factor * threshold * direction]
+                    base += 10 * threshold
+        points = _mark_duplicates(synthetic(values))
+        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        # 0.5x and 0.999x pairs are duplicates, 1.001x pairs are not
+        assert sum(p.duplicate_of is not None for p in points) == 4 * 2 * 6
+
+    def test_chains_resolve_to_the_first_original(self):
+        threshold = DUPLICATE_RTOL * 10.0
+        step = 0.9 * threshold
+        # the last point is near 1 + step only, a duplicate of point 1
+        values = [10.0, 1 + 0j, 1 + step, 1 + 2 * step, 1 + 3 * step, 1 + step + 0.5 * threshold * 1j]
+        points = _mark_duplicates(synthetic(values))
+        assert duplicate_links(points) == [None, None, 1, 1, 1, 1]
+        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+
+    def test_non_finite_and_flagged_points_are_skipped(self):
+        nan = complex(math.nan, math.nan)
+        inf = complex(math.inf, 0.0)
+        values = [nan, 2 + 1j, inf, 2 + 1j, nan, 5.0, 5.0, 2 + 1j, complex(0.0, -math.inf), 5.0]
+        points = _mark_duplicates(synthetic(values, flagged={1, 5}))
+        assert duplicate_links(points) == [None, None, None, None, None, None, None, 3, None, 6]
+        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+
+    def test_tiny_scale_with_zero_threshold(self):
+        points = _mark_duplicates(synthetic([5e-324, 5e-324, 0j, -5e-324]))
+        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_clusters_near_threshold(self, seed):
+        rng = random.Random(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        threshold = DUPLICATE_RTOL * scale
+        centres = [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) / 2 for _ in range(12)]
+        # a few centres sit on grid-cell corners, where neighbours straddle cells
+        centres += [complex(2 * threshold * rng.randint(-50, 50), 2 * threshold * rng.randint(-50, 50)) for _ in range(4)]
+        values = [complex(scale, 0.0)]
+        for _ in range(300):
+            centre = rng.choice(centres)
+            radius = threshold * rng.choice((0.0, 0.5, 0.999, 1.0, 1.001, 1.5, 2.0, rng.uniform(0, 3)))
+            values.append(centre + radius * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+        flagged = {i for i in range(len(values)) if rng.random() < 0.05}
+        values = [complex(math.nan, 0.0) if rng.random() < 0.02 else v for v in values]
+        points = _mark_duplicates(synthetic(values, flagged))
+        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))

@@ -20,6 +20,8 @@ from multiagm import (
     quartet_step,
     run_quartet,
 )
+from multiagm.engine import ILL_CONDITION_RATIO, MAX_ITER_LIMIT
+from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -87,6 +89,14 @@ class TestRunQuartet:
             QuartetParams(k=0.5, sinphi=1, max_iter=0)
         with pytest.raises(ValueError):
             QuartetParams(k=0.5, sinphi=1, conv_tol=0.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            QuartetParams(k=0.5, sinphi=1, max_iter=MAX_ITER_LIMIT + 1)
+
+    def test_longest_run_keeps_finite_series(self):
+        trace = run_quartet(params(sinphi=0.8, max_iter=MAX_ITER_LIMIT), SignSchedule(0b101, 0b11, 0b110))
+        assert len(trace.rows) == MAX_ITER_LIMIT + 1
+        assert trace.converged
+        assert cmath.isfinite(trace.s_sum) and cmath.isfinite(trace.z_sum)
 
     def test_singular_modulus_flags(self):
         trace = run_quartet(QuartetParams(k=1, sinphi=0.5))
@@ -146,6 +156,86 @@ class TestRunQuartet:
         t1 = run_quartet(params(sinphi=0.8), sched)
         t2 = run_quartet(params(sinphi=0.8), sched)
         assert t1 == t2
+
+
+def reference_run_quartet(params, schedule):
+    """The plain form of the signed loop: per-step sign lookups and powers."""
+
+    def safe_div(num, den):
+        if den == 0:
+            return complex(0.0) if num == 0 else complex(math.nan, math.nan)
+        return num / den
+
+    sp = complex(params.sinphi)
+    ksq = params.k_squared()
+    a = complex(1.0)
+    g = params.signb * params.complement_value()
+    u = 1 / sp
+    v = g if sp == 1 else params.signb * principal_sqrt(1 - ksq * sp * sp) / sp
+    s_ag, d_ag, p_ag = a + g, a - g, a * g
+    s_uv, d_uv = u + v, u - v
+    rows = [(a, g, u, v)]
+    s_sum = z_sum = complex(0.0)
+    collapsed = degenerate = False
+    zeta_defined = True
+    finite = all(cmath.isfinite(x) for x in (a, g, u, v))
+    for n in range(params.max_iter):
+        s_sum += 2.0 ** (n - 1) * (s_ag * d_ag)
+        if zeta_defined:
+            if u == 0:
+                zeta_defined = False
+                z_sum = complex(math.nan, math.nan)
+            else:
+                zr = signed_root(u * u - a * a, u)
+                z_sum += 2.0**n * schedule.gamma(n) * d_uv * zr / u
+        collapsed = collapsed or p_ag == 0
+        near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+        degenerate = degenerate or s_uv == 0
+        if s_uv == s_ag and d_uv == d_ag:
+            w = near
+        else:
+            w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+        q = d_ag * d_ag / 4
+        a = s_ag / 2
+        g = near if schedule.sigma(n) > 0 else -near
+        p_ag = a * g
+        if schedule.sigma(n) > 0:
+            s_ag = a + near
+            d_ag = safe_div(q, s_ag)
+        else:
+            d_ag = a + near
+            s_ag = safe_div(q, d_ag)
+        u = s_uv / 2
+        v = w if schedule.delta(n) > 0 else -w
+        if schedule.delta(n) > 0:
+            s_uv = u + w
+            d_uv = safe_div(q, s_uv)
+        else:
+            d_uv = u + w
+            s_uv = safe_div(q, d_uv)
+        rows.append((a, g, u, v))
+        finite = finite and all(cmath.isfinite(x) for x in (a, g, u, v))
+    scale = abs(a)
+    converged = bool(
+        finite and scale > 0.0 and abs(d_ag) <= params.conv_tol * scale and abs(d_uv) <= params.conv_tol * scale
+    )
+    ill = not finite or collapsed or degenerate or not zeta_defined or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+    return QuartetTrace(tuple(rows), s_sum, z_sum, a, u, converged, ill, zeta_defined)
+
+
+def test_run_quartet_is_bit_identical_to_reference_loop():
+    rng = random.Random(2024)
+    for _ in range(400):
+        if rng.random() < 0.5:
+            b = complex(rng.uniform(0.01, 0.99))
+        else:
+            b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
+        sinphi = rng.choice((1, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+        max_iter = rng.choice((5, 20, 32))
+        p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
+        sched = SignSchedule(rng.getrandbits(max_iter), rng.getrandbits(max_iter), rng.getrandbits(max_iter))
+        # repr tells signed zeros and NaN payload positions apart, unlike ==
+        assert repr(run_quartet(p, sched)) == repr(reference_run_quartet(p, sched))
 
 
 class TestTraceValues:

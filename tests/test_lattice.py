@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 
@@ -128,6 +129,29 @@ class TestFitCloud:
         assert report.points[0].excluded
         assert report.points[0].residual > 0.5  # still listed with its residual
         assert report.worst_point == 1
+
+    def test_non_finite_values_fit_nowhere(self):
+        # a deep restricted Zeta cloud whose flagged points are NaN
+        b, sinphi = 0.5, 0.6
+        p = QuartetParams(k=math.sqrt((1 - b) * (1 + b)), sinphi=sinphi, complement=b)
+        cloud = enumerate_cloud(CloudRequest(kind="Z_restricted", params=p, delta_bits=10))
+        nonfinite = [i for i, point in enumerate(cloud) if not cmath.isfinite(point.value)]
+        assert len(nonfinite) == 768
+        assert all(cloud[i].ill_conditioned for i in nonfinite)
+        report = fit_cloud(cloud, predict_locus("Z_restricted", reference_set(b=b), phi=math.asin(sinphi)))
+        assert report.flagged_excluded == 768
+        assert math.isfinite(report.max_residual)
+        for i in nonfinite:
+            pf = report.points[i]
+            assert (pf.m, pf.n, pf.coset, pf.residual, pf.excluded) == (0, 0, 0, math.inf, True)
+
+    def test_unflagged_non_finite_value_fails(self):
+        spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
+        for bad in (complex(math.nan, math.nan), complex(math.inf, 0.0)):
+            report = fit_cloud([1 + 2j, bad], spec)
+            assert not report.passed
+            assert report.max_residual == math.inf
+            assert report.worst_point == 1
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
