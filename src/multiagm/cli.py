@@ -38,18 +38,19 @@ CSV_HEADER = (
 )
 
 FILL_DEFAULTS = {
-    # kind, sinphi, sigma_bits, delta_bits, gamma_bits
-    "fill-k": ("K", 0.5, 5, 0, 0),
-    "fill-f": ("F", 0.8, 3, 4, 0),
-    "fill-e": ("E", 0.5, 5, 0, 0),
-    "fill-n": ("N", 0.5, 5, 0, 0),
-    "fill-z": ("Z", 0.8, 2, 2, 2),
-    "fill-z-restricted": ("Z_restricted", 0.8, 0, 4, 0),
+    # kind, series label, sinphi, sigma_bits, delta_bits, gamma_bits;
+    # fill-k appends the start sign to its label
+    "fill-k": ("K", "K", 0.5, 5, 0, 0),
+    "fill-f": ("F", "F", 0.8, 3, 4, 0),
+    "fill-e": ("E", "E", 0.5, 5, 0, 0),
+    "fill-n": ("N", "N", 0.5, 5, 0, 0),
+    "fill-z": ("Z", "Z", 0.8, 2, 2, 2),
+    "fill-z-restricted": ("Z_restricted", "Zr", 0.8, 0, 4, 0),
 }
 
 # Sweep shape of each cloud kind, which `verify` shares with its fill.
 SHAPE_FLAGS = ("sinphi", "sigma_bits", "delta_bits", "gamma_bits")
-KIND_SHAPES = {kind: shape for kind, *shape in FILL_DEFAULTS.values()}
+KIND_SHAPES = {kind: shape for kind, _, *shape in FILL_DEFAULTS.values()}
 
 VERIFY_KINDS = {
     "k": "K",
@@ -211,16 +212,12 @@ def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePo
 
 def _cmd_fill(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_bits(parser, args)
-    kind = FILL_DEFAULTS[args.command][0]
-    series_list: list[Series] = []
+    kind, label = FILL_DEFAULTS[args.command][:2]
     if args.command == "fill-k":
-        labels = {1: "K+", -1: "K-"}
         signbs = (1, -1) if args.signb == "both" else (int(args.signb),)
-        for signb in signbs:
-            series_list.append(Series(labels[signb], _cloud(args, kind, signb)))
+        series_list = [Series(label + ("+" if signb > 0 else "-"), _cloud(args, kind, signb)) for signb in signbs]
     else:
-        label = {"F": "F", "E": "E", "N": "N", "Z": "Z", "Z_restricted": "Zr"}[kind]
-        series_list.append(Series(label, _cloud(args, kind, int(args.signb))))
+        series_list = [Series(label, _cloud(args, kind, int(args.signb)))]
     _emit(args, series_list, args.command)
     return 0
 
@@ -352,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, (kind, *shape) in FILL_DEFAULTS.items():
+    for name, (kind, _, *shape) in FILL_DEFAULTS.items():
         sub = commands.add_parser(name, help=f"emit the {kind} point cloud")
         _add_common(sub, shape)
         if name == "fill-k":

@@ -5,11 +5,12 @@ seeded from the amplitude, with a free ``+-1`` branch choice for every
 square root.  One converged trace yields K, F (any arcsine branch),
 E and the Jacobi Zeta value for the chosen sign schedule.
 
-Internally the iteration carries the pair sums and differences, updating
-the member that would be computed by a cancelling subtraction through the
-exact identity ``sum' * diff' = diff**2 / 4``.  Sign flips applied after
-the pair has nearly converged are therefore evaluated to full relative
-precision, where the textbook recurrences would lose the value entirely.
+Internally both pairs are carried as sums and differences and advanced by
+`roots.pair_step`, which gets the member that a subtraction would cancel
+from the exact identity ``sum' * diff' = diff**2 / 4``.  Sign flips applied
+after the pair has nearly converged are therefore evaluated to full
+relative precision, where the textbook recurrences would lose the value
+entirely.
 """
 
 from __future__ import annotations
@@ -18,13 +19,12 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .roots import principal_sqrt, signed_root, near_root, forward_s_root
+from .roots import pair_step, principal_sqrt, signed_root
 
 __all__ = [
     "SignSchedule",
     "QuartetParams",
     "QuartetTrace",
-    "quartet_step",
     "run_quartet",
     "complete_K",
     "incomplete_F",
@@ -52,8 +52,9 @@ Quartet = tuple[complex, complex, complex, complex]
 class SignSchedule:
     """Per-iteration branch choices; bit ``n`` set means ``-1`` at iteration ``n``.
 
-    ``sigma`` drives the geometric-mean root, ``delta`` the forward root of
-    the amplitude pair, ``gamma`` the root inside the Zeta accumulation.
+    ``sigma_mask`` drives the geometric-mean root, ``delta_mask`` the
+    forward root of the amplitude pair, ``gamma_mask`` the root inside the
+    Zeta accumulation.
     Bits beyond an iteration count simply never apply; all-zero masks
     reproduce the plain convergent iteration.
     """
@@ -61,15 +62,6 @@ class SignSchedule:
     sigma_mask: int = 0
     delta_mask: int = 0
     gamma_mask: int = 0
-
-    def sigma(self, n: int) -> int:
-        return -1 if (self.sigma_mask >> n) & 1 else 1
-
-    def delta(self, n: int) -> int:
-        return -1 if (self.delta_mask >> n) & 1 else 1
-
-    def gamma(self, n: int) -> int:
-        return -1 if (self.gamma_mask >> n) & 1 else 1
 
     def generation(self) -> int:
         """1 + index of the last iteration carrying a nontrivial sign (0 if none)."""
@@ -143,27 +135,6 @@ class QuartetTrace:
     zeta_defined: bool = True
 
 
-def quartet_step(row: Quartet, sigma: int = 1, delta: int = 1) -> Quartet:
-    """Advance one quartet row with explicit root signs.
-
-    Plain single-step form of the recursion; `run_quartet` performs the
-    same map with conditioning-preserving bookkeeping.
-    """
-    a, g, u, v = row
-    return (
-        (a + g) / 2,
-        sigma * near_root(a, g),
-        (u + v) / 2,
-        delta * forward_s_root(u, v, a, g),
-    )
-
-
-def _safe_div(num: complex, den: complex) -> complex:
-    if den == 0:
-        return complex(0.0) if num == 0 else complex(math.nan, math.nan)
-    return num / den
-
-
 def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:
     """Run the signed recursion for ``params.max_iter`` iterations.
 
@@ -227,26 +198,9 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
             w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
 
         q = d_ag * d_ag / 4
-        a = s_ag / 2
-        if (sigma_mask >> n) & 1:
-            g = -near
-            d_ag = a + near
-            s_ag = _safe_div(q, d_ag)
-        else:
-            g = near
-            s_ag = a + near
-            d_ag = _safe_div(q, s_ag)
+        a, g, s_ag, d_ag = pair_step(s_ag, q, near, (sigma_mask >> n) & 1)
         p_ag = a * g
-
-        u = s_uv / 2
-        if (delta_mask >> n) & 1:
-            v = -w
-            d_uv = u + w
-            s_uv = _safe_div(q, d_uv)
-        else:
-            v = w
-            s_uv = u + w
-            d_uv = _safe_div(q, s_uv)
+        u, v, s_uv, d_uv = pair_step(s_uv, q, w, (delta_mask >> n) & 1)
 
         rows.append((a, g, u, v))
         if finite:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from .lattice import fit_cloud, predict_locus
-from .oracle import complete_from_complement, reference_set
-from .roots import near_root, principal_sqrt, signed_root
+from .oracle import agm_series, complete_from_complement, reference_set
+from .roots import near_root, principal_sqrt
 
 __all__ = [
     "MagmTriplet",
@@ -90,22 +91,14 @@ def gauss_series_rows(b: float, rows: int) -> list[complex]:
     """Partial values 1 - S_n of the weighted square-difference AGM series.
 
     S_n sums ``2**(j-1) (a_j**2 - g_j**2)`` over j < n for the plain
-    AGM(1, b); the pair differences are carried through the product
-    identity so the late terms stay exact instead of being 2**n-amplified
-    subtraction noise.
+    AGM(1, b), read off `oracle.agm_series`, whose exact pair update keeps
+    the late terms exact instead of 2**n-amplified subtraction noise.
     """
-    a, g = complex(1.0), complex(b)
-    s, d = a + g, a - g
-    total = complex(0.0)
-    out = [1 - total]
-    for n in range(rows):
-        total += 2.0 ** (n - 1) * (s * d)
-        out.append(1 - total)
-        near = signed_root(a * g, s, tie_positive_imag=True)
-        a, g = s / 2, near
-        q = d * d / 4
-        s = a + near
-        d = q / s if s != 0 else complex(0.0)
+    out = []
+    before = complex(0.0)
+    for _, _, total in islice(agm_series(b), rows + 1):
+        out.append(1 - before)
+        before = total
     return out
 
 

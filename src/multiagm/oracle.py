@@ -14,26 +14,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import count, islice
+from typing import Callable, Iterator
 
-from .roots import principal_sqrt, signed_root
+from .roots import pair_step, principal_sqrt, signed_root
 
 __all__ = [
     "ReferenceSet",
     "reference_set",
-    "ref_complete",
+    "agm_series",
     "complete_from_complement",
     "adaptive_simpson",
     "quad_F",
     "quad_E_inc",
     "landen_check",
-    "q_zeta",
     "QUAD_TOL",
 ]
 
 QUAD_TOL = 1e-11
 _AGM_MAX_ITER = 64
 _AGM_TOL = 1e-17
+
+
+def agm_series(b: complex) -> Iterator[tuple[complex, complex, complex]]:
+    """Rows ``(a_n, d_n, S)`` of the plain AGM(1, b), without end.
+
+    ``d_n = a_n - g_n`` and ``S`` sums ``2**(j-1) (a_j**2 - g_j**2)`` over
+    ``j <= n``.  The pair is advanced by `pair_step`, so the late, tiny
+    differences are exact instead of subtraction noise, and the row after
+    ``n`` is computed only when it is asked for.
+    """
+    a, g = complex(1.0), complex(b)
+    s, d = a + g, a - g
+    total = complex(0.0)
+    for n in count():
+        total += 2.0 ** (n - 1) * (s * d)
+        yield a, d, total
+        near = signed_root(a * g, s, tie_positive_imag=True)
+        a, g, s, d = pair_step(s, d * d / 4, near, False)
 
 
 def complete_from_complement(b: complex) -> tuple[complex, complex]:
@@ -44,28 +62,15 @@ def complete_from_complement(b: complex) -> tuple[complex, complex]:
     b = complex(b)
     if b == 0:
         raise ValueError("logarithmic singularity")
-    a, g = complex(1.0), b
-    s, d = a + g, a - g
-    total = complex(0.0)
-    for n in range(_AGM_MAX_ITER):
-        total += 2.0 ** (n - 1) * (s * d)
+    rows = agm_series(b)
+    for a, d, total in islice(rows, _AGM_MAX_ITER):
         if abs(d) <= _AGM_TOL * abs(a):
             break
-        near = signed_root(a * g, s, tie_positive_imag=True)
-        a, g = s / 2, near
-        q = d * d / 4
-        s = a + near
-        d = q / s if s != 0 else complex(0.0)
+    else:
+        # unconverged: K from the row after the last one summed
+        a = next(rows)[0]
     big_k = math.pi / 2 / a
     return big_k, big_k * (1 - total)
-
-
-def ref_complete(k: complex) -> tuple[complex, complex]:
-    """(K(k), E(k)) from the convergent AGM; ``k**2 == 1`` raises."""
-    k = complex(k)
-    if k * k == 1:
-        raise ValueError("logarithmic singularity")
-    return complete_from_complement(principal_sqrt(1 - k * k))
 
 
 @dataclass(frozen=True)
@@ -187,11 +192,3 @@ def landen_check(b: float) -> tuple[float, float]:
     residual2 = abs(K_k * K_v - 2.0 * K_b * K_q)
     residual4 = abs(K_k * K_w - 4.0 * K_b * K_c)
     return residual2, residual4
-
-
-def q_zeta(k: float) -> complex:
-    """One-dimensional Zeta lattice generator ``2*pi*i/K(k)``."""
-    if not 0.0 < k < 1.0:
-        raise ValueError("k must lie in (0, 1)")
-    big_k, _ = ref_complete(k)
-    return 2j * math.pi / big_k

@@ -1,20 +1,23 @@
-"""Complex square roots with explicit branch selection.
+"""Complex square roots with explicit branch selection, and the pair update.
 
 Every square root taken anywhere in this package goes through one of the
 selectors below, so the sign conventions live in a single audited place.
+Every AGM-style loop advances its pairs through `pair_step`, which carries
+a pair as sum and difference and gets the member that would cancel from
+the exact identity ``sum' * diff' = diff**2 / 4``.
 All functions are pure and operate on IEEE double complex scalars.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 __all__ = [
     "principal_sqrt",
     "signed_root",
     "near_root",
-    "forward_s_root",
-    "zeta_root",
+    "pair_step",
 ]
 
 
@@ -68,19 +71,22 @@ def near_root(a: complex, g: complex) -> complex:
     return signed_root(a * g, a + g, tie_positive_imag=True)
 
 
-def forward_s_root(u: complex, v: complex, a: complex, g: complex) -> complex:
-    """Half root of ``(u+v)**2 - (a-g)**2`` pointing along ``u+v``.
+def pair_step(s: complex, q: complex, root: complex, flip: int) -> tuple[complex, complex, complex, complex]:
+    """Advance a pair carried as its sum ``s`` to ``(s/2, +-root)``.
 
-    The branch keeps ``Re(s/(u+v)) >= 0``; ties, including ``u+v == 0``,
-    keep the principal branch (the caller records that degenerate case).
+    ``root`` is the chosen root of the new pair; a nonzero ``flip`` negates it.
+    ``q`` must equal ``diff**2 / 4`` for the pair's current difference.
+    Of the new sum and difference, the one that adds ``s/2`` and ``root``
+    is computed directly; the other, which a subtraction would cancel, is
+    ``q`` divided by it.  A zero divisor gives 0 when ``q == 0`` and NaN
+    otherwise.  Returns ``(mean, other, sum', diff')``.
     """
-    s = u + v
-    d = a - g
-    return signed_root((s - d) * (s + d), s) / 2
-
-
-def zeta_root(u: complex, a: complex) -> complex:
-    """Root of ``u**2 - a**2`` nearer to ``u``, i.e. with ``Re(w/u) >= 0``."""
-    if u == 0:
-        raise ValueError("zeta root undefined at u=0")
-    return signed_root(u * u - a * a, u)
+    mean = s / 2
+    added = mean + root
+    if added:
+        divided = q / added
+    else:
+        divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
+    if flip:
+        return mean, -root, divided, added
+    return mean, root, added, divided

@@ -5,16 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from multiagm import (
-    CloudRequest,
-    MultivaluePoint,
-    QuartetParams,
-    SignSchedule,
-    complete_from_complement,
-    enumerate_cloud,
-    restricted_zeta_schedule,
-)
-from multiagm.clouds import DUPLICATE_RTOL, _mark_duplicates
+from multiagm import CloudRequest, QuartetParams, SignSchedule, complete_from_complement, enumerate_cloud
+from multiagm.clouds import DUPLICATE_RTOL, MultivaluePoint, _mark_duplicates, restricted_zeta_schedule
 
 K_SQRT09375 = math.sqrt(0.9375)
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from multiagm import (
     QuartetParams,
-    QuartetTrace,
     SignSchedule,
     complete_E,
     complete_K,
@@ -17,10 +16,10 @@ from multiagm import (
     jacobi_Z,
     quad_E_inc,
     quad_F,
-    quartet_step,
+    reference_set,
     run_quartet,
 )
-from multiagm.engine import ILL_CONDITION_RATIO, MAX_ITER_LIMIT
+from multiagm.engine import ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace
 from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -33,21 +32,26 @@ def params(b=0.25, sinphi=0.5, signb=1, **kw):
 
 
 class TestQuartetStep:
+    """Row 1 of a one-iteration trace: one step of the signed recursion."""
+
     def test_fixed_point(self):
-        assert quartet_step((1, 1, 1, 1)) == (1, 1, 1, 1)
+        trace = run_quartet(QuartetParams(k=0, sinphi=1, max_iter=1))
+        assert trace.rows == ((1, 1, 1, 1), (1, 1, 1, 1))
 
     def test_generic_row_and_identity(self):
-        a, g, u, v = quartet_step((1, 0.25, 1, 1))
+        trace = run_quartet(params(max_iter=1))
+        assert trace.rows[0] == (1, 0.25, 2, 1.75)
+        a, g, u, v = trace.rows[1]
         assert a == 0.625
         assert g == 0.5
-        assert u == 1
-        assert v == pytest.approx(math.sqrt(4 - 0.5625) / 2, rel=1e-15)
+        assert u == 1.875
+        assert v == pytest.approx(math.sqrt(3.75**2 - 0.75**2) / 2, rel=1e-15)
         lhs = a * a - g * g
         rhs = u * u - v * v
         assert abs(lhs - rhs) <= 1e-15
 
     def test_sigma_flip_negates_g(self):
-        _, g, _, _ = quartet_step((1, 0.25, 1, 1), sigma=-1)
+        _, g, _, _ = run_quartet(params(max_iter=1), SignSchedule(sigma_mask=1)).rows[1]
         assert g == -0.5
 
 
@@ -62,9 +66,7 @@ class TestRunQuartet:
 
     @pytest.mark.parametrize("k", [0.1, 0.5, K_SQRT09375])
     def test_all_plus_limit_matches_oracle(self, k):
-        from multiagm import ref_complete
-
-        K_ref, _ = ref_complete(k)
+        K_ref = reference_set(k=k).K_k
         K = complete_K(run_quartet(QuartetParams(k=k, sinphi=0.5)))
         assert abs(K - K_ref) <= 1e-12 * abs(K_ref)
 
@@ -159,7 +161,7 @@ class TestRunQuartet:
 
 
 def reference_run_quartet(params, schedule):
-    """The plain form of the signed loop: per-step sign lookups and powers."""
+    """The plain form of the signed loop: per-step mask bits, powers and divisions."""
 
     def safe_div(num, den):
         if den == 0:
@@ -187,7 +189,7 @@ def reference_run_quartet(params, schedule):
                 z_sum = complex(math.nan, math.nan)
             else:
                 zr = signed_root(u * u - a * a, u)
-                z_sum += 2.0**n * schedule.gamma(n) * d_uv * zr / u
+                z_sum += 2.0**n * (-1 if (schedule.gamma_mask >> n) & 1 else 1) * d_uv * zr / u
         collapsed = collapsed or p_ag == 0
         near = signed_root(p_ag, s_ag, tie_positive_imag=True)
         degenerate = degenerate or s_uv == 0
@@ -197,17 +199,19 @@ def reference_run_quartet(params, schedule):
             w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
         q = d_ag * d_ag / 4
         a = s_ag / 2
-        g = near if schedule.sigma(n) > 0 else -near
+        sigma_flip = (schedule.sigma_mask >> n) & 1
+        g = -near if sigma_flip else near
         p_ag = a * g
-        if schedule.sigma(n) > 0:
+        if not sigma_flip:
             s_ag = a + near
             d_ag = safe_div(q, s_ag)
         else:
             d_ag = a + near
             s_ag = safe_div(q, d_ag)
         u = s_uv / 2
-        v = w if schedule.delta(n) > 0 else -w
-        if schedule.delta(n) > 0:
+        delta_flip = (schedule.delta_mask >> n) & 1
+        v = -w if delta_flip else w
+        if not delta_flip:
             s_uv = u + w
             d_uv = safe_div(q, s_uv)
         else:
@@ -325,4 +329,4 @@ def test_schedule_generation_is_last_nontrivial_bit(sigma, delta, gamma):
     sched = SignSchedule(sigma, delta, gamma)
     expected = max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
     assert sched.generation() == expected
-    assert all(sched.sigma(n) == 1 for n in range(sigma.bit_length(), 12))
+    assert all(not (sched.sigma_mask >> n) & 1 for n in range(sigma.bit_length(), 12))

@@ -7,8 +7,6 @@ import pytest
 from multiagm import (
     CircleSpec,
     CloudRequest,
-    LatticeSpec,
-    MultivaluePoint,
     QuartetParams,
     SignSchedule,
     enumerate_cloud,
@@ -16,6 +14,8 @@ from multiagm import (
     predict_locus,
     reference_set,
 )
+from multiagm.clouds import MultivaluePoint
+from multiagm.lattice import LatticeSpec
 
 K_SQRT09375 = math.sqrt(0.9375)
 

@@ -1,21 +1,14 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from multiagm.roots import principal_sqrt
+from multiagm import MagmTriplet, magm_equivalence, magm_negative_experiment, magm_step
+from multiagm.magm import gauss_series_rows, magm_rows_plus, run_magm
+from multiagm.roots import principal_sqrt, signed_root
 
-from multiagm import (
-    MagmTriplet,
-    complete_from_complement,
-    gauss_series_rows,
-    magm_equivalence,
-    magm_negative_experiment,
-    magm_rows_plus,
-    magm_step,
-    run_magm,
-)
+EPS = 2.220446049250313e-16
 
 small_complex = st.complex_numbers(min_magnitude=0.01, max_magnitude=100, allow_nan=False, allow_infinity=False)
 
@@ -58,6 +51,7 @@ class TestStep:
         assert abs((t.y + t.z) - 2 * z) <= 4e-16 * scale
 
     @given(x=small_complex, y=small_complex, z=small_complex, c=small_complex)
+    @example(x=1, y=0.5, z=1 - 6.17e-17j, c=1j)
     @settings(max_examples=200)
     def test_translation_invariance(self, x, y, z, c):
         assume(_away_from_branch_boundary(x, y, z))
@@ -65,9 +59,14 @@ class TestStep:
         plain = magm_step(MagmTriplet(x, y, z))
         moved = magm_step(MagmTriplet(x + c, y + c, z + c))
         scale = max(abs(plain.x), abs(plain.y), abs(plain.z), abs(c), 1.0)
+        # adding c rounds x-z and y-z by ~eps*scale; the root of their
+        # product amplifies that by (|x-z| + |y-z|) / |root|, which is
+        # large when z nearly equals x or y
+        conditioning = (abs(x - z) + abs(y - z)) / abs(principal_sqrt((x - z) * (y - z)))
+        root_tol = 1e-12 * scale + 8 * EPS * scale * conditioning
         assert abs(moved.x - (plain.x + c)) <= 1e-12 * scale
-        assert abs(moved.y - (plain.y + c)) <= 1e-12 * scale
-        assert abs(moved.z - (plain.z + c)) <= 1e-12 * scale
+        assert abs(moved.y - (plain.y + c)) <= root_tol
+        assert abs(moved.z - (plain.z + c)) <= root_tol
 
     @given(x=small_complex, y=small_complex, z=small_complex, s=st.floats(min_value=0.01, max_value=100))
     @settings(max_examples=200)
@@ -79,6 +78,33 @@ class TestStep:
         assert abs(scaled.x - s * plain.x) <= 1e-12 * scale
         assert abs(scaled.y - s * plain.y) <= 1e-12 * scale
         assert abs(scaled.z - s * plain.z) <= 1e-12 * scale
+
+
+def reference_gauss_series_rows(b, rows):
+    """The series' own plain loop: the sum and difference updated in line."""
+    a, g = complex(1.0), complex(b)
+    s, d = a + g, a - g
+    total = complex(0.0)
+    out = [1 - total]
+    for n in range(rows):
+        total += 2.0 ** (n - 1) * (s * d)
+        out.append(1 - total)
+        near = signed_root(a * g, s, tie_positive_imag=True)
+        a, g = s / 2, near
+        q = d * d / 4
+        s = a + near
+        d = q / s if s != 0 else complex(0.0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "b",
+    [0.25, 0.9, 1e-300, 5e-324, 1 - 1e-16, 1.0, -0.5, -1.0, -1e-300, 1j, 0.3 + 0.4j, 2 - 1j, math.inf, math.nan],
+)
+@pytest.mark.parametrize("rows", [0, 1, 20, 70])
+def test_gauss_series_rows_is_bit_identical_to_reference_loop(b, rows):
+    # repr tells signed zeros and NaN positions apart, unlike ==
+    assert repr(gauss_series_rows(b, rows)) == repr(reference_gauss_series_rows(b, rows))
 
 
 class TestSeriesCorrespondence:

@@ -2,34 +2,65 @@ import math
 
 import pytest
 
-from multiagm import (
-    adaptive_simpson,
-    complete_from_complement,
-    landen_check,
-    q_zeta,
-    quad_E_inc,
-    quad_F,
-    ref_complete,
-    reference_set,
-)
+from multiagm import complete_from_complement, landen_check, quad_E_inc, quad_F, reference_set
+from multiagm.oracle import adaptive_simpson
+from multiagm.roots import signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
 K_SET = (0.1, 0.25, 0.5, K_SQRT09375, 0.99)
 
+# (0, 1), near 0, near 1, negative, complex, and inputs that never converge
+B_GRID = (
+    0.25, 0.5, 0.75, 0.1, 1e-300, 5e-324, 1e-8, 1 - 1e-16, 1 - 1e-9, 1.0, 0.9999999,
+    -0.5, -1e-300, -1.0, -2.0, -1 + 1e-300j,
+    1j, 0.3 + 0.4j, -0.2 + 1j, 2 - 1j, 1e-300j, 1e3 + 1e3j,
+    1e300, math.inf, math.nan,
+)
+
+
+def reference_complete_from_complement(b):
+    """The oracle's own plain loop: the sum and difference updated in line."""
+    b = complex(b)
+    if b == 0:
+        raise ValueError("logarithmic singularity")
+    a, g = complex(1.0), b
+    s, d = a + g, a - g
+    total = complex(0.0)
+    for n in range(64):
+        total += 2.0 ** (n - 1) * (s * d)
+        if abs(d) <= 1e-17 * abs(a):
+            break
+        near = signed_root(a * g, s, tie_positive_imag=True)
+        a, g = s / 2, near
+        q = d * d / 4
+        s = a + near
+        d = q / s if s != 0 else complex(0.0)
+    big_k = math.pi / 2 / a
+    return big_k, big_k * (1 - total)
+
+
+@pytest.mark.parametrize("b", B_GRID)
+def test_complete_from_complement_is_bit_identical_to_reference_loop(b):
+    # repr tells signed zeros and NaN positions apart, unlike ==
+    assert repr(complete_from_complement(b)) == repr(reference_complete_from_complement(b))
+
 
 class TestRefComplete:
+    """Complete integrals K(k), E(k) of `reference_set` given the modulus."""
+
     def test_zero_modulus(self):
-        K, E = ref_complete(0)
+        K, E = complete_from_complement(1.0)
         assert K == math.pi / 2
         assert E == math.pi / 2
 
     def test_default_modulus(self):
-        K, _ = ref_complete(K_SQRT09375)
+        K = reference_set(k=K_SQRT09375).K_k
         assert K == pytest.approx(2.80121, abs=1e-5)
         assert K == pytest.approx(2.801206084665204, rel=1e-14)
 
     def test_quarter_complement(self):
-        K, E = ref_complete(0.25)
+        refs = reference_set(k=0.25)
+        K, E = refs.K_k, refs.E_k
         assert K == pytest.approx(1.5962, abs=1e-4)
         assert E == pytest.approx(1.5460, abs=1e-4)
         assert K == pytest.approx(1.5962422221317835, rel=1e-14)
@@ -37,14 +68,15 @@ class TestRefComplete:
 
     def test_singularity_raises(self):
         with pytest.raises(ValueError, match="logarithmic singularity"):
-            ref_complete(1.0)
+            reference_set(k=1.0)
         with pytest.raises(ValueError, match="logarithmic singularity"):
             complete_from_complement(0.0)
 
     def test_monotone_on_unit_interval(self):
         ks = [0.05, 0.2, 0.4, 0.6, 0.8, 0.95]
-        Ks = [ref_complete(k)[0].real for k in ks]
-        Es = [ref_complete(k)[1].real for k in ks]
+        refs = [reference_set(k=k) for k in ks]
+        Ks = [r.K_k.real for r in refs]
+        Es = [r.E_k.real for r in refs]
         assert all(a < b for a, b in zip(Ks, Ks[1:]))
         assert all(a > b for a, b in zip(Es, Es[1:]))
 
@@ -59,17 +91,18 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("k", [0.1, 0.25, 0.5, K_SQRT09375, 0.99])
     def test_full_amplitude_meets_agm(self, k):
-        K, _ = ref_complete(k)
+        K = reference_set(k=k).K_k
         assert quad_F(math.pi / 2, k) == pytest.approx(K.real, abs=1e-10)
 
     def test_full_second_kind_meets_agm(self):
-        _, E = ref_complete(K_SQRT09375)
+        E = reference_set(k=K_SQRT09375).E_k
         assert quad_E_inc(math.pi / 2, K_SQRT09375) == pytest.approx(E.real, abs=1e-10)
 
     def test_zeta_convention_value(self):
         # the first argument of the printed Zeta example reads as sin(phi)
         k = K_SQRT09375
-        K, E = ref_complete(k)
+        refs = reference_set(k=k)
+        K, E = refs.K_k, refs.E_k
         z = quad_E_inc(math.asin(0.5), k) - quad_F(math.asin(0.5), k) * (E / K).real
         assert z == pytest.approx(0.2920, abs=5e-4)
 
@@ -109,24 +142,26 @@ class TestIdentities:
 
 class TestZetaLatticeUnit:
     def test_default_modulus(self):
-        q = q_zeta(K_SQRT09375)
+        q = reference_set(k=K_SQRT09375).qZ
         assert q.real == 0
         assert q.imag == pytest.approx(2.2430, abs=1e-4)
         assert q.imag == pytest.approx(2.2430285802876, rel=1e-12)
 
     def test_small_modulus_limit(self):
-        assert abs(q_zeta(1e-6) - 4j) < 1e-11
+        assert abs(reference_set(k=1e-6).qZ - 4j) < 1e-11
 
     def test_half(self):
-        K, _ = ref_complete(0.5)
-        assert q_zeta(0.5) == pytest.approx(2j * math.pi / K.real)
+        refs = reference_set(k=0.5)
+        K = refs.K_k
+        assert refs.qZ == pytest.approx(2j * math.pi / K.real)
         assert K.real == pytest.approx(1.685750354812596, rel=1e-14)
 
     def test_domain(self):
+        # both ends of (0, 1) put one of K(k), K(b) on its singularity
         with pytest.raises(ValueError):
-            q_zeta(0.0)
+            reference_set(k=0.0)
         with pytest.raises(ValueError):
-            q_zeta(1.5)
+            reference_set(k=1.0)
 
 
 class TestReferenceSet:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiagm import forward_s_root, near_root, principal_sqrt, signed_root, zeta_root
+from multiagm.engine import QuartetParams, SignSchedule, jacobi_Z, run_quartet
+from multiagm.roots import near_root, pair_step, principal_sqrt, signed_root
 
 EPS = 2.220446049250313e-16
 
@@ -81,43 +82,118 @@ class TestNearRoot:
 
 
 class TestForwardSRoot:
+    """The forward root of the amplitude pair, as `run_quartet` takes it.
+
+    Row 1's ``v`` is half the root of ``(u+v)**2 - (a-g)**2`` of row 0,
+    pointing along ``u+v``.
+    """
+
     def test_equal_pair(self):
-        assert forward_s_root(2, 1, 1, 1) == 1.5
+        # k = 0: a == g, so the forward root is the mean of u and v
+        trace = run_quartet(QuartetParams(k=0, sinphi=0.5, max_iter=1))
+        assert trace.rows[1] == (1, 1, 2, 2)
 
     def test_generic_real(self):
-        s = forward_s_root(2, 1, 1, 0.25)
-        assert s == pytest.approx(1.4523687548277813, rel=1e-15)
-        assert (s / (2 + 1)).real > 0
+        trace = run_quartet(QuartetParams(k=math.sqrt(0.9375), sinphi=0.5, complement=0.25, max_iter=1))
+        assert trace.rows[0] == (1, 0.25, 2, 1.75)
+        v = trace.rows[1][3]
+        assert v == pytest.approx(math.sqrt(13.5) / 2, rel=1e-15)
+        assert (v / (2 + 1.75)).real > 0
 
     def test_degenerate_sum_keeps_principal(self):
-        assert forward_s_root(1, -1, 0, 0) == 0
-        # u+v == 0 with a nonzero root argument: principal branch survives
-        w = forward_s_root(1, -1, 2, 0)
+        # k = 0 and signb = -1 start with u + v == 0: the tie keeps the
+        # principal root and flags the trace
+        trace = run_quartet(QuartetParams(k=0, sinphi=0.5, signb=-1, max_iter=1))
+        (_, _, u, v), (_, _, _, w) = trace.rows
+        assert u + v == 0
         assert w == principal_sqrt(complex(-4)) / 2
+        assert trace.ill_conditioned
 
-    @given(u=finite_complex, v=finite_complex, a=finite_complex, g=finite_complex)
+    @given(k=finite_complex, sinphi=finite_complex)
     @settings(max_examples=200)
-    def test_square(self, u, v, a, g):
-        s = forward_s_root(u, v, a, g)
+    def test_square(self, k, sinphi):
+        trace = run_quartet(QuartetParams(k=k, sinphi=sinphi, max_iter=1))
+        (a, g, u, v), (_, _, _, w) = trace.rows
         target = ((u + v) ** 2 - (a - g) ** 2) / 4
-        assert abs(s * s - target) <= 16 * EPS * (abs((u + v) ** 2) + abs((a - g) ** 2))
+        assert abs(w * w - target) <= 16 * EPS * (abs((u + v) ** 2) + abs((a - g) ** 2))
 
 
 class TestZetaRoot:
+    """The root of ``u**2 - a**2`` nearer to ``u`` inside the Zeta sum.
+
+    With one iteration the sum is the single term ``(u-v) * root / u`` of
+    row 0, where ``a == 1``.
+    """
+
     def test_zero_a(self):
-        assert zeta_root(2, 0) == 2
+        # k = 0 with the first mean root flipped reaches a == 0 at row 2,
+        # where the root is u itself; the terms of rows 0 and 1 vanish
+        trace = run_quartet(QuartetParams(k=0, sinphi=0.5, max_iter=3), SignSchedule(sigma_mask=1, delta_mask=2))
+        a, _, u, v = trace.rows[2]
+        assert a == 0 and u == 2
+        assert trace.z_sum == 4 * (u - v)
 
     def test_real_triangle(self):
-        assert zeta_root(1.25, 1) == pytest.approx(0.75, rel=1e-15)
+        trace = run_quartet(QuartetParams(k=math.sqrt(0.9375), sinphi=0.8, complement=0.25, max_iter=1))
+        u, v = trace.rows[0][2:]
+        assert u == 1.25
+        # root of 1.25**2 - 1 is 0.75
+        assert trace.z_sum == pytest.approx((u - v) * 0.75 / 1.25, rel=1e-15)
 
     def test_imaginary_u(self):
-        w = zeta_root(1j, 1)
-        assert w == pytest.approx(1j * math.sqrt(2))
-        assert (w / 1j).real > 0
+        trace = run_quartet(QuartetParams(k=0.5, sinphi=-1j, max_iter=1))
+        u, v = trace.rows[0][2:]
+        assert u == 1j
+        # root of -2 nearer to u = 1j is 1j * sqrt(2)
+        assert trace.z_sum == pytest.approx((u - v) * math.sqrt(2), rel=1e-15)
 
     def test_u_zero_raises(self):
-        with pytest.raises(ValueError, match="zeta root undefined"):
-            zeta_root(0, 1)
+        # u + v == 0 at row 0 makes u == 0 at row 1
+        trace = run_quartet(QuartetParams(k=0, sinphi=0.5, signb=-1, max_iter=2))
+        assert trace.rows[1][2] == 0
+        assert not trace.zeta_defined
+        assert trace.ill_conditioned
+        with pytest.raises(ValueError, match="u=0"):
+            jacobi_Z(trace)
+
+
+class TestPairStep:
+    def test_no_flip_adds_into_the_sum(self):
+        mean, other, s, d = pair_step(1.25, 0.140625, 0.5, False)
+        assert (mean, other, s) == (0.625, 0.5, 1.125)
+        assert d == 0.140625 / 1.125
+
+    def test_flip_adds_into_the_difference(self):
+        mean, other, s, d = pair_step(1.25, 0.140625, 0.5, True)
+        assert (mean, other, d) == (0.625, -0.5, 1.125)
+        assert s == 0.140625 / 1.125
+
+    @given(s=finite_complex, d=finite_complex, flip=st.booleans())
+    @settings(max_examples=200)
+    def test_product_identity(self, s, d, flip):
+        # the root of the new pair's product, as every loop takes it
+        a, g = (s + d) / 2, (s - d) / 2
+        root = near_root(a, g)
+        q = d * d / 4
+        mean, other, s_new, d_new = pair_step(s, q, root, flip)
+        assert mean == s / 2
+        assert other == (-root if flip else root)
+        assert s_new * d_new == pytest.approx(q, rel=8 * EPS, abs=0)
+        # one member adds mean and root; the other is the difference
+        # mean - root, obtained without subtracting
+        added, divided = (d_new, s_new) if flip else (s_new, d_new)
+        assert added == mean + root
+        assert abs(divided - (mean - root)) <= 16 * EPS * (abs(s) + abs(d))
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_zero_divisor(self, flip):
+        # the added member is 0: the other is 0 when q == 0, NaN otherwise
+        _, _, s, d = pair_step(2, 0, -1, flip)
+        assert (s, d) == (0, 0)
+        _, _, s, d = pair_step(2, 1, -1, flip)
+        divided = s if flip else d
+        assert (d if flip else s) == 0
+        assert cmath.isnan(divided.real) and cmath.isnan(divided.imag)
 
 
 class TestSignedRoot:
