@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
 from .clouds import CloudRequest, MultivaluePoint, enumerate_cloud
 from .engine import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, QuartetParams
@@ -61,6 +61,9 @@ VERIFY_KINDS = {
     "z-restricted": "Z_restricted",
 }
 
+# complementary modulus of the standard configuration
+DEFAULT_B = 0.25
+
 _SVG_COLORS = ("#d62728", "#000000", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
 
 
@@ -68,18 +71,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-@dataclass
-class Series:
-    label: str
-    points: list[MultivaluePoint]
-
-
 def _moduli(args: argparse.Namespace) -> tuple[complex, complex]:
-    """(k, b) from the flags; b wins as the fundamental parameter."""
-    if getattr(args, "k", None) is not None:
+    """(k, b) from ``--k`` when given, else from ``--b``."""
+    if args.k is not None:
         k = complex(args.k)
         return k, principal_sqrt(1 - k * k)
-    b = complex(args.b if getattr(args, "b", None) is not None else 0.25)
+    b = complex(args.b)
     return principal_sqrt((1 - b) * (1 + b)), b
 
 
@@ -95,15 +92,15 @@ def _params(args: argparse.Namespace, signb: int) -> QuartetParams:
     )
 
 
-def _series_rows(series_list: list[Series]) -> list[tuple]:
+def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[tuple]:
     rows = []
     offset = 0
-    for series in series_list:
-        for point in series.points:
+    for label, points in series_list:
+        for point in points:
             dup = "" if point.duplicate_of is None else str(point.duplicate_of + offset)
             rows.append(
                 (
-                    series.label,
+                    label,
                     str(point.schedule.sigma_mask),
                     str(point.schedule.delta_mask),
                     str(point.schedule.gamma_mask),
@@ -115,26 +112,26 @@ def _series_rows(series_list: list[Series]) -> list[tuple]:
                     dup,
                 )
             )
-        offset += len(series.points)
+        offset += len(points)
     return rows
 
 
-def _write_csv(stream, series_list: list[Series]) -> None:
+def _write_csv(stream, series_list: list[tuple[str, list[MultivaluePoint]]]) -> None:
     stream.write(",".join(CSV_HEADER) + "\n")
     for row in _series_rows(series_list):
         stream.write(",".join(row) + "\n")
 
 
-def _write_json(stream, series_list: list[Series]) -> None:
+def _write_json(stream, series_list: list[tuple[str, list[MultivaluePoint]]]) -> None:
     records = [dict(zip(CSV_HEADER, row)) for row in _series_rows(series_list)]
     json.dump(records, stream, indent=2)
     stream.write("\n")
 
 
-def _write_svg(path: str, series_list: list[Series], title: str) -> None:
+def _write_svg(path: str, series_list: list[tuple[str, list[MultivaluePoint]]], title: str) -> None:
     pts = []
-    for si, series in enumerate(series_list):
-        for point in series.points:
+    for si, (_, points) in enumerate(series_list):
+        for point in points:
             v = point.value
             if math.isfinite(v.real) and math.isfinite(v.imag):
                 pts.append((v.real, v.imag, si, point.generation))
@@ -173,29 +170,15 @@ def _write_svg(path: str, series_list: list[Series], title: str) -> None:
         handle.write("\n".join(parts) + "\n")
 
 
-def _emit(args: argparse.Namespace, series_list: list[Series], title: str) -> None:
+def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[MultivaluePoint]]], title: str) -> None:
+    write = _write_csv if args.format == "csv" else _write_json
     if args.out == "-":
-        stream = sys.stdout
-        close = False
+        write(sys.stdout, series_list)
     else:
-        stream = open(args.out, "w", encoding="ascii", newline="")
-        close = True
-    try:
-        if args.format == "csv":
-            _write_csv(stream, series_list)
-        else:
-            _write_json(stream, series_list)
-    finally:
-        if close:
-            stream.close()
+        with open(args.out, "w", encoding="ascii", newline="") as stream:
+            write(stream, series_list)
     if args.svg:
         _write_svg(args.svg, series_list, title)
-
-
-def _check_bits(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    for name in ("sigma_bits", "delta_bits", "gamma_bits"):
-        if getattr(args, name, 0) > args.max_iter:
-            parser.error(f"--{name.replace('_', '-')} must not exceed --max-iter")
 
 
 def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePoint]:
@@ -210,25 +193,23 @@ def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePo
     )
 
 
-def _cmd_fill(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_bits(parser, args)
+def _cmd_fill(args: argparse.Namespace) -> int:
     kind, label = FILL_DEFAULTS[args.command][:2]
     if args.command == "fill-k":
         signbs = (1, -1) if args.signb == "both" else (int(args.signb),)
-        series_list = [Series(label + ("+" if signb > 0 else "-"), _cloud(args, kind, signb)) for signb in signbs]
+        series_list = [(label + ("+" if signb > 0 else "-"), _cloud(args, kind, signb)) for signb in signbs]
     else:
-        series_list = [Series(label, _cloud(args, kind, int(args.signb)))]
+        series_list = [(label, _cloud(args, kind, int(args.signb)))]
     _emit(args, series_list, args.command)
     return 0
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     kind = VERIFY_KINDS[args.kind]
     cloud_kind = "K" if kind == "K_both" else kind
     for name, default in zip(SHAPE_FLAGS, KIND_SHAPES[cloud_kind]):
         if getattr(args, name) is None:
             setattr(args, name, default)
-    _check_bits(parser, args)
     _, b = _moduli(args)
     refs = reference_set(b=b)
     phi = math.asin(args.sinphi) if kind in ("F", "Z_restricted") else None
@@ -240,7 +221,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     report = fit_cloud(points, spec, tol=args.tol)
 
     if args.format == "json":
-        payload = report.to_dict()
+        payload = asdict(report)
         payload["kind"] = args.kind
         if isinstance(spec, CircleSpec):
             payload["circle"] = {"x1": spec.x1, "x2": spec.x2}
@@ -277,16 +258,17 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     return 0 if report.passed else 1
 
 
-def _cmd_magm_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    b = float(args.b if args.b is not None else 0.25)
-    eq = magm_equivalence(b, args.rows)
-    print(f"equivalence b={b} rows={args.rows}:")
+def _cmd_magm_check(args: argparse.Namespace) -> int:
+    if args.mask_bits < 0:
+        raise ValueError("mask_bits must be nonnegative")
+    eq = magm_equivalence(args.b, args.rows)
+    print(f"equivalence b={args.b} rows={args.rows}:")
     print(f"  max row deviation  {eq.max_row_deviation:.3e}")
     print(f"  limit              {eq.limit:.15g}")
     print(f"  limit vs E/K       {eq.limit_deviation:.3e}")
     print(f"sign experiments (masks 0..{2**args.mask_bits - 1}):")
     for mask in range(2**args.mask_bits):
-        outcome = magm_negative_experiment(b, mask, args.rows)
+        outcome = magm_negative_experiment(args.b, mask, args.rows)
         if outcome.converged:
             print(
                 f"  mask {mask:3d}: converged limit={outcome.limit:.12g}"
@@ -297,7 +279,7 @@ def _cmd_magm_check(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     return 0
 
 
-def _cmd_ref(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_ref(args: argparse.Namespace) -> int:
     _, b = _moduli(args)
     refs = reference_set(b=b)
     print(f"b   = {refs.b:.17g}")
@@ -316,6 +298,12 @@ def _cmd_ref(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_moduli(sub: argparse.ArgumentParser) -> None:
+    mod = sub.add_mutually_exclusive_group()
+    mod.add_argument("--b", type=float, default=DEFAULT_B, help=f"complementary modulus (default {DEFAULT_B})")
+    mod.add_argument("--k", type=float, default=None, help="modulus (alternative to --b)")
+
+
 def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
     """Modulus, sweep-shape and iteration flags.
 
@@ -327,9 +315,7 @@ def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
     def default(value) -> str:
         return "per --kind" if value is None else str(value)
 
-    mod = sub.add_mutually_exclusive_group()
-    mod.add_argument("--b", type=float, default=None, help="complementary modulus (default 0.25)")
-    mod.add_argument("--k", type=float, default=None, help="modulus (alternative to --b)")
+    _add_moduli(sub)
     sub.add_argument("--sinphi", type=float, default=sinphi, help=f"sine of the amplitude (default {default(sinphi)})")
     sub.add_argument(
         "--sigma-bits", type=int, default=sigma, help=f"free geometric-mean sign bits (default {default(sigma)})"
@@ -359,22 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--out", default="-", help="output path, '-' for stdout")
         sub.add_argument("--svg", default=None, help="also write an SVG scatter to this path")
+        sub.set_defaults(run=_cmd_fill)
 
     sub = commands.add_parser("verify", help="fit a cloud against its predicted locus")
     sub.add_argument("--kind", choices=sorted(VERIFY_KINDS), required=True)
     _add_common(sub, None)
     sub.add_argument("--tol", type=float, default=DEFAULT_FIT_TOL, help="max residual to pass (default 1e-6)")
     sub.add_argument("--format", choices=("text", "json"), default="text")
+    sub.set_defaults(run=_cmd_verify)
 
     sub = commands.add_parser("magm-check", help="triplet-iteration equivalence and sign experiments")
-    sub.add_argument("--b", type=float, default=None, help="complementary modulus (default 0.25)")
+    sub.add_argument("--b", type=float, default=DEFAULT_B, help=f"complementary modulus (default {DEFAULT_B})")
     sub.add_argument("--rows", type=int, default=20)
     sub.add_argument("--mask-bits", type=int, default=4)
+    sub.set_defaults(run=_cmd_magm_check)
 
     sub = commands.add_parser("ref", help="print the reference values and identity residuals")
-    mod = sub.add_mutually_exclusive_group()
-    mod.add_argument("--b", type=float, default=None)
-    mod.add_argument("--k", type=float, default=None)
+    _add_moduli(sub)
+    sub.set_defaults(run=_cmd_ref)
 
     return parser
 
@@ -383,19 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in FILL_DEFAULTS:
-            if args.signb == "+1":
-                args.signb = "1"
-            return _cmd_fill(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        if args.command == "magm-check":
-            return _cmd_magm_check(parser, args)
-        if args.command == "ref":
-            return _cmd_ref(parser, args)
+        return args.run(args)
     except ValueError as exc:
         parser.exit(2, f"error: {exc}\n")
-    raise AssertionError("unreachable")
 
 
 def console_main() -> None:

@@ -215,7 +215,7 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
         or collapsed
         or degenerate
         or not zeta_defined
-        or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+        or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
     )
     return QuartetTrace(
         rows=tuple(rows),

@@ -83,32 +83,14 @@ class PointFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    points: tuple[PointFit, ...]
+    """Fit of a whole cloud; `dataclasses.asdict` gives its JSON in field order."""
+
+    tol: float
+    passed: bool
     max_residual: float
     worst_point: int | None
     flagged_excluded: int
-    tol: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "worst_point": self.worst_point,
-            "flagged_excluded": self.flagged_excluded,
-            "points": [
-                {
-                    "index": p.index,
-                    "m": p.m,
-                    "n": p.n,
-                    "coset": p.coset,
-                    "residual": p.residual,
-                    "excluded": p.excluded,
-                }
-                for p in self.points
-            ],
-        }
+    points: tuple[PointFit, ...]
 
 
 def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> LatticeSpec | CircleSpec:

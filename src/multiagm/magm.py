@@ -29,6 +29,11 @@ __all__ = [
     "magm_negative_experiment",
 ]
 
+# The shifted pair of `magm_rows_plus` grows as 2**rows; its
+# (sqrt(p) + sqrt(r))**2 < 2**(rows + 1) stays below the float range
+# (2**1024) for every b in (0, 1) up to this many rows.
+MAX_EQUIVALENCE_ROWS = 1023
+
 # The direct triplet update carries rounding noise amplified by 2**rows
 # (about 2e-10 at 20 rows), so convergence of an experiment run is judged
 # against a floor above that, not against machine precision.
@@ -115,6 +120,8 @@ def magm_equivalence(b: float, rows: int = 20) -> MagmEquivalence:
     """Row-by-row deviation |x_n - (1 - S_n)| plus the limit error against E/K."""
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
+    if not 0 <= rows <= MAX_EQUIVALENCE_ROWS:
+        raise ValueError(f"rows must lie in [0, {MAX_EQUIVALENCE_ROWS}]")
     triplets = magm_rows_plus(b, rows)
     partials = gauss_series_rows(b, rows)
     max_dev = max(abs(triplets[n].x - partials[n]) for n in range(rows + 1))
@@ -150,6 +157,8 @@ def magm_negative_experiment(b: float, sign_mask: int, rows: int = 20) -> MagmOu
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
+    if rows < 0:
+        raise ValueError("rows must be nonnegative")
     triplets = run_magm(b, rows, sign_mask)
     last = triplets[-1]
     finite = all(cmath.isfinite(w) for w in (last.x, last.y, last.z))

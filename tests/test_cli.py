@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,15 @@ class TestFillCommands:
         assert text.startswith("<svg")
         assert "<circle" in text
 
+    @pytest.mark.parametrize("args", [["fill-z"], ["fill-k", "--format", "json"]])
+    def test_out_file_gets_the_stdout_bytes(self, args, tmp_path, capsys):
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        code, data = run_to_file(tmp_path, "cloud.out", args)
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert data == stdout.encode("ascii")
+
     def test_k_flag_instead_of_b(self, tmp_path):
         code, data = run_to_file(tmp_path, "k2.csv", ["fill-k", "--k", str(math.sqrt(0.9375)), "--signb", "+1"])
         assert code == 0
@@ -88,16 +98,57 @@ def test_deep_fill_bytes(command, capsys):
     assert digest == DEEP_FILL_DIGESTS[command]
 
 
+# stdout SHA-256 of `verify --kind KIND --format json`; the report's key
+# order is the field order of `FitReport`, which `asdict` follows
+VERIFY_JSON_DIGESTS = {
+    "e": "a2fbc126f0c6f32db43e1f7fb7a74211f03a17f33dc1022f494bd7f42b2cf983",
+    "f": "03e93a313ca270dbe06ed27476b1323b235574677379f8f80dcacc4a587e5a3f",
+    "k": "6230a7be150771814a26e5d0419e630d286470bf15529b0303eef7cba6e45310",
+    "k-both": "63daa19cf68ee432bd074d71b6b1869586c8d22f7dcaa8c6e68971d6fd5b7130",
+    "n": "62e2ad70bc75cb19cc3d0bebd5bf101d1b7584baf119533411c26bd789b14e36",
+    "z-restricted": "725eea4e6aa48515fe1a7d99e30cba276c716e941e286df544f8332811433c35",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(VERIFY_JSON_DIGESTS))
+def test_verify_json_bytes(kind, capsys):
+    assert main(["verify", "--kind", kind, "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
+    assert digest == VERIFY_JSON_DIGESTS[kind]
+
+
+def _recorded_sample() -> list:
+    """First, middle and last recorded argv of each subcommand, plus the first three nonzero exits."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "verify_mix_outcomes.json"
+    recorded = json.loads(path.read_text())
+    by_shape: dict[str, list[str]] = {}
+    for key in sorted(recorded):
+        argv = key.split()
+        by_shape.setdefault(" ".join(argv[:3] if argv[0] == "verify" else argv[:1]), []).append(key)
+    assert len(by_shape) == 14
+    keys = [k for ks in by_shape.values() for k in (ks[0], ks[len(ks) // 2], ks[-1])]
+    keys += [k for k in sorted(recorded) if recorded[k][0] != 0][:3]
+    return [pytest.param(k, recorded[k], id=k) for k in keys]
+
+
+@pytest.mark.parametrize("command,outcome", _recorded_sample())
+def test_recorded_outcome(command, outcome, capsys):
+    # exit code and stdout digest recorded for the benchmark's request mix
+    assert main(command.split()) == outcome[0]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == outcome[1]
+
+
 class TestFlagValidation:
     def test_b_and_k_conflict(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fill-k", "--b", "0.25", "--k", "0.5"])
         assert err.value.code == 2
 
-    def test_bits_above_iterations(self):
+    def test_bits_above_iterations(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fill-k", "--sigma-bits", "25"])
         assert err.value.code == 2
+        assert capsys.readouterr().err == "error: sigma_bits exceeds max_iter\n"
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
@@ -156,3 +207,25 @@ class TestOtherCommands:
         out = capsys.readouterr().out
         assert "max row deviation" in out
         assert "mask   0: converged" in out
+
+    @pytest.mark.parametrize(
+        "args,bound",
+        [
+            (["--rows", "-1"], "rows must lie in [0, 1023]"),
+            (["--rows", "-2"], "rows must lie in [0, 1023]"),
+            (["--rows", "1024", "--b", "0.5"], "rows must lie in [0, 1023]"),
+            (["--mask-bits", "-1"], "mask_bits must be nonnegative"),
+        ],
+    )
+    def test_magm_check_rejects_out_of_range_counts(self, args, bound, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["magm-check", *args])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bound}\n"
+
+    @pytest.mark.parametrize("rows", ["0", "1023"])
+    def test_magm_check_row_count_limits(self, rows, capsys):
+        assert main(["magm-check", "--b", "0.999999", "--rows", rows, "--mask-bits", "0"]) == 0
+        assert "limit vs E/K" in capsys.readouterr().out

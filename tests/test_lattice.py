@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -155,7 +156,7 @@ class TestFitCloud:
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        payload = fit_cloud([0j, 1j], spec).to_dict()
+        payload = asdict(fit_cloud([0j, 1j], spec))
         assert payload["passed"] is True
         assert len(payload["points"]) == 2
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiagm import MagmTriplet, magm_equivalence, magm_negative_experiment, magm_step
-from multiagm.magm import gauss_series_rows, magm_rows_plus, run_magm
+from multiagm.magm import MAX_EQUIVALENCE_ROWS, gauss_series_rows, magm_rows_plus, run_magm
 from multiagm.roots import principal_sqrt, signed_root
 
 EPS = 2.220446049250313e-16
@@ -153,6 +154,23 @@ class TestSeriesCorrespondence:
         with pytest.raises(ValueError):
             magm_equivalence(1.0)
 
+    @pytest.mark.parametrize("rows", [-2, -1, MAX_EQUIVALENCE_ROWS + 1])
+    def test_row_count_outside_range(self, rows):
+        with pytest.raises(ValueError, match=r"rows must lie in \[0, 1023\]"):
+            magm_equivalence(0.5, rows)
+
+    @pytest.mark.parametrize("b", [1e-9, 0.25, 0.5, 0.75, 0.9, 0.999999, 1 - 2**-53])
+    def test_longest_run_stays_finite(self, b):
+        eq = magm_equivalence(b, MAX_EQUIVALENCE_ROWS)
+        assert cmath.isfinite(eq.limit)
+        assert eq.max_row_deviation < 1e-12
+        assert eq.limit_deviation < 1e-10
+
+    def test_one_row_past_the_bound_overflows(self):
+        # the shifted pair doubles per row; this is why the row count is capped
+        with pytest.raises(OverflowError):
+            magm_rows_plus(0.5, MAX_EQUIVALENCE_ROWS + 1)
+
 
 class TestSignExperiments:
     def test_mask_zero_matches_equivalence(self):
@@ -180,3 +198,5 @@ class TestSignExperiments:
     def test_domain(self):
         with pytest.raises(ValueError):
             magm_negative_experiment(0.0, 1)
+        with pytest.raises(ValueError, match="rows must be nonnegative"):
+            magm_negative_experiment(0.25, 0, rows=-1)
