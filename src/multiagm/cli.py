@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 
 from .clouds import CloudRequest, MultivaluePoint, enumerate_cloud
-from .engine import DEFAULT_CONV_TOL, DEFAULT_MAX_ITER, QuartetParams
+from .engine import DEFAULT_MAX_ITER, QuartetParams
 from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
 from .magm import magm_equivalence, magm_negative_experiment
 from .oracle import landen_check, reference_set
@@ -78,18 +78,6 @@ def _moduli(args: argparse.Namespace) -> tuple[complex, complex]:
         return k, principal_sqrt(1 - k * k)
     b = complex(args.b)
     return principal_sqrt((1 - b) * (1 + b)), b
-
-
-def _params(args: argparse.Namespace, signb: int) -> QuartetParams:
-    k, b = _moduli(args)
-    return QuartetParams(
-        k=k,
-        sinphi=args.sinphi,
-        signb=signb,
-        max_iter=args.max_iter,
-        conv_tol=args.conv_tol,
-        complement=b,
-    )
 
 
 def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[tuple]:
@@ -182,10 +170,11 @@ def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[Multivalue
 
 
 def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePoint]:
+    k, b = _moduli(args)
     return enumerate_cloud(
         CloudRequest(
             kind=kind,
-            params=_params(args, signb),
+            params=QuartetParams(k=k, sinphi=args.sinphi, signb=signb, max_iter=args.max_iter, complement=b),
             sigma_bits=args.sigma_bits,
             delta_bits=args.delta_bits,
             gamma_bits=args.gamma_bits,
@@ -212,7 +201,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             setattr(args, name, default)
     _, b = _moduli(args)
     refs = reference_set(b=b)
-    phi = math.asin(args.sinphi) if kind in ("F", "Z_restricted") else None
+    phi = None
+    if kind in ("F", "Z_restricted"):
+        if not 0 < args.sinphi <= 1:
+            raise ValueError("sinphi must lie in (0, 1]")
+        phi = math.asin(args.sinphi)
     spec = predict_locus(kind, refs, phi=phi)
 
     points = _cloud(args, cloud_kind, 1)
@@ -223,16 +216,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = asdict(report)
         payload["kind"] = args.kind
-        if isinstance(spec, CircleSpec):
-            payload["circle"] = {"x1": spec.x1, "x2": spec.x2}
-        else:
-            payload["lattice"] = {
-                "origin": [spec.origin.real, spec.origin.imag],
-                "gen1": [spec.gen1.real, spec.gen1.imag],
-                "gen2": [spec.gen2.real, spec.gen2.imag],
-                "cosets": [[c.real, c.imag] for c in spec.cosets],
-            }
-        print(json.dumps(payload, indent=2))
+        payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = asdict(spec)
+        print(json.dumps(payload, indent=2, default=lambda z: [z.real, z.imag]))
     else:
         if isinstance(spec, CircleSpec):
             print(f"circle locus: crossings {_fmt(spec.x1)}, {_fmt(spec.x2)}")
@@ -325,7 +310,6 @@ def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
     )
     sub.add_argument("--gamma-bits", type=int, default=gamma, help=f"free zeta-root sign bits (default {default(gamma)})")
     sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration count (default 20)")
-    sub.add_argument("--conv-tol", type=float, default=DEFAULT_CONV_TOL, help="convergence tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -27,7 +27,6 @@ __all__ = [
     "CLOUD_KINDS",
     "MultivaluePoint",
     "CloudRequest",
-    "restricted_zeta_schedule",
     "enumerate_cloud",
     "DUPLICATE_RTOL",
 ]
@@ -74,23 +73,14 @@ class CloudRequest:
                 raise ValueError(f"{name} must be nonnegative")
             if bits > self.params.max_iter:
                 raise ValueError(f"{name} exceeds max_iter")
-
-
-def restricted_zeta_schedule(delta_mask: int) -> SignSchedule:
-    """Schedule with the zeta sign tied to the previous forward sign.
-
-    The gamma mask is the delta mask shifted up one bit, so the root sign
-    inside the Zeta term at iteration n repeats the forward-root choice of
-    iteration n-1; the geometric-mean signs stay all-positive.
-    """
-    if delta_mask < 0:
-        raise ValueError("delta_mask must be nonnegative")
-    return SignSchedule(sigma_mask=0, delta_mask=delta_mask, gamma_mask=delta_mask << 1)
+        if self.kind == "Z_restricted" and (self.sigma_bits or self.gamma_bits):
+            raise ValueError("Z_restricted sweeps delta bits only; sigma_bits and gamma_bits must be 0")
 
 
 def _schedules(req: CloudRequest) -> list[SignSchedule]:
     if req.kind == "Z_restricted":
-        return [restricted_zeta_schedule(d) for d in range(2**req.delta_bits - 1, -1, -1)]
+        # the zeta sign at iteration n repeats the forward sign of iteration n-1
+        return [SignSchedule(delta_mask=d, gamma_mask=d << 1) for d in range(2**req.delta_bits - 1, -1, -1)]
     out = []
     for s in range(2**req.sigma_bits - 1, -1, -1):
         for d in range(2**req.delta_bits - 1, -1, -1):

@@ -31,13 +31,15 @@ __all__ = [
     "complete_E",
     "jacobi_Z",
     "DEFAULT_MAX_ITER",
-    "DEFAULT_CONV_TOL",
+    "CONV_TOL",
     "MAX_ITER_LIMIT",
     "ILL_CONDITION_RATIO",
 ]
 
 DEFAULT_MAX_ITER = 20
-DEFAULT_CONV_TOL = 1e-12
+
+# Both pair differences below this times |a_inf| count as converged.
+CONV_TOL = 1e-12
 
 # The series weights reach 2**(max_iter-1), the largest finite power of two.
 MAX_ITER_LIMIT = 1024
@@ -87,7 +89,6 @@ class QuartetParams:
     sinphi: complex
     signb: int = 1
     max_iter: int = DEFAULT_MAX_ITER
-    conv_tol: float = DEFAULT_CONV_TOL
     complement: complex | None = None
 
     def __post_init__(self) -> None:
@@ -99,8 +100,6 @@ class QuartetParams:
             raise ValueError("max_iter must be at least 1")
         if self.max_iter > MAX_ITER_LIMIT:
             raise ValueError(f"max_iter must be at most {MAX_ITER_LIMIT}")
-        if not self.conv_tol > 0:
-            raise ValueError("conv_tol must be positive")
 
     def complement_value(self) -> complex:
         if self.complement is not None:
@@ -207,9 +206,7 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
             finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
     scale = abs(a)
-    converged = bool(
-        finite and scale > 0.0 and abs(d_ag) <= params.conv_tol * scale and abs(d_uv) <= params.conv_tol * scale
-    )
+    converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
     ill = (
         not finite
         or collapsed

@@ -93,12 +93,20 @@ class FitReport:
     points: tuple[PointFit, ...]
 
 
+def _real(name: str, value: complex) -> float:
+    """The real value the quadrature and circle formulas need, never a truncation."""
+    if value.imag != 0:
+        raise ValueError(f"{name} must be real for this locus, got {value:.6g}")
+    return value.real
+
+
 def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> LatticeSpec | CircleSpec:
     """Predicted locus for a cloud of the given kind from reference values.
 
     ``kind`` is one of ``K`` (fixed initial sign), ``K_both`` (both initial
     signs combined), ``F``, ``E``, ``N`` or ``Z_restricted``.  ``F`` and
-    ``Z_restricted`` need the real amplitude ``phi``.
+    ``Z_restricted`` need the real amplitude ``phi``.  ``F``, ``N`` and
+    ``Z_restricted`` need a real k and E/K; a complex one raises.
     """
     if kind == "K":
         return LatticeSpec(origin=refs.K_k, gen1=4 * refs.K_k, gen2=4j * refs.K_b)
@@ -107,11 +115,11 @@ def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> La
     if kind == "E":
         return LatticeSpec(origin=refs.E_k, gen1=4 * refs.E_k, gen2=4j * (refs.K_b - refs.E_b))
     if kind == "N":
-        return CircleSpec(x1=(1 - refs.N_k2).real, x2=refs.N_b2.real)
+        return CircleSpec(x1=1 - _real("E(b)/K(b)", refs.N_k2), x2=_real("E(k)/K(k)", refs.N_b2))
     if kind == "F":
         if phi is None:
             raise ValueError("F locus needs the amplitude phi")
-        origin = complex(quad_F(phi, refs.k.real))
+        origin = complex(quad_F(phi, _real("k", refs.k)))
         return LatticeSpec(
             origin=origin,
             gen1=4 * refs.K_k,
@@ -121,7 +129,8 @@ def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> La
     if kind == "Z_restricted":
         if phi is None:
             raise ValueError("Z locus needs the amplitude phi")
-        origin = complex(quad_E_inc(phi, refs.k.real) - quad_F(phi, refs.k.real) * refs.N_b2.real)
+        k = _real("k", refs.k)
+        origin = complex(quad_E_inc(phi, k) - quad_F(phi, k) * _real("E(k)/K(k)", refs.N_b2))
         return LatticeSpec(origin=origin, gen1=refs.qZ, gen2=0j)
     raise ValueError(f"no predicted locus for kind {kind!r}")
 
@@ -160,7 +169,8 @@ def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFA
 
     Accepts `MultivaluePoint` instances or bare complex values.  Flagged
     (ill-conditioned) points are listed but excluded from the maximum and
-    from the pass verdict; non-finite residuals count as infinite.
+    from the pass verdict; non-finite residuals count as infinite.  A cloud
+    with no unexcluded point does not pass.
     """
     fits: list[PointFit] = []
     max_residual = 0.0
@@ -188,5 +198,5 @@ def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFA
         worst_point=worst,
         flagged_excluded=excluded_count,
         tol=tol,
-        passed=max_residual < tol,
+        passed=worst is not None and max_residual < tol,
     )

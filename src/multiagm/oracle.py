@@ -154,18 +154,18 @@ def _check_incomplete_args(phi: float, k: float) -> None:
         raise ValueError("k*sin(phi) must stay below 1")
 
 
-def quad_F(phi: float, k: float, tol: float = QUAD_TOL) -> float:
+def quad_F(phi: float, k: float) -> float:
     """Incomplete first-kind integral by quadrature of (1 - k**2 sin**2 t)**-1/2."""
     _check_incomplete_args(phi, k)
     m = k * k
-    return adaptive_simpson(lambda t: 1.0 / math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi, tol)
+    return adaptive_simpson(lambda t: 1.0 / math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi)
 
 
-def quad_E_inc(phi: float, k: float, tol: float = QUAD_TOL) -> float:
+def quad_E_inc(phi: float, k: float) -> float:
     """Incomplete second-kind integral by quadrature of (1 - k**2 sin**2 t)**1/2."""
     _check_incomplete_args(phi, k)
     m = k * k
-    return adaptive_simpson(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi, tol)
+    return adaptive_simpson(lambda t: math.sqrt(1.0 - m * math.sin(t) ** 2), 0.0, phi)
 
 
 def landen_check(b: float) -> tuple[float, float]:

@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-from multiagm.cli import main
+from multiagm.cli import console_main, main
 
 
 def run_to_file(tmp_path, name, args):
@@ -186,6 +187,35 @@ class TestVerify:
         assert main(["verify", "--kind", "k", "--tol", "1e-20"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["--kind", "f", "--sinphi", "2"], "sinphi must lie in (0, 1]"),
+            (["--kind", "z-restricted", "--sinphi", "-0.5"], "sinphi must lie in (0, 1]"),
+            (["--kind", "f", "--sinphi", "0"], "sinphi must lie in (0, 1]"),
+            (["--kind", "n", "--b", "1.5"], "E(b)/K(b) must be real for this locus, got -0.0754768+0.51214j"),
+            (["--kind", "f", "--b", "1.5"], "k must be real for this locus, got 0+1.11803j"),
+            (["--kind", "z-restricted", "--b", "-0.25"], "E(k)/K(k) must be real for this locus, got 0.184315+0.174158j"),
+        ],
+    )
+    def test_rejects_inputs_without_a_real_locus(self, args, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", *args])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_real_k_from_negative_b_passes(self, capsys):
+        assert main(["verify", "--kind", "f", "--b", "-0.25"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "PASS kind=f max_residual=4.832e-14 tol=1.0e-06 excluded=0"
+
+    def test_no_fitted_point_fails(self, capsys):
+        assert main(["verify", "--kind", "e", "--b", "nan"]) == 1
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "FAIL kind=e max_residual=0.000e+00 tol=1.0e-06 excluded=32"
+
     def test_json_report(self, capsys):
         assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -229,3 +259,14 @@ class TestOtherCommands:
     def test_magm_check_row_count_limits(self, rows, capsys):
         assert main(["magm-check", "--b", "0.999999", "--rows", rows, "--mask-bits", "0"]) == 0
         assert "limit vs E/K" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(["ref"], 0), (["verify", "--kind", "k", "--tol", "1e-20"], 1), (["bogus"], 2)],
+)
+def test_console_main_exit_code(argv, code, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["multiagm", *argv])
+    with pytest.raises(SystemExit) as err:
+        console_main()
+    assert err.value.code == code

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from multiagm import CloudRequest, QuartetParams, SignSchedule, complete_from_complement, enumerate_cloud
-from multiagm.clouds import DUPLICATE_RTOL, MultivaluePoint, _mark_duplicates, restricted_zeta_schedule
+from multiagm.clouds import DUPLICATE_RTOL, MultivaluePoint, _mark_duplicates
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -33,19 +33,33 @@ class TestRequestValidation:
             CloudRequest(kind="K", params=params(), delta_bits=-1)
 
 
+def restricted_schedules(delta_bits):
+    cloud = enumerate_cloud(CloudRequest(kind="Z_restricted", params=params(sinphi=0.8), delta_bits=delta_bits))
+    return [p.schedule for p in cloud]
+
+
 class TestRestrictedSchedule:
+    # the zeta sign at iteration n repeats the forward sign of iteration n-1
     def test_zero(self):
-        assert restricted_zeta_schedule(0) == SignSchedule(0, 0, 0)
+        assert restricted_schedules(0) == [SignSchedule(0, 0, 0)]
 
     def test_single_bit_shifts(self):
-        assert restricted_zeta_schedule(0b1) == SignSchedule(0, 0b1, 0b10)
+        assert restricted_schedules(1) == [SignSchedule(0, 0b1, 0b10), SignSchedule(0, 0, 0)]
 
     def test_general_shift(self):
-        assert restricted_zeta_schedule(0b1011) == SignSchedule(0, 0b1011, 0b10110)
+        schedules = restricted_schedules(4)
+        assert [s.delta_mask for s in schedules] == list(range(15, -1, -1))
+        assert schedules[15 - 0b1011] == SignSchedule(0, 0b1011, 0b10110)
+        assert all(s == SignSchedule(0, s.delta_mask, s.delta_mask << 1) for s in schedules)
 
     def test_negative_mask(self):
-        with pytest.raises(ValueError):
-            restricted_zeta_schedule(-1)
+        with pytest.raises(ValueError, match="delta_bits must be nonnegative"):
+            CloudRequest(kind="Z_restricted", params=params(), delta_bits=-1)
+
+    @pytest.mark.parametrize("bits", [{"sigma_bits": 3}, {"gamma_bits": 1}, {"sigma_bits": 1, "gamma_bits": 2}])
+    def test_rejects_bits_it_does_not_sweep(self, bits):
+        with pytest.raises(ValueError, match="Z_restricted sweeps delta bits only"):
+            CloudRequest(kind="Z_restricted", params=params(), delta_bits=4, **bits)
 
 
 class TestKCloud:
@@ -124,6 +138,19 @@ class TestOtherKinds:
         for p in cloud:
             assert p.schedule.sigma_mask == 0
             assert p.schedule.gamma_mask == p.schedule.delta_mask << 1
+
+    @pytest.mark.parametrize(
+        "kind,start",
+        [
+            ("F", {"signb": -1}),  # u + v == 0 at the start, so u_inf == 0
+            ("N", {"complement": -1}),  # a + g == 0 at the start, so a_inf == 0
+        ],
+    )
+    def test_degenerate_limit_gives_one_flagged_nan(self, kind, start):
+        p = QuartetParams(k=0, sinphi=0.5, max_iter=1, **start)
+        (point,) = enumerate_cloud(CloudRequest(kind=kind, params=p))
+        assert cmath.isnan(point.value)
+        assert point.ill_conditioned
 
     def test_unrestricted_zeta_cloud_all_finite(self):
         cloud = enumerate_cloud(

@@ -19,7 +19,7 @@ from multiagm import (
     reference_set,
     run_quartet,
 )
-from multiagm.engine import ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace
+from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace
 from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -89,8 +89,6 @@ class TestRunQuartet:
             QuartetParams(k=0.5, sinphi=1, signb=2)
         with pytest.raises(ValueError):
             QuartetParams(k=0.5, sinphi=1, max_iter=0)
-        with pytest.raises(ValueError):
-            QuartetParams(k=0.5, sinphi=1, conv_tol=0.0)
         with pytest.raises(ValueError, match="max_iter"):
             QuartetParams(k=0.5, sinphi=1, max_iter=MAX_ITER_LIMIT + 1)
 
@@ -220,9 +218,7 @@ def reference_run_quartet(params, schedule):
         rows.append((a, g, u, v))
         finite = finite and all(cmath.isfinite(x) for x in (a, g, u, v))
     scale = abs(a)
-    converged = bool(
-        finite and scale > 0.0 and abs(d_ag) <= params.conv_tol * scale and abs(d_uv) <= params.conv_tol * scale
-    )
+    converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
     ill = not finite or collapsed or degenerate or not zeta_defined or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
     return QuartetTrace(tuple(rows), s_sum, z_sum, a, u, converged, ill, zeta_defined)
 

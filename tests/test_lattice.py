@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from dataclasses import asdict
 
 import pytest
@@ -13,6 +14,7 @@ from multiagm import (
     enumerate_cloud,
     fit_cloud,
     predict_locus,
+    quad_F,
     reference_set,
 )
 from multiagm.clouds import MultivaluePoint
@@ -85,6 +87,26 @@ class TestPredictLocus:
         with pytest.raises(ValueError):
             predict_locus("Z", refs)
 
+    @pytest.mark.parametrize(
+        "kind,b,name",
+        [
+            ("N", 1.5, "E(b)/K(b)"),  # imaginary k
+            ("F", 1.5, "k"),
+            ("Z_restricted", 1.5, "k"),
+            ("N", -0.25, "E(k)/K(k)"),  # real k, complex K(k) and E(k)
+            ("Z_restricted", -0.25, "E(k)/K(k)"),
+        ],
+    )
+    def test_complex_moduli_are_rejected_not_truncated(self, kind, b, name):
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be real for this locus, got "):
+            predict_locus(kind, reference_set(b=b), phi=math.asin(0.8))
+
+    def test_real_k_from_negative_b_is_kept(self):
+        refs = reference_set(b=-0.25)
+        assert refs.k.imag == 0 and refs.N_b2.imag != 0
+        spec = predict_locus("F", refs, phi=math.asin(0.8))
+        assert spec.origin == quad_F(math.asin(0.8), refs.k.real)
+
 
 class TestFitCloud:
     def test_synthetic_lattice_recovery(self):
@@ -153,6 +175,14 @@ class TestFitCloud:
             assert not report.passed
             assert report.max_residual == math.inf
             assert report.worst_point == 1
+
+    def test_no_fitted_point_does_not_pass(self):
+        spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
+        flagged = MultivaluePoint(value=0j, schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=True)
+        for cloud in ([], [flagged, flagged]):
+            report = fit_cloud(cloud, spec)
+            assert (report.passed, report.worst_point, report.max_residual) == (False, None, 0.0)
+        assert fit_cloud([flagged, 1j], spec).passed
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
