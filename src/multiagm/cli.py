@@ -71,12 +71,18 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _moduli(args: argparse.Namespace) -> tuple[complex, complex]:
     """(k, b) from ``--k`` when given, else from ``--b``."""
     if args.k is not None:
-        k = complex(args.k)
+        k = complex(_finite("k", args.k))
         return k, principal_sqrt(1 - k * k)
-    b = complex(args.b)
+    b = complex(_finite("b", args.b))
     return principal_sqrt((1 - b) * (1 + b)), b
 
 
@@ -171,10 +177,11 @@ def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[Multivalue
 
 def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePoint]:
     k, b = _moduli(args)
+    sinphi = _finite("sinphi", args.sinphi)
     return enumerate_cloud(
         CloudRequest(
             kind=kind,
-            params=QuartetParams(k=k, sinphi=args.sinphi, signb=signb, max_iter=args.max_iter, complement=b),
+            params=QuartetParams(k=k, sinphi=sinphi, signb=signb, max_iter=args.max_iter, complement=b),
             sigma_bits=args.sigma_bits,
             delta_bits=args.delta_bits,
             gamma_bits=args.gamma_bits,

@@ -20,7 +20,7 @@ from .engine import (
     complete_K,
     incomplete_F,
     jacobi_Z,
-    run_quartet,
+    walk_schedules,
 )
 
 __all__ = [
@@ -147,22 +147,21 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     """Evaluate the requested function over the full mask sweep.
 
     Masks run in descending order (sigma outermost); the all-plus schedule
-    is therefore the last point.  Ill-conditioned or unconverged traces
-    yield flagged points, never omissions.
+    is therefore the last point.  The traces come from one
+    `walk_schedules` over the whole sweep, which steps each shared sign
+    prefix once and records no rows; each point lands at its schedule's
+    position.  Ill-conditioned or unconverged traces yield flagged points,
+    never omissions.
     """
-    points: list[MultivaluePoint] = []
-    for schedule in _schedules(req):
-        trace = run_quartet(req.params, schedule)
-        value = _extract(req.kind, trace)
-        flagged = trace.ill_conditioned or not trace.converged
-        points.append(
-            MultivaluePoint(
-                value=value,
-                schedule=schedule,
-                signb=req.params.signb,
-                generation=schedule.generation(),
-                ill_conditioned=flagged,
-            )
+    schedules = _schedules(req)
+    points: list = [None] * len(schedules)
+    for i, trace in walk_schedules(req.params, schedules):
+        schedule = schedules[i]
+        points[i] = MultivaluePoint(
+            value=_extract(req.kind, trace),
+            schedule=schedule,
+            signb=req.params.signb,
+            generation=schedule.generation(),
+            ill_conditioned=trace.ill_conditioned or not trace.converged,
         )
     return _mark_duplicates(points)
-

@@ -11,13 +11,22 @@ from the exact identity ``sum' * diff' = diff**2 / 4``.  Sign flips applied
 after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
 entirely.
+
+There is one loop, `walk_schedules`, a depth-first walk over many sign
+schedules at once: schedules that share their first ``n`` sign bits share
+their first ``n`` steps, so a cloud of ``2**N`` schedules takes each shared
+prefix once instead of restarting every schedule from row 0.
+`run_quartet` is the walk over a single schedule.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .roots import pair_step, principal_sqrt, signed_root
 
@@ -25,6 +34,7 @@ __all__ = [
     "SignSchedule",
     "QuartetParams",
     "QuartetTrace",
+    "walk_schedules",
     "run_quartet",
     "complete_K",
     "incomplete_F",
@@ -118,10 +128,12 @@ class QuartetTrace:
     """One full run of the recursion.
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
-    initial row.  ``s_sum`` is the weighted sum of ``a**2 - g**2`` terms,
-    ``z_sum`` the accumulated Zeta series.  ``ill_conditioned`` is set on
-    root collapse, a degenerate forward root, a non-finite intermediate,
-    a Zeta term at ``u == 0``, or a limit tiny compared to the start.
+    initial row; only `run_quartet` records them, and the traces of a
+    cloud sweep carry ``rows=()``.  ``s_sum`` is the weighted sum of
+    ``a**2 - g**2`` terms, ``z_sum`` the accumulated Zeta series.
+    ``ill_conditioned`` is set on root collapse, a degenerate forward root,
+    a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
+    compared to the start.
     """
 
     rows: tuple[Quartet, ...]
@@ -134,15 +146,41 @@ class QuartetTrace:
     zeta_defined: bool = True
 
 
-def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:
-    """Run the signed recursion for ``params.max_iter`` iterations.
+def _masks_and_split(group: list[int], width: int) -> tuple[int, int, int, int]:
+    """Masks of a group's first key, and the lowest iteration at which the keys disagree (-1 if none)."""
+    key = group[0]
+    full = (1 << width) - 1
+    differ = reduce(or_, group) ^ reduce(and_, group)
+    differ = (differ | differ >> width | differ >> 2 * width) & full
+    return key & full, key >> width & full, key >> 2 * width & full, (differ & -differ).bit_length() - 1
 
-    Series terms for row ``n`` are accumulated before the row advances:
-    weight ``2**(n-1)`` for the square-difference sum and ``2**n`` for the
-    Zeta term.  Non-finite intermediates flag the trace instead of raising.
+
+def walk_schedules(
+    params: QuartetParams, schedules: Sequence[SignSchedule], *, keep_rows: bool = False
+) -> Iterator[tuple[int, QuartetTrace]]:
+    """Run the signed recursion for every schedule, stepping each shared sign prefix once.
+
+    Yields ``(index, trace)`` for every position of ``schedules``, in no
+    particular order.  The walk is depth first over iterations: schedules
+    that agree on their first ``n`` sign bits share the first ``n`` steps.
+    At iteration ``n`` the series term and the three roots (Zeta, the mean
+    root ``near`` and the forward root ``w``) depend only on the shared
+    state, so a node takes them once and branches only where its schedules
+    disagree at bit ``n``; the children differ in the `pair_step` flips and
+    the gamma sign.  Once a group agrees on every remaining bit it runs to
+    the end in the same loop.  Each trace is bit for bit the trace of a
+    walk over its schedule alone.
+
+    ``rows`` are recorded only with ``keep_rows``; otherwise every trace
+    carries ``rows=()``.  Series terms for row ``n`` are accumulated before
+    the row advances: weight ``2**(n-1)`` for the square-difference sum and
+    ``2**n`` for the Zeta term.  Non-finite intermediates flag the trace
+    instead of raising.
     """
-    if schedule is None:
-        schedule = SignSchedule()
+    if not schedules:
+        return
+    max_iter = params.max_iter
+    isfinite = cmath.isfinite
     sp = complex(params.sinphi)
     ksq = params.k_squared()
     a = complex(1.0)
@@ -154,76 +192,116 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
     else:
         v = params.signb * principal_sqrt(1 - ksq * sp * sp) / sp
 
-    s_ag, d_ag, p_ag = a + g, a - g, a * g
-    s_uv, d_uv = u + v, u - v
-    sigma_mask = schedule.sigma_mask
-    delta_mask = schedule.delta_mask
-    gamma_mask = schedule.gamma_mask
-    isfinite = cmath.isfinite
+    # Each schedule becomes one int key: its sigma, delta and gamma masks,
+    # cut to the W = max_iter bits that apply, in bits [0, W), [W, 2W) and
+    # [2W, 3W), and its position above them.  Schedules equal on those bits
+    # travel together and share one trace.
+    full = (1 << max_iter) - 1
+    per_bit = 1 | 1 << max_iter | 1 << 2 * max_iter
+    position_shift = 3 * max_iter
+    keys = [
+        (s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter
+        | i << position_shift
+        for i, s in enumerate(schedules)
+    ]
 
-    rows: list[Quartet] = [(a, g, u, v)]
-    s_sum = complex(0.0)
-    z_sum = complex(0.0)
-    # 2**(n-1) and 2**n; doubling a power of two is exact
-    s_weight = 0.5
-    z_weight = 1.0
-    collapsed = False
-    degenerate = False
-    zeta_defined = True
+    # Pending nodes: the iteration a node resumes at, its keys, whether the
+    # shared terms of that iteration are already taken, and the state.  The
+    # sums carry weights 2**(n-1) and 2**n; doubling a power of two is exact.
+    # A split pushes all parts but one, which goes on in the loop, so the
+    # walk holds nothing but the pending siblings.
     finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
+    rows = [(a, g, u, v)] if keep_rows else None
+    s_sum = z_sum = complex(0.0)
+    stack = [
+        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, s_sum, z_sum, 0.5, 1.0,
+         False, False, True, finite, rows, None, None, None, None)
+    ]
+    while stack:
+        (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum, s_weight, z_weight,
+         collapsed, degenerate, zeta_defined, finite, rows, zr, near, w, q) = stack.pop()
+        sigma_mask, delta_mask, gamma_mask, split = _masks_and_split(group, max_iter)
 
-    for n in range(params.max_iter):
-        s_sum += s_weight * (s_ag * d_ag)
-        if zeta_defined:
-            if u == 0:
-                zeta_defined = False
-                z_sum = complex(math.nan, math.nan)
+        for n in range(n, max_iter):
+            if shared:
+                shared = False
             else:
-                zr = signed_root(u * u - a * a, u)
+                s_sum += s_weight * (s_ag * d_ag)
+                if zeta_defined:
+                    if u == 0:
+                        zeta_defined = False
+                        z_sum = complex(math.nan, math.nan)
+                    else:
+                        zr = signed_root(u * u - a * a, u)
+                if p_ag == 0:
+                    collapsed = True
+                near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+                if s_uv == 0:
+                    degenerate = True
+                if s_uv == s_ag and d_uv == d_ag:
+                    # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
+                    # mean-pair root and keep the copy exact bit for bit
+                    w = near
+                else:
+                    w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+                q = d_ag * d_ag / 4
+                if n == split:
+                    selector = per_bit << n
+                    parts: dict[int, list[int]] = {}
+                    for key in group:
+                        parts.setdefault(key & selector, []).append(key)
+                    *others, group = parts.values()
+                    for part in others:
+                        stack.append(
+                            (n, part, True, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum, s_weight, z_weight,
+                             collapsed, degenerate, zeta_defined, finite, None if rows is None else rows[:],
+                             zr, near, w, q)
+                        )
+                    sigma_mask, delta_mask, gamma_mask, split = _masks_and_split(group, max_iter)
+
+            if zeta_defined:
                 z_sum += (-z_weight if (gamma_mask >> n) & 1 else z_weight) * d_uv * zr / u
-        s_weight *= 2.0
-        z_weight *= 2.0
+            s_weight *= 2.0
+            z_weight *= 2.0
+            a, g, s_ag, d_ag = pair_step(s_ag, q, near, (sigma_mask >> n) & 1)
+            p_ag = a * g
+            u, v, s_uv, d_uv = pair_step(s_uv, q, w, (delta_mask >> n) & 1)
+            if rows is not None:
+                rows.append((a, g, u, v))
+            if finite:
+                finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
-        if p_ag == 0:
-            collapsed = True
-        near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-        if s_uv == 0:
-            degenerate = True
-        if s_uv == s_ag and d_uv == d_ag:
-            # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
-            # mean-pair root and keep the copy exact bit for bit
-            w = near
-        else:
-            w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+        scale = abs(a)
+        converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
+        ill = (
+            not finite
+            or collapsed
+            or degenerate
+            or not zeta_defined
+            or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+        )
+        trace = QuartetTrace(
+            rows=() if rows is None else tuple(rows),
+            s_sum=s_sum,
+            z_sum=z_sum,
+            a_inf=a,
+            u_inf=u,
+            converged=converged,
+            ill_conditioned=ill,
+            zeta_defined=zeta_defined,
+        )
+        for key in group:
+            yield key >> position_shift, trace
 
-        q = d_ag * d_ag / 4
-        a, g, s_ag, d_ag = pair_step(s_ag, q, near, (sigma_mask >> n) & 1)
-        p_ag = a * g
-        u, v, s_uv, d_uv = pair_step(s_uv, q, w, (delta_mask >> n) & 1)
 
-        rows.append((a, g, u, v))
-        if finite:
-            finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
+def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:
+    """Run the signed recursion for ``params.max_iter`` iterations on one schedule.
 
-    scale = abs(a)
-    converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
-    ill = (
-        not finite
-        or collapsed
-        or degenerate
-        or not zeta_defined
-        or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
-    )
-    return QuartetTrace(
-        rows=tuple(rows),
-        s_sum=s_sum,
-        z_sum=z_sum,
-        a_inf=a,
-        u_inf=u,
-        converged=converged,
-        ill_conditioned=ill,
-        zeta_defined=zeta_defined,
-    )
+    This is `walk_schedules` over the single schedule (all plus when
+    omitted), with its rows recorded.
+    """
+    ((_, trace),) = walk_schedules(params, (schedule or SignSchedule(),), keep_rows=True)
+    return trace
 
 
 def complete_K(trace: QuartetTrace) -> complex:

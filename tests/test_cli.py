@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
 from multiagm.cli import console_main, main
 
 
@@ -89,6 +90,11 @@ DEEP_FILL_DIGESTS = {
     "fill-k --sigma-bits 10 --signb both": "46a6bd75c60ba4d53ccefe4cad1660a15471c875f97349d4c0149dfa8b124738",
     "fill-f --sigma-bits 4 --delta-bits 6": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
     "fill-z-restricted --delta-bits 9": "3f1b567e692e4f613cd1d08cd2d872fbdc1393bdd536ba97c7c74b1d8f28a80a",
+    # recorded before the depth-first schedule walk, which must keep them
+    "fill-k --sigma-bits 12 --signb both": "6d8174ab679d2c3edce7e4170d8fabeee686c1f85dd57f9e92d18d30abd22b94",
+    "fill-e --sigma-bits 11": "5e56701d3f299e84d62f3fd555183ce975e5103ac4b07047877a910b395e57b1",
+    "fill-n --sigma-bits 11": "f47cd931e4ba5e9237720cfcf336d0edcd300b8527a1c8ba7836359894ada21f",
+    "fill-z --sigma-bits 3 --delta-bits 3 --gamma-bits 3": "47ba545c618c054d24fe148c1f70ab9b3285c236311fa10e953533c6036b78bb",
 }
 
 
@@ -156,6 +162,25 @@ class TestFlagValidation:
             main(["bogus"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["ref", "--b", "nan"], "b must be finite, got nan"),
+            (["fill-k", "--b", "inf", "--sigma-bits", "1"], "b must be finite, got inf"),
+            (["fill-f", "--k=-inf"], "k must be finite, got -inf"),
+            (["verify", "--kind", "k", "--b", "nan"], "b must be finite, got nan"),
+            (["verify", "--kind", "e", "--sinphi", "inf"], "sinphi must be finite, got inf"),
+            (["fill-e", "--sinphi", "nan"], "sinphi must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_inputs_rejected_by_name(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestVerify:
     @pytest.mark.parametrize("kind", ["k", "k-both", "f", "e", "n", "z-restricted"])
@@ -211,10 +236,11 @@ class TestVerify:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "PASS kind=f max_residual=4.832e-14 tol=1.0e-06 excluded=0"
 
-    def test_no_fitted_point_fails(self, capsys):
-        assert main(["verify", "--kind", "e", "--b", "nan"]) == 1
-        last = capsys.readouterr().out.splitlines()[-1]
-        assert last == "FAIL kind=e max_residual=0.000e+00 tol=1.0e-06 excluded=32"
+    def test_no_fitted_point_fails(self):
+        # modulus 1 collapses every trace, so the whole E cloud is flagged
+        cloud = enumerate_cloud(CloudRequest(kind="E", params=QuartetParams(k=1.0, sinphi=0.5), sigma_bits=5))
+        report = fit_cloud(cloud, predict_locus("E", reference_set(b=0.25)))
+        assert (report.passed, report.worst_point, report.flagged_excluded) == (False, None, 32)
 
     def test_json_report(self, capsys):
         assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0

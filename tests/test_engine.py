@@ -1,17 +1,21 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiagm import (
+    CloudRequest,
     QuartetParams,
     SignSchedule,
     complete_E,
     complete_K,
     complete_from_complement,
+    engine,
+    enumerate_cloud,
     incomplete_F,
     jacobi_Z,
     quad_E_inc,
@@ -19,7 +23,8 @@ from multiagm import (
     reference_set,
     run_quartet,
 )
-from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace
+from multiagm.clouds import CLOUD_KINDS, _extract, _schedules
+from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace, walk_schedules
 from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -236,6 +241,85 @@ def test_run_quartet_is_bit_identical_to_reference_loop():
         sched = SignSchedule(rng.getrandbits(max_iter), rng.getrandbits(max_iter), rng.getrandbits(max_iter))
         # repr tells signed zeros and NaN payload positions apart, unlike ==
         assert repr(run_quartet(p, sched)) == repr(reference_run_quartet(p, sched))
+
+
+def walked_and_reference_cloud(req):
+    """(repr of value, flag, schedule) of each point: from the walk, and from the reference loop per schedule."""
+    walked = [(repr(p.value), p.ill_conditioned, p.schedule) for p in enumerate_cloud(req)]
+    alone = []
+    for schedule in _schedules(req):
+        trace = reference_run_quartet(req.params, schedule)
+        alone.append((repr(_extract(req.kind, trace)), trace.ill_conditioned or not trace.converged, schedule))
+    return walked, alone
+
+
+def test_cloud_walk_is_bit_identical_to_reference_per_schedule():
+    rng = random.Random(6)
+    for kind in CLOUD_KINDS * 8:
+        if rng.random() < 0.5:
+            b = complex(rng.uniform(0.01, 0.99))
+        else:
+            b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
+        sinphi = rng.choice((1, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+        max_iter = rng.choice((1, 2, 5, 20, 32))
+        p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
+        if kind == "Z_restricted":
+            req = CloudRequest(kind, p, delta_bits=rng.randint(0, min(max_iter, 6)))
+        else:
+            bits = [rng.randint(0, min(max_iter, 3)) for _ in range(3)]
+            req = CloudRequest(kind, p, *bits)
+        walked, alone = walked_and_reference_cloud(req)
+        assert walked == alone, req
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@pytest.mark.parametrize(
+    "start,max_iter",
+    [
+        ({}, 1),
+        ({}, 2),
+        ({"b": 0.3 + 0.4j, "signb": -1}, 3),
+        ({"sinphi": 1}, 3),  # the amplitude pair is an exact copy of the mean pair
+        ({"b": 1.0, "signb": -1}, 3),  # k = 0, u + v == 0: u = 0 after one step
+        ({"b": 0.0}, 3),  # k = 1: the mean collapses
+    ],
+)
+def test_cloud_walk_branches_at_every_level(kind, start, max_iter):
+    # every mask as deep as the iteration count, so every node branches
+    bits = (0, max_iter, 0) if kind == "Z_restricted" else (max_iter,) * 3
+    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(**start, max_iter=max_iter), *bits))
+    assert walked == alone
+
+
+def test_walk_yields_every_position_once():
+    p = params(max_iter=5)
+    # bit 5 never applies, so the first two schedules share one trace
+    schedules = [SignSchedule(1 << 5), SignSchedule(), SignSchedule(0b101, 0b11, 0b10), SignSchedule()]
+    for keep_rows in (False, True):
+        walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows))
+        assert sorted(walked) == [0, 1, 2, 3]
+        for i, schedule in enumerate(schedules):
+            alone = reference_run_quartet(p, schedule)
+            assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
+    assert list(walk_schedules(p, [])) == []
+
+
+def test_cloud_steps_each_shared_prefix_once(monkeypatch):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return signed_root(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "signed_root", counting)
+    enumerate_cloud(CloudRequest("K", params(), sigma_bits=12))
+    # three roots per step: 2**12 - 1 shared steps up to bit 12, then
+    # 8 steps for each of the 4096 schedules (245760 when each runs alone)
+    assert calls == 3 * (2**12 - 1 + 8 * 2**12) == 110589
+    calls = 0
+    run_quartet(params())
+    assert calls == 3 * 20
 
 
 class TestTraceValues:
