@@ -201,6 +201,8 @@ def _cmd_fill(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {args.tol}")
     kind = VERIFY_KINDS[args.kind]
     cloud_kind = "K" if kind == "K_both" else kind
     for name, default in zip(SHAPE_FLAGS, KIND_SHAPES[cloud_kind]):
@@ -254,6 +256,9 @@ def _cmd_magm_check(args: argparse.Namespace) -> int:
     if args.mask_bits < 0:
         raise ValueError("mask_bits must be nonnegative")
     eq = magm_equivalence(args.b, args.rows)
+    if args.mask_bits > args.rows:
+        # mask bits at or above the row count never apply
+        raise ValueError("mask_bits exceeds rows")
     print(f"equivalence b={args.b} rows={args.rows}:")
     print(f"  max row deviation  {eq.max_row_deviation:.3e}")
     print(f"  limit              {eq.limit:.15g}")

@@ -19,7 +19,6 @@ from .engine import (
     complete_E,
     complete_K,
     incomplete_F,
-    jacobi_Z,
     walk_schedules,
 )
 
@@ -103,10 +102,8 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
         if trace.u_inf == 0:
             return complex(math.nan, math.nan)
         return incomplete_F(trace, 0)
-    # Z and Z_restricted
-    if not trace.zeta_defined:
-        return complex(math.nan, math.nan)
-    return jacobi_Z(trace)
+    # Z and Z_restricted: the walk leaves NaN here once Zeta is undefined
+    return trace.z_sum
 
 
 def _mark_duplicates(points: list[MultivaluePoint]) -> list[MultivaluePoint]:

@@ -15,7 +15,8 @@ entirely.
 There is one loop, `walk_schedules`, a depth-first walk over many sign
 schedules at once: schedules that share their first ``n`` sign bits share
 their first ``n`` steps, so a cloud of ``2**N`` schedules takes each shared
-prefix once instead of restarting every schedule from row 0.
+prefix once instead of restarting every schedule from row 0.  A node
+holding more than one schedule splits by their bits at iteration ``n``.
 `run_quartet` is the walk over a single schedule.
 """
 
@@ -25,8 +26,6 @@ import cmath
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from functools import reduce
-from operator import and_, or_
 
 from .roots import pair_step, principal_sqrt, signed_root
 
@@ -146,15 +145,6 @@ class QuartetTrace:
     zeta_defined: bool = True
 
 
-def _masks_and_split(group: list[int], width: int) -> tuple[int, int, int, int]:
-    """Masks of a group's first key, and the lowest iteration at which the keys disagree (-1 if none)."""
-    key = group[0]
-    full = (1 << width) - 1
-    differ = reduce(or_, group) ^ reduce(and_, group)
-    differ = (differ | differ >> width | differ >> 2 * width) & full
-    return key & full, key >> width & full, key >> 2 * width & full, (differ & -differ).bit_length() - 1
-
-
 def walk_schedules(
     params: QuartetParams, schedules: Sequence[SignSchedule], *, keep_rows: bool = False
 ) -> Iterator[tuple[int, QuartetTrace]]:
@@ -165,11 +155,11 @@ def walk_schedules(
     that agree on their first ``n`` sign bits share the first ``n`` steps.
     At iteration ``n`` the series term and the three roots (Zeta, the mean
     root ``near`` and the forward root ``w``) depend only on the shared
-    state, so a node takes them once and branches only where its schedules
-    disagree at bit ``n``; the children differ in the `pair_step` flips and
-    the gamma sign.  Once a group agrees on every remaining bit it runs to
-    the end in the same loop.  Each trace is bit for bit the trace of a
-    walk over its schedule alone.
+    state, so a node takes them once.  A node holding more than one
+    schedule then splits by their bits at iteration ``n``; the children
+    differ in the `pair_step` flips and the gamma sign.  A node left with
+    one schedule runs to the end in the same loop.  Each trace is bit for
+    bit the trace of a walk over its schedule alone.
 
     ``rows`` are recorded only with ``keep_rows``; otherwise every trace
     carries ``rows=()``.  Series terms for row ``n`` are accumulated before
@@ -206,21 +196,22 @@ def walk_schedules(
     ]
 
     # Pending nodes: the iteration a node resumes at, its keys, whether the
-    # shared terms of that iteration are already taken, and the state.  The
-    # sums carry weights 2**(n-1) and 2**n; doubling a power of two is exact.
+    # shared terms of that iteration are already taken, and the state.
     # A split pushes all parts but one, which goes on in the loop, so the
     # walk holds nothing but the pending siblings.
     finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
     rows = [(a, g, u, v)] if keep_rows else None
     s_sum = z_sum = complex(0.0)
     stack = [
-        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, s_sum, z_sum, 0.5, 1.0,
+        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, s_sum, z_sum,
          False, False, True, finite, rows, None, None, None, None)
     ]
     while stack:
-        (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum, s_weight, z_weight,
+        (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
          collapsed, degenerate, zeta_defined, finite, rows, zr, near, w, q) = stack.pop()
-        sigma_mask, delta_mask, gamma_mask, split = _masks_and_split(group, max_iter)
+        # series weights 2**(n-1) and 2**n; doubling a power of two is exact
+        s_weight = math.ldexp(0.5, n)
+        z_weight = math.ldexp(1.0, n)
 
         for n in range(n, max_iter):
             if shared:
@@ -245,7 +236,7 @@ def walk_schedules(
                 else:
                     w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
                 q = d_ag * d_ag / 4
-                if n == split:
+                if len(group) > 1:
                     selector = per_bit << n
                     parts: dict[int, list[int]] = {}
                     for key in group:
@@ -253,19 +244,20 @@ def walk_schedules(
                     *others, group = parts.values()
                     for part in others:
                         stack.append(
-                            (n, part, True, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum, s_weight, z_weight,
+                            (n, part, True, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
                              collapsed, degenerate, zeta_defined, finite, None if rows is None else rows[:],
                              zr, near, w, q)
                         )
-                    sigma_mask, delta_mask, gamma_mask, split = _masks_and_split(group, max_iter)
 
+            # every key of the group now agrees at bit n
+            bits = group[0] >> n
             if zeta_defined:
-                z_sum += (-z_weight if (gamma_mask >> n) & 1 else z_weight) * d_uv * zr / u
+                z_sum += (-z_weight if bits >> 2 * max_iter & 1 else z_weight) * d_uv * zr / u
             s_weight *= 2.0
             z_weight *= 2.0
-            a, g, s_ag, d_ag = pair_step(s_ag, q, near, (sigma_mask >> n) & 1)
+            a, g, s_ag, d_ag = pair_step(s_ag, q, near, bits & 1)
             p_ag = a * g
-            u, v, s_uv, d_uv = pair_step(s_uv, q, w, (delta_mask >> n) & 1)
+            u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
             if rows is not None:
                 rows.append((a, g, u, v))
             if finite:

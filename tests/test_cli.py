@@ -231,6 +231,15 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("tol,shown", [("inf", "inf"), ("nan", "nan"), ("0", "0.0"), ("-1", "-1.0")])
+    def test_rejects_tolerance_not_finite_and_positive(self, tol, shown, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--kind", "k", "--tol", tol])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tol must be finite and positive, got {shown}\n"
+
     def test_real_k_from_negative_b_passes(self, capsys):
         assert main(["verify", "--kind", "f", "--b", "-0.25"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
@@ -271,6 +280,7 @@ class TestOtherCommands:
             (["--rows", "-2"], "rows must lie in [0, 1023]"),
             (["--rows", "1024", "--b", "0.5"], "rows must lie in [0, 1023]"),
             (["--mask-bits", "-1"], "mask_bits must be nonnegative"),
+            (["--rows", "2", "--mask-bits", "3"], "mask_bits exceeds rows"),
         ],
     )
     def test_magm_check_rejects_out_of_range_counts(self, args, bound, capsys):
@@ -280,6 +290,10 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bound}\n"
+
+    def test_magm_check_mask_bits_up_to_rows(self, capsys):
+        assert main(["magm-check", "--rows", "3", "--mask-bits", "3"]) == 0
+        assert capsys.readouterr().out.count("\n  mask ") == 8
 
     @pytest.mark.parametrize("rows", ["0", "1023"])
     def test_magm_check_row_count_limits(self, rows, capsys):

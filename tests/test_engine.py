@@ -292,16 +292,22 @@ def test_cloud_walk_branches_at_every_level(kind, start, max_iter):
 
 
 def test_walk_yields_every_position_once():
-    p = params(max_iter=5)
-    # bit 5 never applies, so the first two schedules share one trace
-    schedules = [SignSchedule(1 << 5), SignSchedule(), SignSchedule(0b101, 0b11, 0b10), SignSchedule()]
-    for keep_rows in (False, True):
-        walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows))
-        assert sorted(walked) == [0, 1, 2, 3]
-        for i, schedule in enumerate(schedules):
-            alone = reference_run_quartet(p, schedule)
-            assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
-    assert list(walk_schedules(p, [])) == []
+    # bit 5 never applies at max_iter=5, so the first two schedules share one trace
+    short = [SignSchedule(1 << 5), SignSchedule(), SignSchedule(0b101, 0b11, 0b10), SignSchedule()]
+    # all eight agree on bits 0..5, so their node holds them together for six
+    # iterations before the first bit that tells them apart
+    high = [SignSchedule(sigma_mask=m << 6, delta_mask=(m & 1) << 9) for m in range(8)]
+    shuffled = high[:]
+    random.Random(7).shuffle(shuffled)
+    for max_iter, schedules in ((5, short), (12, high), (12, shuffled)):
+        p = params(max_iter=max_iter)
+        for keep_rows in (False, True):
+            walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows))
+            assert sorted(walked) == list(range(len(schedules)))
+            for i, schedule in enumerate(schedules):
+                alone = reference_run_quartet(p, schedule)
+                assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
+    assert list(walk_schedules(params(max_iter=5), [])) == []
 
 
 def test_cloud_steps_each_shared_prefix_once(monkeypatch):
