@@ -32,6 +32,9 @@ __all__ = [
 
 CLOUD_KINDS = ("K", "F", "E", "N", "Z", "Z_restricted")
 
+# The kinds whose value reads the amplitude pair; K, E and N walk the mean pair alone.
+AMPLITUDE_KINDS = ("F", "Z", "Z_restricted")
+
 # Two points closer than this times the cloud scale count as one value.
 DUPLICATE_RTOL = 1e-9
 
@@ -147,12 +150,14 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     is therefore the last point.  The traces come from one
     `walk_schedules` over the whole sweep, which steps each shared sign
     prefix once and records no rows; each point lands at its schedule's
-    position.  Ill-conditioned or unconverged traces yield flagged points,
-    never omissions.
+    position.  K, E and N walk the mean pair alone, so ``sinphi`` and the
+    delta and gamma bits leave their values and flags unchanged.
+    Ill-conditioned or unconverged traces yield flagged points, never
+    omissions.
     """
     schedules = _schedules(req)
     points: list = [None] * len(schedules)
-    for i, trace in walk_schedules(req.params, schedules):
+    for i, trace in walk_schedules(req.params, schedules, amplitude=req.kind in AMPLITUDE_KINDS):
         schedule = schedules[i]
         points[i] = MultivaluePoint(
             value=_extract(req.kind, trace),

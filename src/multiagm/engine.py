@@ -17,7 +17,9 @@ schedules at once: schedules that share their first ``n`` sign bits share
 their first ``n`` steps, so a cloud of ``2**N`` schedules takes each shared
 prefix once instead of restarting every schedule from row 0.  A node
 holding more than one schedule splits by their bits at iteration ``n``.
-`run_quartet` is the walk over a single schedule.
+K, E and E/K read only the mean pair, so their walk (``amplitude=False``)
+steps ``(a, g)`` alone: one root per step instead of three, keyed by the
+sigma bits only.  `run_quartet` is the full walk over a single schedule.
 """
 
 from __future__ import annotations
@@ -133,6 +135,13 @@ class QuartetTrace:
     ``ill_conditioned`` is set on root collapse, a degenerate forward root,
     a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
     compared to the start.
+
+    A trace of a walk without the amplitude pair (``amplitude=False``)
+    carries only the mean pair: ``u_inf``, ``z_sum`` and the ``u``, ``v``
+    of its rows are ``complex(nan, nan)`` and ``zeta_defined`` is False,
+    so `incomplete_F` gives NaN and `jacobi_Z` raises.  Its flags come from
+    ``(a, g)`` alone: collapse, a non-finite mean, a tiny limit, or
+    ``a - g`` not converged.
     """
 
     rows: tuple[Quartet, ...]
@@ -146,7 +155,11 @@ class QuartetTrace:
 
 
 def walk_schedules(
-    params: QuartetParams, schedules: Sequence[SignSchedule], *, keep_rows: bool = False
+    params: QuartetParams,
+    schedules: Sequence[SignSchedule],
+    *,
+    keep_rows: bool = False,
+    amplitude: bool = True,
 ) -> Iterator[tuple[int, QuartetTrace]]:
     """Run the signed recursion for every schedule, stepping each shared sign prefix once.
 
@@ -161,6 +174,12 @@ def walk_schedules(
     one schedule runs to the end in the same loop.  Each trace is bit for
     bit the trace of a walk over its schedule alone.
 
+    Without ``amplitude`` the walk steps the mean pair ``(a, g)`` alone:
+    no ``u`` or ``v``, no Zeta term, no forward root, one root per step.
+    Schedules then differ only in their sigma bits, so those that share
+    them share one trace.  ``a_inf`` and ``s_sum`` are bit for bit those
+    of the full walk; the other fields are as `QuartetTrace` describes.
+
     ``rows`` are recorded only with ``keep_rows``; otherwise every trace
     carries ``rows=()``.  Series terms for row ``n`` are accumulated before
     the row advances: weight ``2**(n-1)`` for the square-difference sum and
@@ -171,26 +190,33 @@ def walk_schedules(
         return
     max_iter = params.max_iter
     isfinite = cmath.isfinite
-    sp = complex(params.sinphi)
-    ksq = params.k_squared()
     a = complex(1.0)
     g = params.signb * params.complement_value()
-    u = 1 / sp
-    if sp == 1:
-        # full amplitude: the second pair is an exact copy of the first
-        v = g
+    finite = isfinite(a) and isfinite(g)
+    if amplitude:
+        sp = complex(params.sinphi)
+        u = 1 / sp
+        if sp == 1:
+            # full amplitude: the second pair is an exact copy of the first
+            v = g
+        else:
+            v = params.signb * principal_sqrt(1 - params.k_squared() * sp * sp) / sp
+        finite = finite and isfinite(u) and isfinite(v)
+        z_sum = complex(0.0)
     else:
-        v = params.signb * principal_sqrt(1 - ksq * sp * sp) / sp
+        u = v = z_sum = complex(math.nan, math.nan)
 
     # Each schedule becomes one int key: its sigma, delta and gamma masks,
     # cut to the W = max_iter bits that apply, in bits [0, W), [W, 2W) and
-    # [2W, 3W), and its position above them.  Schedules equal on those bits
-    # travel together and share one trace.
+    # [2W, 3W), and its position above them.  The mean pair reads sigma
+    # alone, so without the amplitude pair a key keeps bits [0, W) only.
+    # Schedules equal on the kept bits travel together and share one trace.
     full = (1 << max_iter) - 1
-    per_bit = 1 | 1 << max_iter | 1 << 2 * max_iter
-    position_shift = 3 * max_iter
+    position_shift = 3 * max_iter if amplitude else max_iter
+    kept = (1 << position_shift) - 1
+    per_bit = (1 | 1 << max_iter | 1 << 2 * max_iter) & kept
     keys = [
-        (s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter
+        ((s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter) & kept
         | i << position_shift
         for i, s in enumerate(schedules)
     ]
@@ -199,12 +225,10 @@ def walk_schedules(
     # shared terms of that iteration are already taken, and the state.
     # A split pushes all parts but one, which goes on in the loop, so the
     # walk holds nothing but the pending siblings.
-    finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
     rows = [(a, g, u, v)] if keep_rows else None
-    s_sum = z_sum = complex(0.0)
     stack = [
-        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, s_sum, z_sum,
-         False, False, True, finite, rows, None, None, None, None)
+        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, complex(0.0), z_sum,
+         False, False, amplitude, finite, rows, None, None, None, None)
     ]
     while stack:
         (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
@@ -227,14 +251,15 @@ def walk_schedules(
                 if p_ag == 0:
                     collapsed = True
                 near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-                if s_uv == 0:
-                    degenerate = True
-                if s_uv == s_ag and d_uv == d_ag:
-                    # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
-                    # mean-pair root and keep the copy exact bit for bit
-                    w = near
-                else:
-                    w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+                if amplitude:
+                    if s_uv == 0:
+                        degenerate = True
+                    if s_uv == s_ag and d_uv == d_ag:
+                        # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
+                        # mean-pair root and keep the copy exact bit for bit
+                        w = near
+                    else:
+                        w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
                 q = d_ag * d_ag / 4
                 if len(group) > 1:
                     selector = per_bit << n
@@ -257,19 +282,25 @@ def walk_schedules(
             z_weight *= 2.0
             a, g, s_ag, d_ag = pair_step(s_ag, q, near, bits & 1)
             p_ag = a * g
-            u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
+            if amplitude:
+                u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
             if rows is not None:
                 rows.append((a, g, u, v))
             if finite:
-                finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
+                finite = isfinite(a) and isfinite(g) and (not amplitude or isfinite(u) and isfinite(v))
 
         scale = abs(a)
-        converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
+        converged = bool(
+            finite
+            and scale > 0.0
+            and abs(d_ag) <= CONV_TOL * scale
+            and (not amplitude or abs(d_uv) <= CONV_TOL * scale)
+        )
         ill = (
             not finite
             or collapsed
             or degenerate
-            or not zeta_defined
+            or (amplitude and not zeta_defined)
             or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
         )
         trace = QuartetTrace(

@@ -77,6 +77,15 @@ class TestFillCommands:
         assert capsys.readouterr().out == ""
         assert data == stdout.encode("ascii")
 
+    @pytest.mark.parametrize("command", ["fill-k", "fill-e", "fill-n"])
+    @pytest.mark.parametrize("sinphi", ["1e200", "1e-200"])
+    def test_mean_pair_fill_ignores_sinphi(self, command, sinphi, capsys):
+        # K, E and E/K never read the amplitude, so it neither moves nor flags a point
+        assert main([command, "--sinphi", "0.5"]) == 0
+        expected = capsys.readouterr().out
+        assert main([command, "--sinphi", sinphi]) == 0
+        assert capsys.readouterr().out == expected
+
     def test_k_flag_instead_of_b(self, tmp_path):
         code, data = run_to_file(tmp_path, "k2.csv", ["fill-k", "--k", str(math.sqrt(0.9375)), "--signb", "+1"])
         assert code == 0
@@ -207,6 +216,11 @@ class TestVerify:
         else:
             assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0
             assert capsys.readouterr().out != outputs[0][1]
+
+    def test_k_passes_at_any_sinphi(self, capsys):
+        assert main(["verify", "--kind", "k", "--sinphi", "1e200"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == "PASS kind=k max_residual=1.424e-14 tol=1.0e-06 excluded=0"
 
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "--kind", "k", "--tol", "1e-20"]) == 1

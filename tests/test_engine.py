@@ -163,8 +163,12 @@ class TestRunQuartet:
         assert t1 == t2
 
 
-def reference_run_quartet(params, schedule):
-    """The plain form of the signed loop: per-step mask bits, powers and divisions."""
+def reference_run_quartet(params, schedule, *, amplitude=True):
+    """The plain form of the signed loop: per-step mask bits, powers and divisions.
+
+    Without ``amplitude`` the same loop runs, but the trace keeps only what
+    the mean pair decides: its flags, and NaN for ``u``, ``v`` and Zeta.
+    """
 
     def safe_div(num, den):
         if den == 0:
@@ -184,6 +188,7 @@ def reference_run_quartet(params, schedule):
     collapsed = degenerate = False
     zeta_defined = True
     finite = all(cmath.isfinite(x) for x in (a, g, u, v))
+    finite_ag = cmath.isfinite(a) and cmath.isfinite(g)
     for n in range(params.max_iter):
         s_sum += 2.0 ** (n - 1) * (s_ag * d_ag)
         if zeta_defined:
@@ -222,7 +227,14 @@ def reference_run_quartet(params, schedule):
             s_uv = safe_div(q, d_uv)
         rows.append((a, g, u, v))
         finite = finite and all(cmath.isfinite(x) for x in (a, g, u, v))
+        finite_ag = finite_ag and cmath.isfinite(a) and cmath.isfinite(g)
     scale = abs(a)
+    if not amplitude:
+        nan = complex(math.nan, math.nan)
+        converged = bool(finite_ag and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
+        ill = not finite_ag or collapsed or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+        rows = [(a, g, nan, nan) for a, g, _, _ in rows]
+        return QuartetTrace(tuple(rows), s_sum, nan, a, nan, converged, ill, False)
     converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
     ill = not finite or collapsed or degenerate or not zeta_defined or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
     return QuartetTrace(tuple(rows), s_sum, z_sum, a, u, converged, ill, zeta_defined)
@@ -244,11 +256,14 @@ def test_run_quartet_is_bit_identical_to_reference_loop():
 
 
 def walked_and_reference_cloud(req):
-    """(repr of value, flag, schedule) of each point: from the walk, and from the reference loop per schedule."""
+    """(repr of value, flag, schedule) of each point: from the walk, and from the reference loop per schedule.
+
+    K, E and N take the reference's mean-pair flags: their values never read the amplitude pair.
+    """
     walked = [(repr(p.value), p.ill_conditioned, p.schedule) for p in enumerate_cloud(req)]
     alone = []
     for schedule in _schedules(req):
-        trace = reference_run_quartet(req.params, schedule)
+        trace = reference_run_quartet(req.params, schedule, amplitude=req.kind not in ("K", "E", "N"))
         alone.append((repr(_extract(req.kind, trace)), trace.ill_conditioned or not trace.converged, schedule))
     return walked, alone
 
@@ -291,6 +306,54 @@ def test_cloud_walk_branches_at_every_level(kind, start, max_iter):
     assert walked == alone
 
 
+@pytest.mark.parametrize("kind", ["K", "E", "N"])
+@pytest.mark.parametrize("sinphi", [0.5, 0.3 + 0.4j, 1e200, 1e-200])
+def test_mean_pair_cloud_keys_on_sigma_bits_only(kind, sinphi):
+    # delta and gamma bits below max_iter: schedules equal in sigma share one trace
+    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(sinphi=sinphi, max_iter=20), 3, 3, 3))
+    assert walked == alone
+    by_sigma = {}
+    for value, flag, schedule in walked:
+        assert by_sigma.setdefault(schedule.sigma_mask, (value, flag)) == (value, flag)
+    assert len(by_sigma) == 8
+    # the amplitude never reaches K, E or N: the same cloud at any sinphi
+    same = enumerate_cloud(CloudRequest(kind, params(sinphi=0.5, max_iter=20), 3, 3, 3))
+    assert walked == [(repr(p.value), p.ill_conditioned, p.schedule) for p in same]
+    assert not any(flag for _, flag, _ in walked)
+
+
+def test_mean_pair_walk_is_bit_identical_to_reference():
+    rng = random.Random(8)
+    for _ in range(100):
+        if rng.random() < 0.5:
+            b = complex(rng.uniform(0.01, 0.99))
+        else:
+            b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
+        sinphi = rng.choice((1, 1e200, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
+        max_iter = rng.choice((1, 2, 5, 20, 32))
+        p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
+        schedules = [SignSchedule(*(rng.getrandbits(max_iter) for _ in range(3))) for _ in range(6)]
+        for keep_rows in (False, True):
+            walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows, amplitude=False))
+            assert sorted(walked) == list(range(len(schedules)))
+            for i, schedule in enumerate(schedules):
+                alone = reference_run_quartet(p, schedule, amplitude=False)
+                assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
+                full = reference_run_quartet(p, schedule)
+                assert repr((walked[i].a_inf, walked[i].s_sum)) == repr((full.a_inf, full.s_sum))
+                assert walked[i].rows == () or [r[:2] for r in walked[i].rows] == [r[:2] for r in full.rows]
+
+
+def test_mean_pair_trace_gives_no_amplitude_value():
+    ((_, trace),) = walk_schedules(params(sinphi=0.8), [SignSchedule()], amplitude=False)
+    assert trace.converged and not trace.ill_conditioned
+    assert complete_K(trace) == complete_K(run_quartet(params(sinphi=0.8)))
+    assert cmath.isnan(trace.u_inf) and cmath.isnan(trace.z_sum) and not trace.zeta_defined
+    assert cmath.isnan(incomplete_F(trace))
+    with pytest.raises(ValueError, match="u=0"):
+        jacobi_Z(trace)
+
+
 def test_walk_yields_every_position_once():
     # bit 5 never applies at max_iter=5, so the first two schedules share one trace
     short = [SignSchedule(1 << 5), SignSchedule(), SignSchedule(0b101, 0b11, 0b10), SignSchedule()]
@@ -320,9 +383,18 @@ def test_cloud_steps_each_shared_prefix_once(monkeypatch):
 
     monkeypatch.setattr(engine, "signed_root", counting)
     enumerate_cloud(CloudRequest("K", params(), sigma_bits=12))
-    # three roots per step: 2**12 - 1 shared steps up to bit 12, then
-    # 8 steps for each of the 4096 schedules (245760 when each runs alone)
-    assert calls == 3 * (2**12 - 1 + 8 * 2**12) == 110589
+    # K walks the mean pair, one root per step: 2**12 - 1 shared steps up to
+    # bit 12, then 8 steps for each of the 4096 schedules (110589 with the
+    # amplitude pair's two roots, 245760 when each schedule runs alone)
+    assert calls == 2**12 - 1 + 8 * 2**12 == 36863
+    calls = 0
+    # F and Z keep three roots per step.  F at 3x4 bits: 1 + 4 + 16 + 64 shared
+    # steps, then 16 for each of 128 schedules; Z at 2x2x2: 1 + 8, then 18 for each of 64
+    enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
+    assert calls == 3 * (1 + 4 + 16 + 64 + 16 * 128) == 6399
+    calls = 0
+    enumerate_cloud(CloudRequest("Z", params(), 2, 2, 2))
+    assert calls == 3 * (1 + 8 + 18 * 64) == 3483
     calls = 0
     run_quartet(params())
     assert calls == 3 * 20

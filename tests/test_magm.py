@@ -69,9 +69,12 @@ class TestStep:
         assert abs(moved.y - (plain.y + c)) <= root_tol
         assert abs(moved.z - (plain.z + c)) <= root_tol
 
-    @given(x=small_complex, y=small_complex, z=small_complex, s=st.floats(min_value=0.01, max_value=100))
+    @given(x=small_complex, y=small_complex, z=small_complex, j=st.integers(min_value=-7, max_value=7))
     @settings(max_examples=200)
-    def test_scaling_invariance(self, x, y, z, s):
+    def test_scaling_invariance(self, x, y, z, j):
+        # a power of two scales every input exactly, so x - z is scaled and not
+        # rounded, and the bound measures magm_step rather than the input
+        s = math.ldexp(1.0, j)
         assume(_away_from_branch_boundary(x, y, z))
         plain = magm_step(MagmTriplet(x, y, z))
         scaled = magm_step(MagmTriplet(s * x, s * y, s * z))
