@@ -368,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
+        # an OSError names the output path it could not write
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -19,6 +19,7 @@ from .engine import (
     complete_E,
     complete_K,
     incomplete_F,
+    sweep_sigma,
     walk_schedules,
 )
 
@@ -32,7 +33,7 @@ __all__ = [
 
 CLOUD_KINDS = ("K", "F", "E", "N", "Z", "Z_restricted")
 
-# The kinds whose value reads the amplitude pair; K, E and N walk the mean pair alone.
+# The kinds whose value reads the amplitude pair; K, E and N sweep the mean pair alone.
 AMPLITUDE_KINDS = ("F", "Z", "Z_restricted")
 
 # Two points closer than this times the cloud scale count as one value.
@@ -80,6 +81,9 @@ class CloudRequest:
 
 
 def _schedules(req: CloudRequest) -> list[SignSchedule]:
+    # Sigma runs outermost and descending, so sigma mask m owns the block of
+    # 2**(delta_bits + gamma_bits) schedules starting at
+    # (2**sigma_bits - 1 - m) * 2**(delta_bits + gamma_bits).
     if req.kind == "Z_restricted":
         # the zeta sign at iteration n repeats the forward sign of iteration n-1
         return [SignSchedule(delta_mask=d, gamma_mask=d << 1) for d in range(2**req.delta_bits - 1, -1, -1)]
@@ -147,23 +151,36 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     """Evaluate the requested function over the full mask sweep.
 
     Masks run in descending order (sigma outermost); the all-plus schedule
-    is therefore the last point.  The traces come from one
-    `walk_schedules` over the whole sweep, which steps each shared sign
-    prefix once and records no rows; each point lands at its schedule's
-    position.  K, E and N walk the mean pair alone, so ``sinphi`` and the
-    delta and gamma bits leave their values and flags unchanged.
-    Ill-conditioned or unconverged traces yield flagged points, never
-    omissions.
+    is therefore the last point.  F, Z and Z_restricted take their traces
+    from one `walk_schedules` over the whole sweep, which steps each shared
+    sign prefix once and records no rows.  K, E and N read the mean pair
+    alone, so their traces come from `sweep_sigma`, one per sigma mask, and
+    each value fills its mask's block of schedules: ``sinphi`` and the delta
+    and gamma bits leave their values and flags unchanged.  Each point lands
+    at its schedule's position.  Ill-conditioned or unconverged traces
+    yield flagged points, never omissions.
     """
     schedules = _schedules(req)
-    points: list = [None] * len(schedules)
-    for i, trace in walk_schedules(req.params, schedules, amplitude=req.kind in AMPLITUDE_KINDS):
-        schedule = schedules[i]
-        points[i] = MultivaluePoint(
-            value=_extract(req.kind, trace),
-            schedule=schedule,
-            signb=req.params.signb,
-            generation=schedule.generation(),
-            ill_conditioned=trace.ill_conditioned or not trace.converged,
+    if req.kind in AMPLITUDE_KINDS:
+        placed = (((i,), trace) for i, trace in walk_schedules(req.params, schedules))
+    else:
+        block = 2 ** (req.delta_bits + req.gamma_bits)
+        top = 2**req.sigma_bits - 1
+        placed = (
+            (range((top - mask) * block, (top - mask + 1) * block), trace)
+            for mask, trace in sweep_sigma(req.params, req.sigma_bits)
         )
+    points: list = [None] * len(schedules)
+    for positions, trace in placed:
+        value = _extract(req.kind, trace)
+        flagged = trace.ill_conditioned or not trace.converged
+        for i in positions:
+            schedule = schedules[i]
+            points[i] = MultivaluePoint(
+                value=value,
+                schedule=schedule,
+                signb=req.params.signb,
+                generation=schedule.generation(),
+                ill_conditioned=flagged,
+            )
     return _mark_duplicates(points)

@@ -12,14 +12,15 @@ after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
 entirely.
 
-There is one loop, `walk_schedules`, a depth-first walk over many sign
-schedules at once: schedules that share their first ``n`` sign bits share
-their first ``n`` steps, so a cloud of ``2**N`` schedules takes each shared
-prefix once instead of restarting every schedule from row 0.  A node
+There are two loops.  `walk_schedules` is a depth-first walk over many
+sign schedules at once: schedules that share their first ``n`` sign bits
+share their first ``n`` steps, so a cloud of ``2**N`` schedules takes each
+shared prefix once instead of restarting every schedule from row 0.  A node
 holding more than one schedule splits by their bits at iteration ``n``.
-K, E and E/K read only the mean pair, so their walk (``amplitude=False``)
-steps ``(a, g)`` alone: one root per step instead of three, keyed by the
-sigma bits only.  `run_quartet` is the full walk over a single schedule.
+`run_quartet` is that walk over a single schedule.  K, E and E/K read only
+the mean pair ``(a, g)``, whose steps depend on the sigma bits alone, so
+`sweep_sigma` walks the binary tree of sigma prefixes instead: one root per
+step, and both children of a node stepped from it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "QuartetParams",
     "QuartetTrace",
     "walk_schedules",
+    "sweep_sigma",
     "run_quartet",
     "complete_K",
     "incomplete_F",
@@ -130,15 +132,14 @@ class QuartetTrace:
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
     initial row; only `run_quartet` records them, and the traces of a
-    cloud sweep carry ``rows=()``.  ``s_sum`` is the weighted sum of
+    cloud carry ``rows=()``.  ``s_sum`` is the weighted sum of
     ``a**2 - g**2`` terms, ``z_sum`` the accumulated Zeta series.
     ``ill_conditioned`` is set on root collapse, a degenerate forward root,
     a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
     compared to the start.
 
-    A trace of a walk without the amplitude pair (``amplitude=False``)
-    carries only the mean pair: ``u_inf``, ``z_sum`` and the ``u``, ``v``
-    of its rows are ``complex(nan, nan)`` and ``zeta_defined`` is False,
+    A trace of `sweep_sigma` carries only the mean pair: ``u_inf`` and
+    ``z_sum`` are ``complex(nan, nan)`` and ``zeta_defined`` is False,
     so `incomplete_F` gives NaN and `jacobi_Z` raises.  Its flags come from
     ``(a, g)`` alone: collapse, a non-finite mean, a tiny limit, or
     ``a - g`` not converged.
@@ -159,7 +160,6 @@ def walk_schedules(
     schedules: Sequence[SignSchedule],
     *,
     keep_rows: bool = False,
-    amplitude: bool = True,
 ) -> Iterator[tuple[int, QuartetTrace]]:
     """Run the signed recursion for every schedule, stepping each shared sign prefix once.
 
@@ -174,12 +174,6 @@ def walk_schedules(
     one schedule runs to the end in the same loop.  Each trace is bit for
     bit the trace of a walk over its schedule alone.
 
-    Without ``amplitude`` the walk steps the mean pair ``(a, g)`` alone:
-    no ``u`` or ``v``, no Zeta term, no forward root, one root per step.
-    Schedules then differ only in their sigma bits, so those that share
-    them share one trace.  ``a_inf`` and ``s_sum`` are bit for bit those
-    of the full walk; the other fields are as `QuartetTrace` describes.
-
     ``rows`` are recorded only with ``keep_rows``; otherwise every trace
     carries ``rows=()``.  Series terms for row ``n`` are accumulated before
     the row advances: weight ``2**(n-1)`` for the square-difference sum and
@@ -192,31 +186,24 @@ def walk_schedules(
     isfinite = cmath.isfinite
     a = complex(1.0)
     g = params.signb * params.complement_value()
-    finite = isfinite(a) and isfinite(g)
-    if amplitude:
-        sp = complex(params.sinphi)
-        u = 1 / sp
-        if sp == 1:
-            # full amplitude: the second pair is an exact copy of the first
-            v = g
-        else:
-            v = params.signb * principal_sqrt(1 - params.k_squared() * sp * sp) / sp
-        finite = finite and isfinite(u) and isfinite(v)
-        z_sum = complex(0.0)
+    sp = complex(params.sinphi)
+    u = 1 / sp
+    if sp == 1:
+        # full amplitude: the second pair is an exact copy of the first
+        v = g
     else:
-        u = v = z_sum = complex(math.nan, math.nan)
+        v = params.signb * principal_sqrt(1 - params.k_squared() * sp * sp) / sp
+    finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
     # Each schedule becomes one int key: its sigma, delta and gamma masks,
     # cut to the W = max_iter bits that apply, in bits [0, W), [W, 2W) and
-    # [2W, 3W), and its position above them.  The mean pair reads sigma
-    # alone, so without the amplitude pair a key keeps bits [0, W) only.
-    # Schedules equal on the kept bits travel together and share one trace.
+    # [2W, 3W), and its position above them.  Schedules equal on all 3W
+    # bits travel together and share one trace.
     full = (1 << max_iter) - 1
-    position_shift = 3 * max_iter if amplitude else max_iter
-    kept = (1 << position_shift) - 1
-    per_bit = (1 | 1 << max_iter | 1 << 2 * max_iter) & kept
+    position_shift = 3 * max_iter
+    per_bit = 1 | 1 << max_iter | 1 << 2 * max_iter
     keys = [
-        ((s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter) & kept
+        (s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter
         | i << position_shift
         for i, s in enumerate(schedules)
     ]
@@ -227,8 +214,8 @@ def walk_schedules(
     # walk holds nothing but the pending siblings.
     rows = [(a, g, u, v)] if keep_rows else None
     stack = [
-        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, complex(0.0), z_sum,
-         False, False, amplitude, finite, rows, None, None, None, None)
+        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, complex(0.0), complex(0.0),
+         False, False, True, finite, rows, None, None, None, None)
     ]
     while stack:
         (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
@@ -251,15 +238,14 @@ def walk_schedules(
                 if p_ag == 0:
                     collapsed = True
                 near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-                if amplitude:
-                    if s_uv == 0:
-                        degenerate = True
-                    if s_uv == s_ag and d_uv == d_ag:
-                        # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
-                        # mean-pair root and keep the copy exact bit for bit
-                        w = near
-                    else:
-                        w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+                if s_uv == 0:
+                    degenerate = True
+                if s_uv == s_ag and d_uv == d_ag:
+                    # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
+                    # mean-pair root and keep the copy exact bit for bit
+                    w = near
+                else:
+                    w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
                 q = d_ag * d_ag / 4
                 if len(group) > 1:
                     selector = per_bit << n
@@ -282,25 +268,24 @@ def walk_schedules(
             z_weight *= 2.0
             a, g, s_ag, d_ag = pair_step(s_ag, q, near, bits & 1)
             p_ag = a * g
-            if amplitude:
-                u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
+            u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
             if rows is not None:
                 rows.append((a, g, u, v))
             if finite:
-                finite = isfinite(a) and isfinite(g) and (not amplitude or isfinite(u) and isfinite(v))
+                finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
 
         scale = abs(a)
         converged = bool(
             finite
             and scale > 0.0
             and abs(d_ag) <= CONV_TOL * scale
-            and (not amplitude or abs(d_uv) <= CONV_TOL * scale)
+            and abs(d_uv) <= CONV_TOL * scale
         )
         ill = (
             not finite
             or collapsed
             or degenerate
-            or (amplitude and not zeta_defined)
+            or not zeta_defined
             or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
         )
         trace = QuartetTrace(
@@ -315,6 +300,55 @@ def walk_schedules(
         )
         for key in group:
             yield key >> position_shift, trace
+
+
+def sweep_sigma(params: QuartetParams, sigma_bits: int) -> Iterator[tuple[int, QuartetTrace]]:
+    """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
+
+    Yields ``(mask, trace)`` once per mask, in no particular order.  The
+    sweep is depth first over the binary tree of sigma prefixes: at every
+    node and iteration it takes the one mean root, and below ``sigma_bits``
+    it steps the pair both ways from that root, keeps the flipped child for
+    later and goes on with the other.  Bits at and above ``sigma_bits`` are
+    plus.  ``a_inf`` and ``s_sum`` are bit for bit those of `walk_schedules`
+    over ``SignSchedule(mask)``; the other fields are as `QuartetTrace`
+    describes for a mean-pair trace, and ``rows`` is ``()``.
+    """
+    max_iter = params.max_iter
+    if not 0 <= sigma_bits <= max_iter:
+        raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
+    isfinite = cmath.isfinite
+    nan = complex(math.nan, math.nan)
+    a = complex(1.0)
+    g = params.signb * params.complement_value()
+    # Pending nodes: the iteration a node resumes at, its mask, and the state.
+    stack = [(0, 0, a, a + g, a - g, a * g, complex(0.0), False, isfinite(a) and isfinite(g))]
+    while stack:
+        n, mask, a, s_ag, d_ag, p_ag, s_sum, collapsed, finite = stack.pop()
+        # series weight 2**(n-1); doubling a power of two is exact
+        weight = math.ldexp(0.5, n)
+        for n in range(n, max_iter):
+            s_sum += weight * (s_ag * d_ag)
+            weight *= 2.0
+            if p_ag == 0:
+                collapsed = True
+            near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+            q = d_ag * d_ag / 4
+            if n < sigma_bits:
+                fa, fg, fs, fd = pair_step(s_ag, q, near, 1)
+                stack.append(
+                    (n + 1, mask | 1 << n, fa, fs, fd, fa * fg, s_sum, collapsed,
+                     finite and isfinite(fa) and isfinite(fg))
+                )
+            a, g, s_ag, d_ag = pair_step(s_ag, q, near, 0)
+            p_ag = a * g
+            if finite:
+                finite = isfinite(a) and isfinite(g)
+
+        scale = abs(a)
+        converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
+        ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+        yield mask, QuartetTrace((), s_sum, nan, a, nan, converged, ill, False)
 
 
 def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:

@@ -172,6 +172,23 @@ class TestFlagValidation:
         assert err.value.code == 2
 
     @pytest.mark.parametrize(
+        "flag,target",
+        [
+            ("--out", "missing/x.csv"),
+            ("--out", "."),  # a directory
+            ("--svg", "missing/x.svg"),
+        ],
+    )
+    def test_unwritable_output_exits_2_naming_the_path(self, flag, target, tmp_path, capsys):
+        path = tmp_path / target
+        with pytest.raises(SystemExit) as err:
+            main(["fill-k", flag, str(path)])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert err_text.startswith("error: [Errno ")
+        assert repr(str(path)) in err_text
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["ref", "--b", "nan"], "b must be finite, got nan"),

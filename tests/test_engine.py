@@ -24,7 +24,7 @@ from multiagm import (
     run_quartet,
 )
 from multiagm.clouds import CLOUD_KINDS, _extract, _schedules
-from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace, walk_schedules
+from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace, sweep_sigma, walk_schedules
 from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -333,19 +333,51 @@ def test_mean_pair_walk_is_bit_identical_to_reference():
         max_iter = rng.choice((1, 2, 5, 20, 32))
         p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
         schedules = [SignSchedule(*(rng.getrandbits(max_iter) for _ in range(3))) for _ in range(6)]
-        for keep_rows in (False, True):
-            walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows, amplitude=False))
-            assert sorted(walked) == list(range(len(schedules)))
-            for i, schedule in enumerate(schedules):
-                alone = reference_run_quartet(p, schedule, amplitude=False)
-                assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
-                full = reference_run_quartet(p, schedule)
-                assert repr((walked[i].a_inf, walked[i].s_sum)) == repr((full.a_inf, full.s_sum))
-                assert walked[i].rows == () or [r[:2] for r in walked[i].rows] == [r[:2] for r in full.rows]
+        assert_sweep_matches_reference(p, min(max_iter, 6), schedules)
+
+
+def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
+    """Every sweep of 0..top_bits sigma bits yields each mask once, as the reference loop runs it.
+
+    The full reference, with the delta and gamma masks of ``schedules``
+    added, must agree on ``a_inf`` and ``s_sum``: they read the mean pair alone.
+    """
+    expected = {}
+    for mask in range(2**top_bits):
+        alone = reference_run_quartet(p, SignSchedule(mask), amplitude=False)
+        expected[mask] = repr(replace(alone, rows=()))
+        other = schedules[mask % len(schedules)]
+        full = reference_run_quartet(p, SignSchedule(mask, other.delta_mask, other.gamma_mask))
+        assert repr((alone.a_inf, alone.s_sum)) == repr((full.a_inf, full.s_sum))
+    for sigma_bits in range(top_bits + 1):
+        swept = [(mask, repr(trace)) for mask, trace in sweep_sigma(p, sigma_bits)]
+        assert sorted(mask for mask, _ in swept) == list(range(2**sigma_bits))
+        for mask, trace in swept:
+            assert trace == expected[mask]
+
+
+@pytest.mark.parametrize(
+    "start,max_iter",
+    [
+        ({}, 6),
+        ({"b": 0.0}, 4),  # k = 1: the mean collapses
+        ({"b": math.inf}, 3),  # a non-finite start
+        ({"b": 0.3 + 0.4j, "signb": -1}, 5),
+        ({"signb": -1}, 1),
+    ],
+)
+def test_sweep_sigma_edge_cases(start, max_iter):
+    # sigma bits up to max_iter: the deepest masks flip at the last iteration
+    p = params(**start, max_iter=max_iter)
+    assert_sweep_matches_reference(p, max_iter)
+    with pytest.raises(ValueError, match="sigma_bits"):
+        next(sweep_sigma(p, max_iter + 1))
+    with pytest.raises(ValueError, match="sigma_bits"):
+        next(sweep_sigma(p, -1))
 
 
 def test_mean_pair_trace_gives_no_amplitude_value():
-    ((_, trace),) = walk_schedules(params(sinphi=0.8), [SignSchedule()], amplitude=False)
+    ((_, trace),) = sweep_sigma(params(sinphi=0.8), 0)
     assert trace.converged and not trace.ill_conditioned
     assert complete_K(trace) == complete_K(run_quartet(params(sinphi=0.8)))
     assert cmath.isnan(trace.u_inf) and cmath.isnan(trace.z_sum) and not trace.zeta_defined
