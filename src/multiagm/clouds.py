@@ -19,8 +19,9 @@ from .engine import (
     complete_E,
     complete_K,
     incomplete_F,
+    sweep_quartet,
     sweep_sigma,
-    walk_schedules,
+    zeta_sum,
 )
 
 __all__ = [
@@ -81,9 +82,11 @@ class CloudRequest:
 
 
 def _schedules(req: CloudRequest) -> list[SignSchedule]:
-    # Sigma runs outermost and descending, so sigma mask m owns the block of
-    # 2**(delta_bits + gamma_bits) schedules starting at
-    # (2**sigma_bits - 1 - m) * 2**(delta_bits + gamma_bits).
+    # Sigma runs outermost, then delta, then gamma, each descending.  So
+    # sigma mask s owns the block of 2**(D + G) schedules starting at
+    # (2**S - 1 - s) * 2**(D + G), and the pair (s, d) the block of 2**G
+    # starting at ((2**S - 1 - s) * 2**D + 2**D - 1 - d) * 2**G, where
+    # S, D and G count the sigma, delta and gamma bits.
     if req.kind == "Z_restricted":
         # the zeta sign at iteration n repeats the forward sign of iteration n-1
         return [SignSchedule(delta_mask=d, gamma_mask=d << 1) for d in range(2**req.delta_bits - 1, -1, -1)]
@@ -106,10 +109,11 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
             return complex(math.nan, math.nan)
         return complete_E(trace) / k_val
     if kind == "F":
-        if trace.u_inf == 0:
+        # both limits divide: a_inf == 0 has already flagged the trace as tiny
+        if trace.u_inf == 0 or trace.a_inf == 0:
             return complex(math.nan, math.nan)
         return incomplete_F(trace, 0)
-    # Z and Z_restricted: the walk leaves NaN here once Zeta is undefined
+    # Z and Z_restricted: a trace of `run_quartet` carries its sum; a cloud signs it per schedule
     return trace.z_sum
 
 
@@ -151,33 +155,32 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     """Evaluate the requested function over the full mask sweep.
 
     Masks run in descending order (sigma outermost); the all-plus schedule
-    is therefore the last point.  F, Z and Z_restricted take their traces
-    from one `walk_schedules` over the whole sweep, which steps each shared
-    sign prefix once and records no rows.  K, E and N read the mean pair
-    alone, so their traces come from `sweep_sigma`, one per sigma mask, and
-    each value fills its mask's block of schedules: ``sinphi`` and the delta
-    and gamma bits leave their values and flags unchanged.  Each point lands
-    at its schedule's position.  Ill-conditioned or unconverged traces
-    yield flagged points, never omissions.
+    is therefore the last point.  K, E and N read the mean pair alone, so
+    their traces come from `sweep_sigma`, one per sigma mask.  F, Z and
+    Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
+    mask, and the gamma bits only sign the Zeta terms, which `zeta_sum`
+    adds per schedule.  A value fills every schedule its trace stands for.
+    Ill-conditioned or unconverged traces yield flagged points, never
+    omissions.
     """
     schedules = _schedules(req)
+    top = 2**req.sigma_bits - 1
     if req.kind in AMPLITUDE_KINDS:
-        placed = (((i,), trace) for i, trace in walk_schedules(req.params, schedules))
+        traces = sweep_quartet(req.params, req.sigma_bits, req.delta_bits)
+        deltas, block = 2**req.delta_bits, 2**req.gamma_bits
     else:
-        block = 2 ** (req.delta_bits + req.gamma_bits)
-        top = 2**req.sigma_bits - 1
-        placed = (
-            (range((top - mask) * block, (top - mask + 1) * block), trace)
-            for mask, trace in sweep_sigma(req.params, req.sigma_bits)
-        )
+        traces = ((mask, 0, trace, None) for mask, trace in sweep_sigma(req.params, req.sigma_bits))
+        deltas, block = 1, 2 ** (req.delta_bits + req.gamma_bits)
+    zeta = req.kind in ("Z", "Z_restricted")
     points: list = [None] * len(schedules)
-    for positions, trace in placed:
+    for sigma, delta, trace, terms in traces:
         value = _extract(req.kind, trace)
         flagged = trace.ill_conditioned or not trace.converged
-        for i in positions:
+        start = ((top - sigma) * deltas + deltas - 1 - delta) * block
+        for i in range(start, start + block):
             schedule = schedules[i]
             points[i] = MultivaluePoint(
-                value=value,
+                value=zeta_sum(terms, schedule.gamma_mask) if zeta else value,
                 schedule=schedule,
                 signb=req.params.signb,
                 generation=schedule.generation(),

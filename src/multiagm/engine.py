@@ -12,15 +12,14 @@ after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
 entirely.
 
-There are two loops.  `walk_schedules` is a depth-first walk over many
-sign schedules at once: schedules that share their first ``n`` sign bits
-share their first ``n`` steps, so a cloud of ``2**N`` schedules takes each
-shared prefix once instead of restarting every schedule from row 0.  A node
-holding more than one schedule splits by their bits at iteration ``n``.
-`run_quartet` is that walk over a single schedule.  K, E and E/K read only
-the mean pair ``(a, g)``, whose steps depend on the sigma bits alone, so
-`sweep_sigma` walks the binary tree of sigma prefixes instead: one root per
-step, and both children of a node stepped from it.
+The three kinds of sign bit reach different state.  The mean pair reads
+the sigma bits alone, the amplitude pair the sigma and delta bits, and a
+gamma bit only negates one Zeta term.  So `sweep_sigma` walks the binary
+tree of sigma prefixes for K, E and E/K, one mean root per node and step.
+`sweep_quartet` steps each sigma mask's mean pair once and walks the tree
+of delta prefixes along it, one Zeta root and one forward root per node
+and step; `zeta_sum` then signs the Zeta terms per gamma mask.
+`run_quartet` is the one-schedule case of `sweep_quartet`.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .roots import pair_step, principal_sqrt, signed_root
 
@@ -36,8 +35,9 @@ __all__ = [
     "SignSchedule",
     "QuartetParams",
     "QuartetTrace",
-    "walk_schedules",
     "sweep_sigma",
+    "sweep_quartet",
+    "zeta_sum",
     "run_quartet",
     "complete_K",
     "incomplete_F",
@@ -61,6 +61,9 @@ MAX_ITER_LIMIT = 1024
 ILL_CONDITION_RATIO = 1e-6
 
 Quartet = tuple[complex, complex, complex, complex]
+
+# One Zeta term before its sign and weight: ``(d_uv, zr, u)`` of an iteration.
+ZetaTerm = tuple[complex, complex, complex]
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,8 @@ class QuartetTrace:
     A trace of `sweep_sigma` carries only the mean pair: ``u_inf`` and
     ``z_sum`` are ``complex(nan, nan)`` and ``zeta_defined`` is False,
     so `incomplete_F` gives NaN and `jacobi_Z` raises.  Its flags come from
-    ``(a, g)`` alone: collapse, a non-finite mean, a tiny limit, or
-    ``a - g`` not converged.
+    ``(a, g)`` alone.  A trace of `sweep_quartet` leaves ``z_sum`` NaN,
+    since the sum depends on the gamma mask that `zeta_sum` applies.
     """
 
     rows: tuple[Quartet, ...]
@@ -155,151 +158,136 @@ class QuartetTrace:
     zeta_defined: bool = True
 
 
-def walk_schedules(
-    params: QuartetParams,
-    schedules: Sequence[SignSchedule],
-    *,
-    keep_rows: bool = False,
-) -> Iterator[tuple[int, QuartetTrace]]:
-    """Run the signed recursion for every schedule, stepping each shared sign prefix once.
+def _mean_path(params: QuartetParams, sigma_mask: int) -> tuple[list[tuple], tuple]:
+    """Step the mean pair ``(a, g)`` of one sigma mask through ``params.max_iter`` iterations.
 
-    Yields ``(index, trace)`` for every position of ``schedules``, in no
-    particular order.  The walk is depth first over iterations: schedules
-    that agree on their first ``n`` sign bits share the first ``n`` steps.
-    At iteration ``n`` the series term and the three roots (Zeta, the mean
-    root ``near`` and the forward root ``w``) depend only on the shared
-    state, so a node takes them once.  A node holding more than one
-    schedule then splits by their bits at iteration ``n``; the children
-    differ in the `pair_step` flips and the gamma sign.  A node left with
-    one schedule runs to the end in the same loop.  Each trace is bit for
-    bit the trace of a walk over its schedule alone.
-
-    ``rows`` are recorded only with ``keep_rows``; otherwise every trace
-    carries ``rows=()``.  Series terms for row ``n`` are accumulated before
-    the row advances: weight ``2**(n-1)`` for the square-difference sum and
-    ``2**n`` for the Zeta term.  Non-finite intermediates flag the trace
-    instead of raising.
+    Returns the state before each iteration, ``(a, g, s_ag, d_ag, near, q)``
+    with the mean root ``near`` and ``q = d_ag**2 / 4``, and the end state
+    ``(a_inf, g_inf, d_ag, s_sum, collapsed, finite)``.
     """
-    if not schedules:
-        return
-    max_iter = params.max_iter
     isfinite = cmath.isfinite
     a = complex(1.0)
     g = params.signb * params.complement_value()
+    s_ag, d_ag, p_ag = a + g, a - g, a * g
+    s_sum = complex(0.0)
+    collapsed = False
+    finite = isfinite(a) and isfinite(g)
+    # series weight 2**(n-1); doubling a power of two is exact
+    weight = 0.5
+    path = []
+    for n in range(params.max_iter):
+        s_sum += weight * (s_ag * d_ag)
+        weight *= 2.0
+        if p_ag == 0:
+            collapsed = True
+        near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+        q = d_ag * d_ag / 4
+        path.append((a, g, s_ag, d_ag, near, q))
+        a, g, s_ag, d_ag = pair_step(s_ag, q, near, sigma_mask >> n & 1)
+        p_ag = a * g
+        if finite:
+            finite = isfinite(a) and isfinite(g)
+    return path, (a, g, d_ag, s_sum, collapsed, finite)
+
+
+def _sweep_delta(params: QuartetParams, mean: tuple, delta_bits: int, delta_mask: int = 0, uv_rows: list | None = None):
+    """Step the amplitude pair ``(u, v)`` along one mean path for every free delta prefix.
+
+    Depth first over the binary tree of delta prefixes: at every node and
+    iteration it takes the Zeta root and the forward root ``w`` once, and
+    below ``delta_bits`` it steps the pair both ways from ``w``, keeps the
+    flipped child for later and goes on with the other.  Higher bits come
+    from ``delta_mask``.  Yields ``(delta_mask, trace, terms)`` per leaf.
+    ``uv_rows``, given with no free bits only, collects ``(u, v)`` per row.
+    """
+    path, (a_inf, _, d_ag, s_sum, collapsed, finite_ag) = mean
+    isfinite = cmath.isfinite
+    nan = complex(math.nan, math.nan)
+    scale = abs(a_inf)
+    mean_converged = finite_ag and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale
+    mean_ill = not finite_ag or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
     sp = complex(params.sinphi)
     u = 1 / sp
-    if sp == 1:
-        # full amplitude: the second pair is an exact copy of the first
-        v = g
-    else:
-        v = params.signb * principal_sqrt(1 - params.k_squared() * sp * sp) / sp
-    finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
-
-    # Each schedule becomes one int key: its sigma, delta and gamma masks,
-    # cut to the W = max_iter bits that apply, in bits [0, W), [W, 2W) and
-    # [2W, 3W), and its position above them.  Schedules equal on all 3W
-    # bits travel together and share one trace.
-    full = (1 << max_iter) - 1
-    position_shift = 3 * max_iter
-    per_bit = 1 | 1 << max_iter | 1 << 2 * max_iter
-    keys = [
-        (s.sigma_mask & full) | (s.delta_mask & full) << max_iter | (s.gamma_mask & full) << 2 * max_iter
-        | i << position_shift
-        for i, s in enumerate(schedules)
-    ]
-
-    # Pending nodes: the iteration a node resumes at, its keys, whether the
-    # shared terms of that iteration are already taken, and the state.
-    # A split pushes all parts but one, which goes on in the loop, so the
-    # walk holds nothing but the pending siblings.
-    rows = [(a, g, u, v)] if keep_rows else None
-    stack = [
-        (0, keys, False, a, u, a + g, a - g, a * g, u + v, u - v, complex(0.0), complex(0.0),
-         False, False, True, finite, rows, None, None, None, None)
-    ]
+    # full amplitude: the second pair is an exact copy of the first
+    v = path[0][1] if sp == 1 else params.signb * principal_sqrt(1 - params.k_squared() * sp * sp) / sp
+    if uv_rows is not None:
+        uv_rows.append((u, v))
+    # Pending nodes: the iteration a node resumes at, its mask, and the state;
+    # ``terms`` turns None once Zeta is undefined.
+    stack = [(0, delta_mask, u, u + v, u - v, False, isfinite(u) and isfinite(v), [])]
     while stack:
-        (n, group, shared, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
-         collapsed, degenerate, zeta_defined, finite, rows, zr, near, w, q) = stack.pop()
-        # series weights 2**(n-1) and 2**n; doubling a power of two is exact
-        s_weight = math.ldexp(0.5, n)
-        z_weight = math.ldexp(1.0, n)
-
-        for n in range(n, max_iter):
-            if shared:
-                shared = False
-            else:
-                s_sum += s_weight * (s_ag * d_ag)
-                if zeta_defined:
-                    if u == 0:
-                        zeta_defined = False
-                        z_sum = complex(math.nan, math.nan)
-                    else:
-                        zr = signed_root(u * u - a * a, u)
-                if p_ag == 0:
-                    collapsed = True
-                near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-                if s_uv == 0:
-                    degenerate = True
-                if s_uv == s_ag and d_uv == d_ag:
-                    # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
-                    # mean-pair root and keep the copy exact bit for bit
-                    w = near
+        n, mask, u, s_uv, d_uv, degenerate, finite, terms = stack.pop()
+        for n in range(n, params.max_iter):
+            a, _, s_ag, d_ag, near, q = path[n]
+            if terms is not None:
+                if u == 0:
+                    terms = None
                 else:
-                    w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
-                q = d_ag * d_ag / 4
-                if len(group) > 1:
-                    selector = per_bit << n
-                    parts: dict[int, list[int]] = {}
-                    for key in group:
-                        parts.setdefault(key & selector, []).append(key)
-                    *others, group = parts.values()
-                    for part in others:
-                        stack.append(
-                            (n, part, True, a, u, s_ag, d_ag, p_ag, s_uv, d_uv, s_sum, z_sum,
-                             collapsed, degenerate, zeta_defined, finite, None if rows is None else rows[:],
-                             zr, near, w, q)
-                        )
-
-            # every key of the group now agrees at bit n
-            bits = group[0] >> n
-            if zeta_defined:
-                z_sum += (-z_weight if bits >> 2 * max_iter & 1 else z_weight) * d_uv * zr / u
-            s_weight *= 2.0
-            z_weight *= 2.0
-            a, g, s_ag, d_ag = pair_step(s_ag, q, near, bits & 1)
-            p_ag = a * g
-            u, v, s_uv, d_uv = pair_step(s_uv, q, w, bits >> max_iter & 1)
-            if rows is not None:
-                rows.append((a, g, u, v))
+                    terms.append((d_uv, signed_root(u * u - a * a, u), u))
+            if s_uv == 0:
+                degenerate = True
+            if s_uv == s_ag and d_uv == d_ag:
+                # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
+                # mean-pair root and keep the copy exact bit for bit
+                w = near
+            else:
+                w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
             if finite:
-                finite = isfinite(a) and isfinite(g) and isfinite(u) and isfinite(v)
+                # both children step to (s_uv / 2, +-w)
+                finite = isfinite(s_uv) and isfinite(w)
+            if n < delta_bits:
+                fu, _, fs, fd = pair_step(s_uv, q, w, 1)
+                stack.append(
+                    (n + 1, mask | 1 << n, fu, fs, fd, degenerate, finite, None if terms is None else terms[:])
+                )
+            u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
+            if uv_rows is not None:
+                uv_rows.append((u, v))
 
-        scale = abs(a)
-        converged = bool(
-            finite
-            and scale > 0.0
-            and abs(d_ag) <= CONV_TOL * scale
-            and abs(d_uv) <= CONV_TOL * scale
-        )
-        ill = (
-            not finite
-            or collapsed
-            or degenerate
-            or not zeta_defined
-            or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
-        )
-        trace = QuartetTrace(
-            rows=() if rows is None else tuple(rows),
-            s_sum=s_sum,
-            z_sum=z_sum,
-            a_inf=a,
-            u_inf=u,
-            converged=converged,
-            ill_conditioned=ill,
-            zeta_defined=zeta_defined,
-        )
-        for key in group:
-            yield key >> position_shift, trace
+        converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * scale)
+        ill = mean_ill or not finite or degenerate or terms is None
+        yield mask, QuartetTrace((), s_sum, nan, a_inf, u, converged, ill, terms is not None), terms
+
+
+def sweep_quartet(
+    params: QuartetParams, sigma_bits: int, delta_bits: int
+) -> Iterator[tuple[int, int, QuartetTrace, list[ZetaTerm] | None]]:
+    """Run the recursion for every sigma and delta mask below ``2**sigma_bits`` and ``2**delta_bits``.
+
+    Yields ``(sigma_mask, delta_mask, trace, terms)`` once per pair, in no
+    particular order; higher bits are plus.  Each sigma mask steps its mean
+    pair once, and the amplitude pair walks the tree of delta prefixes
+    along it.  ``terms`` holds the Zeta terms (None once Zeta is undefined)
+    for ``zeta_sum(terms, gamma_mask)`` to sign.  Each trace is bit for bit
+    `run_quartet` over ``SignSchedule(sigma_mask, delta_mask)`` with
+    ``rows=()`` and ``z_sum`` NaN.
+    """
+    max_iter = params.max_iter
+    if not 0 <= sigma_bits <= max_iter:
+        raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
+    if not 0 <= delta_bits <= max_iter:
+        raise ValueError(f"delta_bits must lie in [0, {max_iter}]")
+    for sigma_mask in range(2**sigma_bits):
+        for delta_mask, trace, terms in _sweep_delta(params, _mean_path(params, sigma_mask), delta_bits):
+            yield sigma_mask, delta_mask, trace, terms
+
+
+def zeta_sum(terms: Sequence[ZetaTerm] | None, gamma_mask: int) -> complex:
+    """The Zeta series of one gamma mask: ``sum((+-2**n) * d_uv * zr / u)`` in iteration order.
+
+    Bit ``n`` of ``gamma_mask`` negates term ``n``.  ``None``, a trace whose
+    Zeta went undefined at ``u == 0``, gives NaN.
+    """
+    if terms is None:
+        return complex(math.nan, math.nan)
+    z_sum = complex(0.0)
+    # series weight 2**n; doubling a power of two is exact
+    weight = 1.0
+    for d_uv, zr, u in terms:
+        z_sum += (-weight if gamma_mask & 1 else weight) * d_uv * zr / u
+        weight *= 2.0
+        gamma_mask >>= 1
+    return z_sum
 
 
 def sweep_sigma(params: QuartetParams, sigma_bits: int) -> Iterator[tuple[int, QuartetTrace]]:
@@ -310,7 +298,7 @@ def sweep_sigma(params: QuartetParams, sigma_bits: int) -> Iterator[tuple[int, Q
     node and iteration it takes the one mean root, and below ``sigma_bits``
     it steps the pair both ways from that root, keeps the flipped child for
     later and goes on with the other.  Bits at and above ``sigma_bits`` are
-    plus.  ``a_inf`` and ``s_sum`` are bit for bit those of `walk_schedules`
+    plus.  ``a_inf`` and ``s_sum`` are bit for bit those of `run_quartet`
     over ``SignSchedule(mask)``; the other fields are as `QuartetTrace`
     describes for a mean-pair trace, and ``rows`` is ``()``.
     """
@@ -354,11 +342,16 @@ def sweep_sigma(params: QuartetParams, sigma_bits: int) -> Iterator[tuple[int, Q
 def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:
     """Run the signed recursion for ``params.max_iter`` iterations on one schedule.
 
-    This is `walk_schedules` over the single schedule (all plus when
-    omitted), with its rows recorded.
+    This is the one-schedule case of `sweep_quartet`, with its rows
+    recorded and its Zeta terms signed by the gamma mask (all plus when
+    ``schedule`` is omitted).
     """
-    ((_, trace),) = walk_schedules(params, (schedule or SignSchedule(),), keep_rows=True)
-    return trace
+    schedule = schedule or SignSchedule()
+    path, end = mean = _mean_path(params, schedule.sigma_mask)
+    uv_rows: list = []
+    ((_, trace, terms),) = _sweep_delta(params, mean, 0, schedule.delta_mask, uv_rows)
+    rows = tuple((a, g, u, v) for (a, g, *_), (u, v) in zip((*path, end), uv_rows))
+    return replace(trace, rows=rows, z_sum=zeta_sum(terms, schedule.gamma_mask))
 
 
 def complete_K(trace: QuartetTrace) -> complex:

@@ -86,6 +86,14 @@ class TestFillCommands:
         assert main([command, "--sinphi", sinphi]) == 0
         assert capsys.readouterr().out == expected
 
+    def test_f_fill_at_zero_mean_limit_exits_0(self, capsys):
+        # b = 1 and a sigma flip at iteration 0 give a_inf == 0 exactly: a flagged NaN point
+        assert main(["fill-f", "--b", "1", "--sigma-bits", "1", "--delta-bits", "1", "--max-iter", "2"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert len(rows) == 4
+        assert all(row[6] == "nan" for row in rows if row[1] == "1")
+        assert all(row[8] == "1" for row in rows if row[6] == "nan")
+
     def test_k_flag_instead_of_b(self, tmp_path):
         code, data = run_to_file(tmp_path, "k2.csv", ["fill-k", "--k", str(math.sqrt(0.9375)), "--signb", "+1"])
         assert code == 0

@@ -152,6 +152,15 @@ class TestOtherKinds:
         assert cmath.isnan(point.value)
         assert point.ill_conditioned
 
+    def test_f_at_zero_mean_limit_gives_flagged_nan(self):
+        # k = 0: a sigma flip at iteration 1 alone makes a = 1, g = -1, so a_inf == 0
+        # exactly, and F divides by it
+        p = QuartetParams(k=0, sinphi=0.3 + 0.4j, max_iter=3)
+        cloud = enumerate_cloud(CloudRequest(kind="F", params=p, sigma_bits=3, delta_bits=3, gamma_bits=2))
+        zero = [point for point in cloud if point.schedule.sigma_mask & 3 == 2]
+        assert len(zero) == 2 * 2**5
+        assert all(cmath.isnan(point.value) and point.ill_conditioned for point in zero)
+
     def test_unrestricted_zeta_cloud_all_finite(self):
         cloud = enumerate_cloud(
             CloudRequest(kind="Z", params=params(sinphi=0.8), sigma_bits=2, delta_bits=2, gamma_bits=2)

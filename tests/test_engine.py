@@ -24,7 +24,15 @@ from multiagm import (
     run_quartet,
 )
 from multiagm.clouds import CLOUD_KINDS, _extract, _schedules
-from multiagm.engine import CONV_TOL, ILL_CONDITION_RATIO, MAX_ITER_LIMIT, QuartetTrace, sweep_sigma, walk_schedules
+from multiagm.engine import (
+    CONV_TOL,
+    ILL_CONDITION_RATIO,
+    MAX_ITER_LIMIT,
+    QuartetTrace,
+    sweep_quartet,
+    sweep_sigma,
+    zeta_sum,
+)
 from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -387,22 +395,34 @@ def test_mean_pair_trace_gives_no_amplitude_value():
 
 
 def test_walk_yields_every_position_once():
-    # bit 5 never applies at max_iter=5, so the first two schedules share one trace
-    short = [SignSchedule(1 << 5), SignSchedule(), SignSchedule(0b101, 0b11, 0b10), SignSchedule()]
-    # all eight agree on bits 0..5, so their node holds them together for six
-    # iterations before the first bit that tells them apart
-    high = [SignSchedule(sigma_mask=m << 6, delta_mask=(m & 1) << 9) for m in range(8)]
-    shuffled = high[:]
-    random.Random(7).shuffle(shuffled)
-    for max_iter, schedules in ((5, short), (12, high), (12, shuffled)):
-        p = params(max_iter=max_iter)
-        for keep_rows in (False, True):
-            walked = dict(walk_schedules(p, schedules, keep_rows=keep_rows))
-            assert sorted(walked) == list(range(len(schedules)))
-            for i, schedule in enumerate(schedules):
-                alone = reference_run_quartet(p, schedule)
-                assert repr(walked[i]) == repr(alone if keep_rows else replace(alone, rows=()))
-    assert list(walk_schedules(params(max_iter=5), [])) == []
+    # every (sigma, delta) pair once; any gamma mask signs its terms into the reference Zeta sum
+    for start, max_iter, sigma_bits, delta_bits in (
+        ({"sinphi": 0.8}, 5, 2, 3),
+        ({"sinphi": 0.3 + 0.4j, "b": 0.3 + 0.4j, "signb": -1}, 4, 4, 4),  # flips at the last iteration
+        ({"sinphi": 1}, 3, 2, 3),  # the amplitude pair starts as an exact copy of the mean pair
+        ({"b": 1.0, "signb": -1}, 3, 1, 3),  # k = 0, u + v == 0: Zeta undefined after one step
+        ({"b": 0.0}, 3, 3, 2),  # k = 1: the mean collapses
+        ({}, 1, 0, 0),
+    ):
+        p = params(**start, max_iter=max_iter)
+        swept = {}
+        for sigma, delta, trace, terms in sweep_quartet(p, sigma_bits, delta_bits):
+            assert (sigma, delta) not in swept
+            swept[sigma, delta] = trace, terms
+        assert sorted(swept) == [(s, d) for s in range(2**sigma_bits) for d in range(2**delta_bits)]
+        for (sigma, delta), (trace, terms) in swept.items():
+            assert cmath.isnan(trace.z_sum) and trace.rows == ()
+            for gamma in (0, 1, 2**max_iter - 1, sigma ^ delta):
+                alone = reference_run_quartet(p, SignSchedule(sigma, delta, gamma))
+                assert repr(replace(trace, z_sum=zeta_sum(terms, gamma))) == repr(replace(alone, rows=()))
+        for bits in ((max_iter + 1, 0), (0, max_iter + 1), (-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="_bits must lie"):
+                next(sweep_quartet(p, *bits))
+    # bit 5 never applies at max_iter=5: the bits above max_iter, through run_quartet
+    p = params(max_iter=5)
+    for schedule in (SignSchedule(1 << 5), SignSchedule(0b101, 0b11 | 1 << 5, 0b10 | 1 << 7)):
+        assert repr(run_quartet(p, schedule)) == repr(reference_run_quartet(p, schedule))
+    assert repr(run_quartet(p, SignSchedule(1 << 5, 1 << 6, 1 << 7))) == repr(run_quartet(p))
 
 
 def test_cloud_steps_each_shared_prefix_once(monkeypatch):
@@ -420,16 +440,37 @@ def test_cloud_steps_each_shared_prefix_once(monkeypatch):
     # amplitude pair's two roots, 245760 when each schedule runs alone)
     assert calls == 2**12 - 1 + 8 * 2**12 == 36863
     calls = 0
-    # F and Z keep three roots per step.  F at 3x4 bits: 1 + 4 + 16 + 64 shared
-    # steps, then 16 for each of 128 schedules; Z at 2x2x2: 1 + 8, then 18 for each of 64
+    # F and Z step each sigma mask's mean pair once (20 roots), then walk the
+    # delta tree along it with two roots per node and iteration (Zeta and
+    # forward): 2**D - 1 nodes above bit D and 2**D leaves for 20 - D steps.
+    # F at 3x4 bits: 8 * (20 + 2 * (15 + 16 * 16)) (6399 when the walk split its state on every kind of bit)
     enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
-    assert calls == 3 * (1 + 4 + 16 + 64 + 16 * 128) == 6399
+    assert calls == 8 * (20 + 2 * (15 + 16 * 16)) == 4496
     calls = 0
+    # Z at 2x2x2: 4 * (20 + 2 * (3 + 4 * 18)); the gamma bits only sign the
+    # Zeta terms and take no root (3483 when they split the walk)
     enumerate_cloud(CloudRequest("Z", params(), 2, 2, 2))
-    assert calls == 3 * (1 + 8 + 18 * 64) == 3483
+    assert calls == 4 * (20 + 2 * (3 + 4 * 18)) == 680
     calls = 0
     run_quartet(params())
     assert calls == 3 * 20
+
+
+def test_zeta_cloud_roots_do_not_depend_on_gamma_bits(monkeypatch):
+    calls = 0
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return signed_root(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "signed_root", counting)
+    counts = []
+    for gamma_bits in (0, 5):
+        calls = 0
+        enumerate_cloud(CloudRequest("Z", params(), 2, 2, gamma_bits))
+        counts.append(calls)
+    assert counts == [680, 680]
 
 
 class TestTraceValues:
