@@ -41,7 +41,7 @@ AMPLITUDE_KINDS = ("F", "Z", "Z_restricted")
 DUPLICATE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultivaluePoint:
     """One computed multivalue with its provenance.
 
@@ -109,10 +109,7 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
             return complex(math.nan, math.nan)
         return complete_E(trace) / k_val
     if kind == "F":
-        # both limits divide: a_inf == 0 has already flagged the trace as tiny
-        if trace.u_inf == 0 or trace.a_inf == 0:
-            return complex(math.nan, math.nan)
-        return incomplete_F(trace, 0)
+        return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace, 0)
     # Z and Z_restricted: a trace of `run_quartet` carries its sum; a cloud signs it per schedule
     return trace.z_sum
 
@@ -165,13 +162,13 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     """
     schedules = _schedules(req)
     top = 2**req.sigma_bits - 1
+    zeta = req.kind in ("Z", "Z_restricted")
     if req.kind in AMPLITUDE_KINDS:
-        traces = sweep_quartet(req.params, req.sigma_bits, req.delta_bits)
+        traces = sweep_quartet(req.params, req.sigma_bits, req.delta_bits, zeta)
         deltas, block = 2**req.delta_bits, 2**req.gamma_bits
     else:
         traces = ((mask, 0, trace, None) for mask, trace in sweep_sigma(req.params, req.sigma_bits))
         deltas, block = 1, 2 ** (req.delta_bits + req.gamma_bits)
-    zeta = req.kind in ("Z", "Z_restricted")
     points: list = [None] * len(schedules)
     for sigma, delta, trace, terms in traces:
         value = _extract(req.kind, trace)

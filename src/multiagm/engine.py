@@ -14,12 +14,14 @@ entirely.
 
 The three kinds of sign bit reach different state.  The mean pair reads
 the sigma bits alone, the amplitude pair the sigma and delta bits, and a
-gamma bit only negates one Zeta term.  So `sweep_sigma` walks the binary
-tree of sigma prefixes for K, E and E/K, one mean root per node and step.
-`sweep_quartet` steps each sigma mask's mean pair once and walks the tree
-of delta prefixes along it, one Zeta root and one forward root per node
-and step; `zeta_sum` then signs the Zeta terms per gamma mask.
-`run_quartet` is the one-schedule case of `sweep_quartet`.
+gamma bit only negates one Zeta term.  So `sweep_sigma`, the one mean
+loop, walks the binary tree of sigma prefixes, one mean root per node and
+step.  For F and Zeta it records each mask's path, and `sweep_quartet`
+walks the tree of delta prefixes along it, one forward root per node and
+step and a Zeta root only for Zeta; `zeta_sum` signs the terms per gamma
+mask.  `run_quartet` is the one-schedule case.  Past its last flip a node
+stops once a step repeats its state bit for bit with a zero difference:
+the AGM converges quadratically, and every later step would repeat it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import cmath
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from marshal import dumps
 
 from .roots import pair_step, principal_sqrt, signed_root
 
@@ -66,7 +69,7 @@ Quartet = tuple[complex, complex, complex, complex]
 ZetaTerm = tuple[complex, complex, complex]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignSchedule:
     """Per-iteration branch choices; bit ``n`` set means ``-1`` at iteration ``n``.
 
@@ -129,14 +132,14 @@ class QuartetParams:
         return complex(self.k) * complex(self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuartetTrace:
     """One full run of the recursion.
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
-    initial row; only `run_quartet` records them, and the traces of a
-    cloud carry ``rows=()``.  ``s_sum`` is the weighted sum of
-    ``a**2 - g**2`` terms, ``z_sum`` the accumulated Zeta series.
+    initial row, the fixed row repeated after a stop; only `run_quartet`
+    records them, and cloud traces carry ``rows=()``.  ``s_sum`` is the
+    weighted sum of ``a**2 - g**2`` terms, ``z_sum`` the Zeta series.
     ``ill_conditioned`` is set on root collapse, a degenerate forward root,
     a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
     compared to the start.
@@ -158,54 +161,92 @@ class QuartetTrace:
     zeta_defined: bool = True
 
 
-def _mean_path(params: QuartetParams, sigma_mask: int) -> tuple[list[tuple], tuple]:
-    """Step the mean pair ``(a, g)`` of one sigma mask through ``params.max_iter`` iterations.
+def sweep_sigma(
+    params: QuartetParams, sigma_bits: int, sigma_mask: int = 0, path: list | None = None
+) -> Iterator[tuple[int, QuartetTrace]]:
+    """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
 
-    Returns the state before each iteration, ``(a, g, s_ag, d_ag, near, q)``
-    with the mean root ``near`` and ``q = d_ag**2 / 4``, and the end state
-    ``(a_inf, g_inf, d_ag, s_sum, collapsed, finite)``.
+    Yields ``(mask, trace)`` once per mask, in no particular order.  The
+    sweep is depth first over the binary tree of sigma prefixes: at every
+    node and iteration it takes the one mean root, and below ``sigma_bits``
+    it steps the pair both ways from that root, keeps the flipped child for
+    later and goes on with the other.  Higher bits come from ``sigma_mask``.
+    Past its last flip a node stops once a step leaves a finite ``(a, g,
+    s_ag, d_ag)`` bit for bit as it was, with ``d_ag == 0``: every later
+    step would repeat it and add a signed zero to ``s_sum``.  Each trace is
+    the mean-pair trace of ``SignSchedule(mask)``, as `QuartetTrace` says.
+
+    Given ``path``, ``max_iter + 1`` slots, the sweep fills it before each
+    yield: ``(a, g, s_ag, d_ag, near, q)`` before each iteration, with the
+    mean root and ``q = d_ag**2 / 4``, then ``(a, g)``.  From a stop on,
+    each iteration's slot holds the stopped state, as one object.
     """
-    isfinite = cmath.isfinite
-    a = complex(1.0)
-    g = params.signb * params.complement_value()
-    s_ag, d_ag, p_ag = a + g, a - g, a * g
-    s_sum = complex(0.0)
-    collapsed = False
-    finite = isfinite(a) and isfinite(g)
-    # series weight 2**(n-1); doubling a power of two is exact
-    weight = 0.5
-    path = []
-    for n in range(params.max_iter):
-        s_sum += weight * (s_ag * d_ag)
-        weight *= 2.0
-        if p_ag == 0:
-            collapsed = True
-        near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-        q = d_ag * d_ag / 4
-        path.append((a, g, s_ag, d_ag, near, q))
-        a, g, s_ag, d_ag = pair_step(s_ag, q, near, sigma_mask >> n & 1)
-        p_ag = a * g
-        if finite:
-            finite = isfinite(a) and isfinite(g)
-    return path, (a, g, d_ag, s_sum, collapsed, finite)
-
-
-def _sweep_delta(params: QuartetParams, mean: tuple, delta_bits: int, delta_mask: int = 0, uv_rows: list | None = None):
-    """Step the amplitude pair ``(u, v)`` along one mean path for every free delta prefix.
-
-    Depth first over the binary tree of delta prefixes: at every node and
-    iteration it takes the Zeta root and the forward root ``w`` once, and
-    below ``delta_bits`` it steps the pair both ways from ``w``, keeps the
-    flipped child for later and goes on with the other.  Higher bits come
-    from ``delta_mask``.  Yields ``(delta_mask, trace, terms)`` per leaf.
-    ``uv_rows``, given with no free bits only, collects ``(u, v)`` per row.
-    """
-    path, (a_inf, _, d_ag, s_sum, collapsed, finite_ag) = mean
+    max_iter = params.max_iter
+    if not 0 <= sigma_bits <= max_iter:
+        raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
     isfinite = cmath.isfinite
     nan = complex(math.nan, math.nan)
-    scale = abs(a_inf)
-    mean_converged = finite_ag and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale
-    mean_ill = not finite_ag or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+    # past the iteration it resumes at, a node flips only where sigma_mask does
+    flips = [sigma_mask >> n & 1 for n in range(max_iter)]
+    stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
+    a = complex(1.0)
+    g = params.signb * params.complement_value()
+    # Pending nodes: the iteration a node resumes at, its mask, and the state.
+    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0), False, isfinite(a) and isfinite(g))]
+    while stack:
+        n, mask, a, g, s_ag, d_ag, s_sum, collapsed, finite = stack.pop()
+        # series weight 2**(n-1); doubling a power of two is exact
+        weight = math.ldexp(0.5, n)
+        for n in range(n, max_iter):
+            s_sum += weight * (s_ag * d_ag)
+            weight *= 2.0
+            p_ag = a * g
+            if not p_ag:
+                collapsed = True
+            near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+            q = d_ag * d_ag / 4
+            if path:
+                path[n] = (a, g, s_ag, d_ag, near, q)
+            if n < sigma_bits:
+                fa, fg, fs, fd = pair_step(s_ag, q, near, 1)
+                stack.append(
+                    (n + 1, mask | 1 << n, fa, fg, fs, fd, s_sum, collapsed, finite and isfinite(fa) and isfinite(fg))
+                )
+            # marshal writes the bytes of each double, so unlike == it tells signed zeros apart
+            before = None if d_ag or n < stop_from or not finite else dumps((a, g, s_ag, d_ag), 2)
+            a, g, s_ag, d_ag = pair_step(s_ag, q, near, flips[n])
+            if finite:
+                finite = isfinite(a) and isfinite(g)
+            if before and before == dumps((a, g, s_ag, d_ag), 2):
+                if path:
+                    path[n + 1 : max_iter] = [path[n]] * (max_iter - 1 - n)
+                break
+        if path:
+            path[max_iter] = (a, g)
+
+        scale = abs(a)
+        converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
+        ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+        yield mask, QuartetTrace((), s_sum, nan, a, nan, converged, ill, False)
+
+
+def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bits: int, delta_mask: int = 0,
+                 zeta: bool = True, uv_rows: list | None = None):
+    """Step the amplitude pair ``(u, v)`` along one sigma mask's ``path`` for every free delta prefix.
+
+    ``mean`` is that mask's trace.  Depth first over the tree of delta
+    prefixes as `sweep_sigma` walks sigma, higher bits from ``delta_mask``:
+    one forward root per node and iteration, and a Zeta root with ``zeta``.
+    A node stops as a mean node does, on ``(u, s_uv)``, once the path is
+    fixed and the Zeta root finite.  Yields ``(delta_mask, trace, terms)``
+    per leaf, ``terms`` ``()`` without ``zeta``; ``uv_rows``, with no free
+    bits only, collects ``(u, v)`` per row.
+    """
+    isfinite = cmath.isfinite
+    nan = complex(math.nan, math.nan)
+    max_iter = params.max_iter
+    fixed = path[max_iter - 1]
+    stop_from = max(delta_bits - 1, delta_mask.bit_length())
     sp = complex(params.sinphi)
     u = 1 / sp
     # full amplitude: the second pair is an exact copy of the first
@@ -214,17 +255,17 @@ def _sweep_delta(params: QuartetParams, mean: tuple, delta_bits: int, delta_mask
         uv_rows.append((u, v))
     # Pending nodes: the iteration a node resumes at, its mask, and the state;
     # ``terms`` turns None once Zeta is undefined.
-    stack = [(0, delta_mask, u, u + v, u - v, False, isfinite(u) and isfinite(v), [])]
+    stack = [(0, delta_mask, u, u + v, u - v, False, isfinite(u) and isfinite(v), [] if zeta else ())]
     while stack:
         n, mask, u, s_uv, d_uv, degenerate, finite, terms = stack.pop()
-        for n in range(n, params.max_iter):
+        for n in range(n, max_iter):
             a, _, s_ag, d_ag, near, q = path[n]
             if terms is not None:
-                if u == 0:
+                if not u:
                     terms = None
-                else:
+                elif zeta:
                     terms.append((d_uv, signed_root(u * u - a * a, u), u))
-            if s_uv == 0:
+            if not s_uv:
                 degenerate = True
             if s_uv == s_ag and d_uv == d_ag:
                 # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
@@ -240,35 +281,39 @@ def _sweep_delta(params: QuartetParams, mean: tuple, delta_bits: int, delta_mask
                 stack.append(
                     (n + 1, mask | 1 << n, fu, fs, fd, degenerate, finite, None if terms is None else terms[:])
                 )
+            # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed zero
+            before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
             u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
             if uv_rows is not None:
                 uv_rows.append((u, v))
+            if before and (not terms or isfinite(terms[-1][1])) and before == dumps((u, s_uv), 2):
+                if uv_rows is not None:
+                    uv_rows.extend([uv_rows[-1]] * (max_iter - 1 - n))
+                break
 
-        converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * scale)
-        ill = mean_ill or not finite or degenerate or terms is None
-        yield mask, QuartetTrace((), s_sum, nan, a_inf, u, converged, ill, terms is not None), terms
+        converged = bool(mean.converged and finite and abs(d_uv) <= CONV_TOL * abs(mean.a_inf))
+        ill = mean.ill_conditioned or not finite or degenerate or terms is None
+        yield mask, QuartetTrace((), mean.s_sum, nan, mean.a_inf, u, converged, ill, terms is not None), terms
 
 
 def sweep_quartet(
-    params: QuartetParams, sigma_bits: int, delta_bits: int
+    params: QuartetParams, sigma_bits: int, delta_bits: int, zeta: bool = True
 ) -> Iterator[tuple[int, int, QuartetTrace, list[ZetaTerm] | None]]:
     """Run the recursion for every sigma and delta mask below ``2**sigma_bits`` and ``2**delta_bits``.
 
     Yields ``(sigma_mask, delta_mask, trace, terms)`` once per pair, in no
-    particular order; higher bits are plus.  Each sigma mask steps its mean
-    pair once, and the amplitude pair walks the tree of delta prefixes
-    along it.  ``terms`` holds the Zeta terms (None once Zeta is undefined)
-    for ``zeta_sum(terms, gamma_mask)`` to sign.  Each trace is bit for bit
-    `run_quartet` over ``SignSchedule(sigma_mask, delta_mask)`` with
-    ``rows=()`` and ``z_sum`` NaN.
+    particular order; higher bits are plus.  The amplitude pair walks the
+    tree of delta prefixes along each mean path that `sweep_sigma` records.
+    ``terms`` holds the Zeta terms for ``zeta_sum(terms, gamma_mask)``, or
+    none without ``zeta``.  Each trace is bit for bit `run_quartet` over
+    ``SignSchedule(sigma_mask, delta_mask)`` with ``rows=()``, ``z_sum`` NaN.
     """
     max_iter = params.max_iter
-    if not 0 <= sigma_bits <= max_iter:
-        raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
     if not 0 <= delta_bits <= max_iter:
         raise ValueError(f"delta_bits must lie in [0, {max_iter}]")
-    for sigma_mask in range(2**sigma_bits):
-        for delta_mask, trace, terms in _sweep_delta(params, _mean_path(params, sigma_mask), delta_bits):
+    path: list = [None] * (max_iter + 1)
+    for sigma_mask, mean in sweep_sigma(params, sigma_bits, path=path):
+        for delta_mask, trace, terms in _sweep_delta(params, path, mean, delta_bits, zeta=zeta):
             yield sigma_mask, delta_mask, trace, terms
 
 
@@ -276,7 +321,8 @@ def zeta_sum(terms: Sequence[ZetaTerm] | None, gamma_mask: int) -> complex:
     """The Zeta series of one gamma mask: ``sum((+-2**n) * d_uv * zr / u)`` in iteration order.
 
     Bit ``n`` of ``gamma_mask`` negates term ``n``.  ``None``, a trace whose
-    Zeta went undefined at ``u == 0``, gives NaN.
+    Zeta went undefined at ``u == 0``, gives NaN.  Terms after a stop are
+    signed zeros and are left out.
     """
     if terms is None:
         return complex(math.nan, math.nan)
@@ -290,67 +336,19 @@ def zeta_sum(terms: Sequence[ZetaTerm] | None, gamma_mask: int) -> complex:
     return z_sum
 
 
-def sweep_sigma(params: QuartetParams, sigma_bits: int) -> Iterator[tuple[int, QuartetTrace]]:
-    """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
-
-    Yields ``(mask, trace)`` once per mask, in no particular order.  The
-    sweep is depth first over the binary tree of sigma prefixes: at every
-    node and iteration it takes the one mean root, and below ``sigma_bits``
-    it steps the pair both ways from that root, keeps the flipped child for
-    later and goes on with the other.  Bits at and above ``sigma_bits`` are
-    plus.  ``a_inf`` and ``s_sum`` are bit for bit those of `run_quartet`
-    over ``SignSchedule(mask)``; the other fields are as `QuartetTrace`
-    describes for a mean-pair trace, and ``rows`` is ``()``.
-    """
-    max_iter = params.max_iter
-    if not 0 <= sigma_bits <= max_iter:
-        raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
-    isfinite = cmath.isfinite
-    nan = complex(math.nan, math.nan)
-    a = complex(1.0)
-    g = params.signb * params.complement_value()
-    # Pending nodes: the iteration a node resumes at, its mask, and the state.
-    stack = [(0, 0, a, a + g, a - g, a * g, complex(0.0), False, isfinite(a) and isfinite(g))]
-    while stack:
-        n, mask, a, s_ag, d_ag, p_ag, s_sum, collapsed, finite = stack.pop()
-        # series weight 2**(n-1); doubling a power of two is exact
-        weight = math.ldexp(0.5, n)
-        for n in range(n, max_iter):
-            s_sum += weight * (s_ag * d_ag)
-            weight *= 2.0
-            if p_ag == 0:
-                collapsed = True
-            near = signed_root(p_ag, s_ag, tie_positive_imag=True)
-            q = d_ag * d_ag / 4
-            if n < sigma_bits:
-                fa, fg, fs, fd = pair_step(s_ag, q, near, 1)
-                stack.append(
-                    (n + 1, mask | 1 << n, fa, fs, fd, fa * fg, s_sum, collapsed,
-                     finite and isfinite(fa) and isfinite(fg))
-                )
-            a, g, s_ag, d_ag = pair_step(s_ag, q, near, 0)
-            p_ag = a * g
-            if finite:
-                finite = isfinite(a) and isfinite(g)
-
-        scale = abs(a)
-        converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
-        ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
-        yield mask, QuartetTrace((), s_sum, nan, a, nan, converged, ill, False)
-
-
 def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> QuartetTrace:
     """Run the signed recursion for ``params.max_iter`` iterations on one schedule.
 
     This is the one-schedule case of `sweep_quartet`, with its rows
     recorded and its Zeta terms signed by the gamma mask (all plus when
-    ``schedule`` is omitted).
+    ``schedule`` is omitted).  Rows after a stop repeat the fixed row.
     """
     schedule = schedule or SignSchedule()
-    path, end = mean = _mean_path(params, schedule.sigma_mask)
+    path: list = [None] * (params.max_iter + 1)
+    ((_, mean),) = sweep_sigma(params, 0, schedule.sigma_mask, path)
     uv_rows: list = []
-    ((_, trace, terms),) = _sweep_delta(params, mean, 0, schedule.delta_mask, uv_rows)
-    rows = tuple((a, g, u, v) for (a, g, *_), (u, v) in zip((*path, end), uv_rows))
+    ((_, trace, terms),) = _sweep_delta(params, path, mean, 0, schedule.delta_mask, uv_rows=uv_rows)
+    rows = tuple((a, g, u, v) for (a, g, *_), (u, v) in zip(path, uv_rows))
     return replace(trace, rows=rows, z_sum=zeta_sum(terms, schedule.gamma_mask))
 
 
@@ -369,6 +367,8 @@ def incomplete_F(trace: QuartetTrace, branch: int = 0) -> complex:
     """
     if trace.u_inf == 0:
         raise ValueError("amplitude limit degenerate")
+    if trace.a_inf == 0:
+        return complex(math.nan, math.nan)
     base = cmath.asin(trace.a_inf / trace.u_inf)
     if branch % 2:
         base = -base

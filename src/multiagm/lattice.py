@@ -69,7 +69,7 @@ class CircleSpec:
         return abs(self.x2 - self.x1) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PointFit:
     """Best lattice/circle assignment of one cloud point."""
 

@@ -112,6 +112,11 @@ DEEP_FILL_DIGESTS = {
     "fill-e --sigma-bits 11": "5e56701d3f299e84d62f3fd555183ce975e5103ac4b07047877a910b395e57b1",
     "fill-n --sigma-bits 11": "f47cd931e4ba5e9237720cfcf336d0edcd300b8527a1c8ba7836359894ada21f",
     "fill-z --sigma-bits 3 --delta-bits 3 --gamma-bits 3": "47ba545c618c054d24fe148c1f70ab9b3285c236311fa10e953533c6036b78bb",
+    # recorded before the sweeps stopped each node at its fixed point: at
+    # these budgets most leaves reach it long before max_iter
+    "fill-k --sigma-bits 12 --signb both --max-iter 48": "48295aa9cfcdbf9d01f79f0a435a7d44534cfed30fa4365ffc6c6406791c277e",
+    "fill-e --sigma-bits 11 --max-iter 40": "142e5647a1aa6afdd33ad1cb406c766c6371e7ee841e83bd3ed640e01bf40a19",
+    "fill-f --sigma-bits 4 --delta-bits 6 --max-iter 40": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
 }
 
 

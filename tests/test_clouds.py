@@ -101,6 +101,15 @@ class TestKCloud:
             if p.duplicate_of is not None:
                 assert p.duplicate_of < i
 
+    def test_points_carry_slots_not_dicts(self):
+        # a deep cloud holds millions of these; slots keep each one small
+        point = k_cloud(sigma_bits=2)[0]
+        for obj in (point, point.schedule):
+            assert not hasattr(obj, "__dict__")
+        moved = replace(point, duplicate_of=3)
+        assert (moved.value, moved.schedule, moved.duplicate_of) == (point.value, point.schedule, 3)
+        assert repr(replace(moved, duplicate_of=None)) == repr(point)
+
     def test_finite_values(self):
         assert all(cmath.isfinite(p.value) for p in k_cloud())
 

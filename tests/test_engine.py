@@ -256,11 +256,48 @@ def test_run_quartet_is_bit_identical_to_reference_loop():
         else:
             b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
         sinphi = rng.choice((1, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
-        max_iter = rng.choice((5, 20, 32))
+        max_iter = rng.choice((5, 20, 32, 48, 64))
         p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
         sched = SignSchedule(rng.getrandbits(max_iter), rng.getrandbits(max_iter), rng.getrandbits(max_iter))
         # repr tells signed zeros and NaN payload positions apart, unlike ==
         assert repr(run_quartet(p, sched)) == repr(reference_run_quartet(p, sched))
+
+
+@pytest.mark.parametrize("sinphi", [0.5, 0.8, 1, 0.3 + 0.4j])
+def test_late_flip_after_the_other_pair_is_fixed(sinphi):
+    # one pair flips long after the other has reached its fixed point, which
+    # must then leave it again: no pair may stop while the other still moves
+    p = params(sinphi=sinphi, max_iter=24)
+    for n in range(24):
+        for schedule in (SignSchedule(1 << n), SignSchedule(0, 1 << n), SignSchedule(1 << n, 1)):
+            assert repr(run_quartet(p, schedule)) == repr(reference_run_quartet(p, schedule))
+    # the same in a cloud: sigma bits deeper than the delta tree's fixed points
+    walked, alone = walked_and_reference_cloud(CloudRequest("Z", params(sinphi=sinphi, max_iter=10), 8, 1, 1))
+    assert walked == alone
+
+
+def masks_up_to(max_iter):
+    # a mask no longer than max_iter, often much shorter, so that its last flip leaves a long tail
+    return st.integers(0, max_iter).flatmap(lambda bits: st.integers(0, 2**bits - 1))
+
+
+@given(
+    b=st.one_of(
+        st.floats(0.01, 0.99),
+        st.builds(complex, st.floats(-1.0, 1.5), st.floats(-1.0, 1.0)),
+    ),
+    sinphi=st.one_of(st.just(1.0), st.floats(0.05, 0.99), st.builds(complex, st.floats(-1, 1), st.floats(-1, 1))),
+    signb=st.sampled_from((1, -1)),
+    max_iter=st.integers(1, 64),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_run_quartet_matches_reference_loop_at_any_budget(b, sinphi, signb, max_iter, data):
+    if sinphi == 0:
+        sinphi = 1.0
+    p = params(b=b, sinphi=sinphi, signb=signb, max_iter=max_iter)
+    sched = SignSchedule(*(data.draw(masks_up_to(max_iter)) for _ in range(3)))
+    assert repr(run_quartet(p, sched)) == repr(reference_run_quartet(p, sched))
 
 
 def walked_and_reference_cloud(req):
@@ -284,7 +321,7 @@ def test_cloud_walk_is_bit_identical_to_reference_per_schedule():
         else:
             b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
         sinphi = rng.choice((1, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
-        max_iter = rng.choice((1, 2, 5, 20, 32))
+        max_iter = rng.choice((1, 2, 5, 20, 32, 48, 64))
         p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
         if kind == "Z_restricted":
             req = CloudRequest(kind, p, delta_bits=rng.randint(0, min(max_iter, 6)))
@@ -338,7 +375,7 @@ def test_mean_pair_walk_is_bit_identical_to_reference():
         else:
             b = complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0))
         sinphi = rng.choice((1, 1e200, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
-        max_iter = rng.choice((1, 2, 5, 20, 32))
+        max_iter = rng.choice((1, 2, 5, 20, 32, 48, 64))
         p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
         schedules = [SignSchedule(*(rng.getrandbits(max_iter) for _ in range(3))) for _ in range(6)]
         assert_sweep_matches_reference(p, min(max_iter, 6), schedules)
@@ -425,52 +462,65 @@ def test_walk_yields_every_position_once():
     assert repr(run_quartet(p, SignSchedule(1 << 5, 1 << 6, 1 << 7))) == repr(run_quartet(p))
 
 
-def test_cloud_steps_each_shared_prefix_once(monkeypatch):
-    calls = 0
+def counting_roots(monkeypatch):
+    """Count the roots the engine takes through its module global, as the benchmark tracer does."""
+    calls = []
 
     def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls.append(kwargs.get("tie_positive_imag", False))
         return signed_root(*args, **kwargs)
 
     monkeypatch.setattr(engine, "signed_root", counting)
+    return calls
+
+
+def test_cloud_steps_each_shared_prefix_once(monkeypatch):
+    calls = counting_roots(monkeypatch)
     enumerate_cloud(CloudRequest("K", params(), sigma_bits=12))
     # K walks the mean pair, one root per step: 2**12 - 1 shared steps up to
-    # bit 12, then 8 steps for each of the 4096 schedules (110589 with the
-    # amplitude pair's two roots, 245760 when each schedule runs alone)
-    assert calls == 2**12 - 1 + 8 * 2**12 == 36863
-    calls = 0
-    # F and Z step each sigma mask's mean pair once (20 roots), then walk the
-    # delta tree along it with two roots per node and iteration (Zeta and
-    # forward): 2**D - 1 nodes above bit D and 2**D leaves for 20 - D steps.
-    # F at 3x4 bits: 8 * (20 + 2 * (15 + 16 * 16)) (6399 when the walk split its state on every kind of bit)
+    # bit 12, then 8 steps for each of the 4096 schedules, 36863 in all
+    # (110589 with the amplitude pair's two roots, 245760 when each schedule
+    # runs alone).  The leaves that reach their fixed point before
+    # iteration 20 skip 333 of those steps in all.
+    assert len(calls) == 2**12 - 1 + 8 * 2**12 - 333 == 36530
+    calls.clear()
+    # At 32 iterations the leaves have 20 steps each after bit 12, 86015 in
+    # all; 36445 of those steps would repeat a fixed point and are skipped.
+    enumerate_cloud(CloudRequest("K", params(max_iter=32), sigma_bits=12))
+    assert len(calls) == 2**12 - 1 + 20 * 2**12 - 36445 == 49570
+    calls.clear()
+    # F and Z walk the sigma tree for the mean roots as K does, then each
+    # sigma mask's delta tree along its mean path: 2**D - 1 nodes above bit D
+    # and 2**D leaves for 20 - D steps, one forward root per node and step,
+    # and for Z a Zeta root too.  F at 3x4 bits: 7 + 8 * 17 = 143 mean roots
+    # and 8 * (15 + 16 * 16) = 2168 forward roots without the stop, 94 and
+    # 1384 with it (4496 when each sigma mask stepped its own mean pair and
+    # F took Zeta roots too).
     enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
-    assert calls == 8 * (20 + 2 * (15 + 16 * 16)) == 4496
-    calls = 0
-    # Z at 2x2x2: 4 * (20 + 2 * (3 + 4 * 18)); the gamma bits only sign the
-    # Zeta terms and take no root (3483 when they split the walk)
+    assert (calls.count(True), calls.count(False)) == (143 - 49, 2168 - 784) == (94, 1384)
+    calls.clear()
+    # Z at 2x2x2: 3 + 4 * 18 = 75 mean roots and 4 * 2 * (3 + 4 * 18) = 600
+    # amplitude roots without the stop, 46 and 368 with it (680 before the
+    # stop and the shared mean prefixes); the gamma bits only sign the Zeta
+    # terms and take no root (3483 when they split the walk)
     enumerate_cloud(CloudRequest("Z", params(), 2, 2, 2))
-    assert calls == 4 * (20 + 2 * (3 + 4 * 18)) == 680
-    calls = 0
+    assert (calls.count(True), calls.count(False)) == (75 - 29, 600 - 232) == (46, 368)
+    calls.clear()
+    # one schedule: both pairs reach their fixed point at iteration 9, so 10
+    # mean roots and 2 * 10 amplitude roots instead of 3 * 20
     run_quartet(params())
-    assert calls == 3 * 20
+    assert (calls.count(True), calls.count(False)) == (10, 2 * 10)
 
 
 def test_zeta_cloud_roots_do_not_depend_on_gamma_bits(monkeypatch):
-    calls = 0
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return signed_root(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "signed_root", counting)
+    calls = counting_roots(monkeypatch)
     counts = []
     for gamma_bits in (0, 5):
-        calls = 0
+        calls.clear()
         enumerate_cloud(CloudRequest("Z", params(), 2, 2, gamma_bits))
-        counts.append(calls)
-    assert counts == [680, 680]
+        counts.append(len(calls))
+    # 46 mean and 368 amplitude roots, as test_cloud_steps_each_shared_prefix_once derives
+    assert counts == [46 + 368, 46 + 368]
 
 
 class TestTraceValues:
@@ -531,6 +581,13 @@ class TestTraceValues:
         K_k, E_k = complete_from_complement(0.25)
         oracle = quad_E_inc(phi, K_SQRT09375) - quad_F(phi, K_SQRT09375) * (E_k / K_k).real
         assert jacobi_Z(trace) == pytest.approx(oracle, abs=1e-8)
+
+    def test_F_at_zero_mean_limit_is_nan(self):
+        # k = 0 and a flip at iteration 0: a_inf is exactly 0, as complete_K sees it
+        trace = run_quartet(QuartetParams(k=0, sinphi=0.5, max_iter=2), SignSchedule(1))
+        assert trace.a_inf == 0 and trace.u_inf != 0
+        assert cmath.isnan(complete_K(trace))
+        assert cmath.isnan(incomplete_F(trace)) and cmath.isnan(incomplete_F(trace, 3))
 
     def test_degenerate_accessors_raise(self):
         trace = run_quartet(params())
