@@ -2,15 +2,16 @@
 
 One cloud fixes the recursion parameters and sweeps the free bits of the
 sign masks in descending mask order, evaluating the requested function for
-every schedule.  Points are labelled with the generation of their schedule
-and near-coincident values are cross-referenced instead of dropped.
+every schedule.  Near-coincident values are cross-referenced instead of
+dropped, and each point is built once, with its link.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from itertools import repeat
 
 from .engine import (
     QuartetParams,
@@ -53,9 +54,13 @@ class MultivaluePoint:
     value: complex
     schedule: SignSchedule
     signb: int
-    generation: int
     ill_conditioned: bool
     duplicate_of: int | None = None
+
+    @property
+    def generation(self) -> int:
+        """The schedule's generation: the schedule fixes it, so no field stores it."""
+        return self.schedule.generation()
 
 
 @dataclass(frozen=True)
@@ -114,8 +119,9 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
     return trace.z_sum
 
 
-def _mark_duplicates(points: list[MultivaluePoint]) -> list[MultivaluePoint]:
-    scale = max((abs(p.value) for p in points if not p.ill_conditioned and cmath.isfinite(p.value)), default=0.0)
+def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | None]:
+    """Each position's ``duplicate_of``: the earliest unflagged finite match, or None."""
+    scale = max((abs(v) for v, flag in zip(values, flags) if not flag and cmath.isfinite(v)), default=0.0)
     if scale == 0.0:
         scale = 1.0
     threshold = DUPLICATE_RTOL * scale
@@ -124,11 +130,10 @@ def _mark_duplicates(points: list[MultivaluePoint]) -> list[MultivaluePoint]:
     # threshold that underflows to zero matches nothing, so any cell works.
     cell = 2.0 * threshold or 1.0
     grid: dict[tuple[int, int], list[int]] = {}
-    out: list[MultivaluePoint] = []
-    for i, point in enumerate(points):
+    links: list[int | None] = []
+    for i, (value, flag) in enumerate(zip(values, flags)):
         dup = None
-        value = point.value
-        if not point.ill_conditioned and cmath.isfinite(value):
+        if not flag and cmath.isfinite(value):
             cx = math.floor(value.real / cell)
             cy = math.floor(value.imag / cell)
             # the earliest match over the 3x3 block, as a scan in index order finds it
@@ -138,14 +143,14 @@ def _mark_duplicates(points: list[MultivaluePoint]) -> list[MultivaluePoint]:
                     for j in grid.get((x, y), ()):
                         if j >= first:
                             break
-                        if abs(value - out[j].value) < threshold:
+                        if abs(value - values[j]) < threshold:
                             first = j
                             break
             if first < i:
-                dup = first if out[first].duplicate_of is None else out[first].duplicate_of
+                dup = first if links[first] is None else links[first]
             grid.setdefault((cx, cy), []).append(i)
-        out.append(point if point.duplicate_of == dup else replace(point, duplicate_of=dup))
-    return out
+        links.append(dup)
+    return links
 
 
 def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
@@ -156,7 +161,8 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     their traces come from `sweep_sigma`, one per sigma mask.  F, Z and
     Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
     mask, and the gamma bits only sign the Zeta terms, which `zeta_sum`
-    adds per schedule.  A value fills every schedule its trace stands for.
+    adds per schedule.  A value and its flag fill every schedule their
+    trace stands for; then each schedule gets one point, with its link.
     Ill-conditioned or unconverged traces yield flagged points, never
     omissions.
     """
@@ -169,18 +175,15 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     else:
         traces = ((mask, 0, trace, None) for mask, trace in sweep_sigma(req.params, req.sigma_bits))
         deltas, block = 1, 2 ** (req.delta_bits + req.gamma_bits)
-    points: list = [None] * len(schedules)
+    values: list = [None] * len(schedules)
+    flags: list = [None] * len(schedules)
     for sigma, delta, trace, terms in traces:
-        value = _extract(req.kind, trace)
-        flagged = trace.ill_conditioned or not trace.converged
         start = ((top - sigma) * deltas + deltas - 1 - delta) * block
-        for i in range(start, start + block):
-            schedule = schedules[i]
-            points[i] = MultivaluePoint(
-                value=zeta_sum(terms, schedule.gamma_mask) if zeta else value,
-                schedule=schedule,
-                signb=req.params.signb,
-                generation=schedule.generation(),
-                ill_conditioned=flagged,
-            )
-    return _mark_duplicates(points)
+        end = start + block
+        if zeta:
+            values[start:end] = [zeta_sum(terms, s.gamma_mask) for s in schedules[start:end]]
+        else:
+            values[start:end] = [_extract(req.kind, trace)] * block
+        flags[start:end] = [trace.ill_conditioned or not trace.converged] * block
+    links = _mark_duplicates(values, flags)
+    return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))

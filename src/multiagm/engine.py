@@ -186,8 +186,6 @@ def sweep_sigma(
         raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
     isfinite = cmath.isfinite
     nan = complex(math.nan, math.nan)
-    # past the iteration it resumes at, a node flips only where sigma_mask does
-    flips = [sigma_mask >> n & 1 for n in range(max_iter)]
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
     a = complex(1.0)
     g = params.signb * params.complement_value()
@@ -214,7 +212,7 @@ def sweep_sigma(
                 )
             # marshal writes the bytes of each double, so unlike == it tells signed zeros apart
             before = None if d_ag or n < stop_from or not finite else dumps((a, g, s_ag, d_ag), 2)
-            a, g, s_ag, d_ag = pair_step(s_ag, q, near, flips[n])
+            a, g, s_ag, d_ag = pair_step(s_ag, q, near, mask >> n & 1)
             if finite:
                 finite = isfinite(a) and isfinite(g)
             if before and before == dumps((a, g, s_ag, d_ag), 2):

@@ -106,6 +106,9 @@ def reference_set(b: complex | None = None, k: complex | None = None) -> Referen
     else:
         b = complex(b)
         k = principal_sqrt((1 - b) * (1 + b))
+    if b == 0 or k == 0:
+        integral = "K(k)" if b == 0 else "K(b)"
+        raise ValueError(f"logarithmic singularity: {integral} is infinite at b = {b:.17g}, k = {k:.17g}")
     K_k, E_k = complete_from_complement(b)
     K_b, E_b = complete_from_complement(k)
     return ReferenceSet(

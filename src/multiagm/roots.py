@@ -33,13 +33,6 @@ def principal_sqrt(z: complex) -> complex:
     return w
 
 
-def _ratio_real(w: complex, ref: complex) -> float:
-    # Sign of Re(w/ref) decides near vs far; ref == 0 counts as a tie.
-    if ref == 0:
-        return 0.0
-    return (w / ref).real
-
-
 def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool = False) -> complex:
     """Root ``w`` of ``square`` lying within 90 degrees of ``reference``.
 
@@ -49,7 +42,7 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
     and to the principal root otherwise.
     """
     w = principal_sqrt(square)
-    t = _ratio_real(w, reference)
+    t = (w / reference).real if reference else 0.0
     if t > 0.0:
         return w
     if t < 0.0:

@@ -1,7 +1,7 @@
 import cmath
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -95,6 +95,14 @@ class TestKCloud:
         for p in k_cloud():
             assert p.generation == p.schedule.sigma_mask.bit_length()
             assert p.generation <= 5
+
+    def test_generation_is_read_from_the_schedule(self):
+        # a stored copy could disagree with the schedule that fixes it
+        assert [f.name for f in fields(MultivaluePoint)] == [
+            "value", "schedule", "signb", "ill_conditioned", "duplicate_of"
+        ]
+        point = MultivaluePoint(0j, SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2), 1, False)
+        assert point.generation == 3
 
     def test_duplicate_report_is_produced(self):
         for i, p in enumerate(k_cloud()):
@@ -208,13 +216,20 @@ def reference_mark_duplicates(points):
 
 def synthetic(values, flagged=()):
     return [
-        MultivaluePoint(value=complex(v), schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=i in flagged)
+        MultivaluePoint(value=complex(v), schedule=SignSchedule(), signb=1, ill_conditioned=i in flagged)
         for i, v in enumerate(values)
     ]
 
 
 def duplicate_links(points):
     return [p.duplicate_of for p in points]
+
+
+def grid_and_scan_links(values, flagged=()):
+    """The links `_mark_duplicates` gives the values and flags, and those of the pairwise scan."""
+    points = synthetic(values, flagged)
+    grid = _mark_duplicates([p.value for p in points], [p.ill_conditioned for p in points])
+    return grid, duplicate_links(reference_mark_duplicates(points))
 
 
 class TestDedupeMatchesPairwiseScan:
@@ -255,31 +270,31 @@ class TestDedupeMatchesPairwiseScan:
                 for direction in (1, 1j, -1, -1j, (1 + 1j) / abs(1 + 1j), (1 - 1j) / abs(1 - 1j)):
                     values += [base, base + factor * threshold * direction]
                     base += 10 * threshold
-        points = _mark_duplicates(synthetic(values))
-        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        links, scanned = grid_and_scan_links(values)
+        assert links == scanned
         # 0.5x and 0.999x pairs are duplicates, 1.001x pairs are not
-        assert sum(p.duplicate_of is not None for p in points) == 4 * 2 * 6
+        assert sum(link is not None for link in links) == 4 * 2 * 6
 
     def test_chains_resolve_to_the_first_original(self):
         threshold = DUPLICATE_RTOL * 10.0
         step = 0.9 * threshold
         # the last point is near 1 + step only, a duplicate of point 1
         values = [10.0, 1 + 0j, 1 + step, 1 + 2 * step, 1 + 3 * step, 1 + step + 0.5 * threshold * 1j]
-        points = _mark_duplicates(synthetic(values))
-        assert duplicate_links(points) == [None, None, 1, 1, 1, 1]
-        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        links, scanned = grid_and_scan_links(values)
+        assert links == [None, None, 1, 1, 1, 1]
+        assert links == scanned
 
     def test_non_finite_and_flagged_points_are_skipped(self):
         nan = complex(math.nan, math.nan)
         inf = complex(math.inf, 0.0)
         values = [nan, 2 + 1j, inf, 2 + 1j, nan, 5.0, 5.0, 2 + 1j, complex(0.0, -math.inf), 5.0]
-        points = _mark_duplicates(synthetic(values, flagged={1, 5}))
-        assert duplicate_links(points) == [None, None, None, None, None, None, None, 3, None, 6]
-        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        links, scanned = grid_and_scan_links(values, flagged={1, 5})
+        assert links == [None, None, None, None, None, None, None, 3, None, 6]
+        assert links == scanned
 
     def test_tiny_scale_with_zero_threshold(self):
-        points = _mark_duplicates(synthetic([5e-324, 5e-324, 0j, -5e-324]))
-        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        links, scanned = grid_and_scan_links([5e-324, 5e-324, 0j, -5e-324])
+        assert links == scanned
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_clusters_near_threshold(self, seed):
@@ -296,5 +311,5 @@ class TestDedupeMatchesPairwiseScan:
             values.append(centre + radius * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
         flagged = {i for i in range(len(values)) if rng.random() < 0.05}
         values = [complex(math.nan, 0.0) if rng.random() < 0.02 else v for v in values]
-        points = _mark_duplicates(synthetic(values, flagged))
-        assert duplicate_links(points) == duplicate_links(reference_mark_duplicates(points))
+        links, scanned = grid_and_scan_links(values, flagged)
+        assert links == scanned

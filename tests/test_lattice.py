@@ -140,12 +140,8 @@ class TestFitCloud:
 
     def test_flagged_points_excluded_from_verdict(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        garbage = MultivaluePoint(
-            value=0.5 + 0.5j, schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=True
-        )
-        good = MultivaluePoint(
-            value=1 + 2j, schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=False
-        )
+        garbage = MultivaluePoint(value=0.5 + 0.5j, schedule=SignSchedule(), signb=1, ill_conditioned=True)
+        good = MultivaluePoint(value=1 + 2j, schedule=SignSchedule(), signb=1, ill_conditioned=False)
         report = fit_cloud([garbage, good], spec, tol=1e-6)
         assert report.passed
         assert report.flagged_excluded == 1
@@ -178,7 +174,7 @@ class TestFitCloud:
 
     def test_no_fitted_point_does_not_pass(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        flagged = MultivaluePoint(value=0j, schedule=SignSchedule(), signb=1, generation=0, ill_conditioned=True)
+        flagged = MultivaluePoint(value=0j, schedule=SignSchedule(), signb=1, ill_conditioned=True)
         for cloud in ([], [flagged, flagged]):
             report = fit_cloud(cloud, spec)
             assert (report.passed, report.worst_point, report.max_residual) == (False, None, 0.0)
