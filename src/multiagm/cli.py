@@ -52,14 +52,7 @@ FILL_DEFAULTS = {
 SHAPE_FLAGS = ("sinphi", "sigma_bits", "delta_bits", "gamma_bits")
 KIND_SHAPES = {kind: shape for kind, _, *shape in FILL_DEFAULTS.values()}
 
-VERIFY_KINDS = {
-    "k": "K",
-    "k-both": "K_both",
-    "f": "F",
-    "e": "E",
-    "n": "N",
-    "z-restricted": "Z_restricted",
-}
+VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
 
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25
@@ -91,21 +84,10 @@ def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[t
     offset = 0
     for label, points in series_list:
         for point in points:
+            sched, value = point.schedule, point.value
             dup = "" if point.duplicate_of is None else str(point.duplicate_of + offset)
-            rows.append(
-                (
-                    label,
-                    str(point.schedule.sigma_mask),
-                    str(point.schedule.delta_mask),
-                    str(point.schedule.gamma_mask),
-                    str(point.signb),
-                    str(point.generation),
-                    _fmt(point.value.real),
-                    _fmt(point.value.imag),
-                    str(int(point.ill_conditioned)),
-                    dup,
-                )
-            )
+            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask, point.signb, point.generation))
+            rows.append((label, *ints, _fmt(value.real), _fmt(value.imag), str(int(point.ill_conditioned)), dup))
         offset += len(points)
     return rows
 
@@ -120,6 +102,17 @@ def _write_json(stream, series_list: list[tuple[str, list[MultivaluePoint]]]) ->
     records = [dict(zip(CSV_HEADER, row)) for row in _series_rows(series_list)]
     json.dump(records, stream, indent=2)
     stream.write("\n")
+
+
+def _strict_json(obj):
+    """``obj`` with complex numbers as ``[re, im]`` and non-finite floats as None: JSON has no NaN or Infinity."""
+    if isinstance(obj, dict):
+        return {key: _strict_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(item) for item in obj]
+    if isinstance(obj, complex):
+        return [_strict_json(obj.real), _strict_json(obj.imag)]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _write_svg(path: str, series_list: list[tuple[str, list[MultivaluePoint]]], title: str) -> None:
@@ -226,7 +219,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         payload = asdict(report)
         payload["kind"] = args.kind
         payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = asdict(spec)
-        print(json.dumps(payload, indent=2, default=lambda z: [z.real, z.imag]))
+        print(json.dumps(_strict_json(payload), indent=2, allow_nan=False))
     else:
         if isinstance(spec, CircleSpec):
             print(f"circle locus: crossings {_fmt(spec.x1)}, {_fmt(spec.x2)}")
@@ -279,6 +272,8 @@ def _cmd_magm_check(args: argparse.Namespace) -> int:
 def _cmd_ref(args: argparse.Namespace) -> int:
     _, b = _moduli(args)
     refs = reference_set(b=b)
+    # the Landen residuals may raise, so take them before printing anything
+    landen = landen_check(refs.b.real) if refs.b.imag == 0 and 0 < refs.b.real < 1 else None
     print(f"b   = {refs.b:.17g}")
     print(f"k   = {refs.k:.17g}")
     print(f"K(k) = {refs.K_k:.17g}")
@@ -289,9 +284,8 @@ def _cmd_ref(args: argparse.Namespace) -> int:
     print(f"E(b)/K(b) = {refs.N_k2:.17g}")
     print(f"qZ  = {refs.qZ:.17g}")
     print(f"legendre residual = {refs.legendre_residual():.3e}")
-    if refs.b.imag == 0 and 0 < refs.b.real < 1:
-        res2, res4 = landen_check(refs.b.real)
-        print(f"landen residuals  = {res2:.3e}, {res4:.3e}")
+    if landen:
+        print(f"landen residuals  = {landen[0]:.3e}, {landen[1]:.3e}")
     return 0
 
 

@@ -18,10 +18,11 @@ gamma bit only negates one Zeta term.  So `sweep_sigma`, the one mean
 loop, walks the binary tree of sigma prefixes, one mean root per node and
 step.  For F and Zeta it records each mask's path, and `sweep_quartet`
 walks the tree of delta prefixes along it, one forward root per node and
-step and a Zeta root only for Zeta; `zeta_sum` signs the terms per gamma
-mask.  `run_quartet` is the one-schedule case.  Past its last flip a node
-stops once a step repeats its state bit for bit with a zero difference:
-the AGM converges quadratically, and every later step would repeat it.
+step and a Zeta root only for Zeta, which finishes that step's term;
+`zeta_sum` signs and adds the terms per gamma mask.  `run_quartet` is the
+one-schedule case.  Past its last flip a node stops once a step repeats
+its state bit for bit with a zero difference: the AGM converges
+quadratically, and every later step would repeat it.
 """
 
 from __future__ import annotations
@@ -64,9 +65,6 @@ MAX_ITER_LIMIT = 1024
 ILL_CONDITION_RATIO = 1e-6
 
 Quartet = tuple[complex, complex, complex, complex]
-
-# One Zeta term before its sign and weight: ``(d_uv, zr, u)`` of an iteration.
-ZetaTerm = tuple[complex, complex, complex]
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,11 +232,12 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
 
     ``mean`` is that mask's trace.  Depth first over the tree of delta
     prefixes as `sweep_sigma` walks sigma, higher bits from ``delta_mask``:
-    one forward root per node and iteration, and a Zeta root with ``zeta``.
-    A node stops as a mean node does, on ``(u, s_uv)``, once the path is
-    fixed and the Zeta root finite.  Yields ``(delta_mask, trace, terms)``
-    per leaf, ``terms`` ``()`` without ``zeta``; ``uv_rows``, with no free
-    bits only, collects ``(u, v)`` per row.
+    one forward root per node and iteration, and with ``zeta`` a Zeta root,
+    from which the iteration's term ``2**n * d_uv * zr / u`` is finished at
+    once.  A node stops as a mean node does, on ``(u, s_uv)``, once the path
+    is fixed.  Yields ``(delta_mask, trace, terms)`` per leaf, ``terms``
+    ``()`` without ``zeta``; ``uv_rows``, with no free bits only, collects
+    ``(u, v)`` per row.
     """
     isfinite = cmath.isfinite
     nan = complex(math.nan, math.nan)
@@ -262,7 +261,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
                 if not u:
                     terms = None
                 elif zeta:
-                    terms.append((d_uv, signed_root(u * u - a * a, u), u))
+                    terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)
             if not s_uv:
                 degenerate = True
             if s_uv == s_ag and d_uv == d_ag:
@@ -279,12 +278,13 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
                 stack.append(
                     (n + 1, mask | 1 << n, fu, fs, fd, degenerate, finite, None if terms is None else terms[:])
                 )
-            # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed zero
+            # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed
+            # zero, or NaN as this step's term already is if the Zeta root is not finite
             before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
             u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
             if uv_rows is not None:
                 uv_rows.append((u, v))
-            if before and (not terms or isfinite(terms[-1][1])) and before == dumps((u, s_uv), 2):
+            if before and before == dumps((u, s_uv), 2):
                 if uv_rows is not None:
                     uv_rows.extend([uv_rows[-1]] * (max_iter - 1 - n))
                 break
@@ -296,7 +296,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
 
 def sweep_quartet(
     params: QuartetParams, sigma_bits: int, delta_bits: int, zeta: bool = True
-) -> Iterator[tuple[int, int, QuartetTrace, list[ZetaTerm] | None]]:
+) -> Iterator[tuple[int, int, QuartetTrace, list[complex] | None]]:
     """Run the recursion for every sigma and delta mask below ``2**sigma_bits`` and ``2**delta_bits``.
 
     Yields ``(sigma_mask, delta_mask, trace, terms)`` once per pair, in no
@@ -315,21 +315,20 @@ def sweep_quartet(
             yield sigma_mask, delta_mask, trace, terms
 
 
-def zeta_sum(terms: Sequence[ZetaTerm] | None, gamma_mask: int) -> complex:
-    """The Zeta series of one gamma mask: ``sum((+-2**n) * d_uv * zr / u)`` in iteration order.
+def zeta_sum(terms: Sequence[complex] | None, gamma_mask: int) -> complex:
+    """The Zeta series of one gamma mask: the finished terms in iteration order, bit ``n`` negating term ``n``.
 
-    Bit ``n`` of ``gamma_mask`` negates term ``n``.  ``None``, a trace whose
-    Zeta went undefined at ``u == 0``, gives NaN.  Terms after a stop are
-    signed zeros and are left out.
+    ``None``, a trace whose Zeta went undefined at ``u == 0``, gives NaN.
+    Terms after a stop would each be the last term again, a signed zero or
+    NaN, and are left out.  Negation is exact, so a term signed here differs
+    from one signed before its product only in the sign of a zero or a NaN,
+    which a sum from +0 never shows.
     """
     if terms is None:
         return complex(math.nan, math.nan)
     z_sum = complex(0.0)
-    # series weight 2**n; doubling a power of two is exact
-    weight = 1.0
-    for d_uv, zr, u in terms:
-        z_sum += (-weight if gamma_mask & 1 else weight) * d_uv * zr / u
-        weight *= 2.0
+    for term in terms:
+        z_sum += -term if gamma_mask & 1 else term
         gamma_mask >>= 1
     return z_sum
 

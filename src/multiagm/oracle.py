@@ -178,13 +178,17 @@ def landen_check(b: float) -> tuple[float, float]:
     ``c, w`` (with ``q = 2 sqrt(c)/(1+c)`` and ``w = 2 sqrt(v)/(1+v)``) the
     products satisfy ``K(k)K(v) = 2 K(b)K(q)`` and ``K(k)K(w) = 4 K(b)K(c)``
     exactly.  Every K is evaluated through its complementary modulus, which
-    keeps the residuals at rounding level even for b close to 1.
+    keeps the residuals at rounding level even for b close to 1.  For b
+    at or below about ``2**-54`` q rounds to 1, where K(q) is infinite, and
+    the check raises.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     k = math.sqrt((1.0 - b) * (1.0 + b))
     q = (1.0 - b) / (1.0 + b)
     v = math.sqrt((1.0 - q) * (1.0 + q))
+    if v == 0:
+        raise ValueError(f"logarithmic singularity: K(q) is infinite at b = {b:.17g}, q = (1-b)/(1+b) = {q:.17g}")
     c = q * q / (1.0 + v) ** 2
     K_k, _ = complete_from_complement(b)
     K_b, _ = complete_from_complement(k)

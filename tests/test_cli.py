@@ -233,6 +233,8 @@ class TestFlagValidation:
             (["ref", "--b", "0"], "K(k) is infinite at b = 0+0j, k = 1+0j"),
             (["ref", "--k", "1"], "K(k) is infinite at b = 0+0j, k = 1+0j"),
             (["verify", "--kind", "e", "--b", "1"], "K(b) is infinite at b = 1+0j, k = 0+0j"),
+            # the Landen modulus q = (1-b)/(1+b) rounds to 1 for b <= 2**-54
+            (["ref", "--b", "5e-17"], "K(q) is infinite at b = 4.9999999999999999e-17, q = (1-b)/(1+b) = 1"),
         ],
     )
     def test_singular_moduli_rejected_by_value(self, argv, message, capsys):
@@ -269,6 +271,18 @@ class TestVerify:
         else:
             assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0
             assert capsys.readouterr().out != outputs[0][1]
+
+    def test_json_parses_strictly_with_non_finite_residuals(self, capsys):
+        # at sinphi 1e-300 every F point is flagged with an infinite residual, which
+        # strict JSON (RFC 8259) can only carry as null
+        assert main(["verify", "--kind", "f", "--sinphi", "1e-300", "--format", "json"]) == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert len(payload["points"]) == 128 == payload["flagged_excluded"]
+        assert {point["residual"] for point in payload["points"]} == {None}
 
     def test_k_passes_at_any_sinphi(self, capsys):
         assert main(["verify", "--kind", "k", "--sinphi", "1e200"]) == 0
