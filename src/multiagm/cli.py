@@ -70,11 +70,10 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _moduli(args: argparse.Namespace) -> tuple[complex, complex]:
-    """(k, b) from ``--k`` when given, else from ``--b``."""
+def _moduli(args: argparse.Namespace) -> tuple[complex, complex | None]:
+    """(k, b) from ``--b``, or ``--k`` as given with b None: the engine and the oracle then derive b."""
     if args.k is not None:
-        k = complex(_finite("k", args.k))
-        return k, principal_sqrt(1 - k * k)
+        return complex(_finite("k", args.k)), None
     b = complex(_finite("b", args.b))
     return principal_sqrt((1 - b) * (1 + b)), b
 
@@ -122,12 +121,11 @@ def _write_svg(path: str, series_list: list[tuple[str, list[MultivaluePoint]]], 
             v = point.value
             if math.isfinite(v.real) and math.isfinite(v.imag):
                 pts.append((v.real, v.imag, si, point.generation))
-    if not pts:
-        pts = [(0.0, 0.0, 0, 0)]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    xlo, xhi = min(xs), max(xs)
-    ylo, yhi = min(ys), max(ys)
+    # with no finite value the frame stays and no point is drawn
+    xlo, xhi = min(xs, default=0.0), max(xs, default=0.0)
+    ylo, yhi = min(ys, default=0.0), max(ys, default=0.0)
     span = max(xhi - xlo, yhi - ylo, 1e-9)
     pad = 0.08 * span
     xlo, xhi = xlo - pad, xhi + pad
@@ -201,8 +199,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name, default in zip(SHAPE_FLAGS, KIND_SHAPES[cloud_kind]):
         if getattr(args, name) is None:
             setattr(args, name, default)
-    _, b = _moduli(args)
-    refs = reference_set(b=b)
+    k, b = _moduli(args)
+    refs = reference_set(k=k) if b is None else reference_set(b=b)
     phi = None
     if kind in ("F", "Z_restricted"):
         if not 0 < args.sinphi <= 1:
@@ -270,8 +268,8 @@ def _cmd_magm_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ref(args: argparse.Namespace) -> int:
-    _, b = _moduli(args)
-    refs = reference_set(b=b)
+    k, b = _moduli(args)
+    refs = reference_set(k=k) if b is None else reference_set(b=b)
     # the Landen residuals may raise, so take them before printing anything
     landen = landen_check(refs.b.real) if refs.b.imag == 0 and 0 < refs.b.real < 1 else None
     print(f"b   = {refs.b:.17g}")

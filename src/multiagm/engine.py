@@ -121,7 +121,7 @@ class QuartetParams:
     def complement_value(self) -> complex:
         if self.complement is not None:
             return complex(self.complement)
-        return principal_sqrt(1 - complex(self.k) * complex(self.k))
+        return principal_sqrt((1 - complex(self.k)) * (1 + complex(self.k)))
 
     def k_squared(self) -> complex:
         if self.complement is not None:

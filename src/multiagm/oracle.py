@@ -5,13 +5,15 @@ precision, incomplete ones from adaptive Simpson quadrature, plus the exact
 identities (Legendre relation, Landen products, the Zeta lattice unit) used
 to cross-check everything else.
 
-K(x) is always evaluated through ``AGM(1, complement(x))``, so callers that
-know the complementary modulus exactly should pass it instead of the
-modulus; this keeps values near the logarithmic singularity accurate.
+K(x) is always evaluated through ``AGM(1, complement(x))``.  Callers that
+know the complementary modulus exactly should pass it, which keeps values
+near the logarithmic singularity accurate; from a modulus k the complement
+is ``sqrt((1-k)(1+k))``, which does not cancel as ``1 - k**2`` does near 1.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import count, islice
@@ -102,7 +104,7 @@ def reference_set(b: complex | None = None, k: complex | None = None) -> Referen
         raise ValueError("give exactly one of b or k")
     if b is None:
         k = complex(k)
-        b = principal_sqrt(1 - k * k)
+        b = principal_sqrt((1 - k) * (1 + k))
     else:
         b = complex(b)
         k = principal_sqrt((1 - b) * (1 + b))
@@ -111,6 +113,8 @@ def reference_set(b: complex | None = None, k: complex | None = None) -> Referen
         raise ValueError(f"logarithmic singularity: {integral} is infinite at b = {b:.17g}, k = {k:.17g}")
     K_k, E_k = complete_from_complement(b)
     K_b, E_b = complete_from_complement(k)
+    if not all(map(cmath.isfinite, (k, K_k, K_b, E_k, E_b))):
+        raise ValueError(f"overflow: the complete integrals are not finite at b = {b:.17g}, k = {k:.17g}")
     return ReferenceSet(
         b=b,
         k=k,
@@ -153,8 +157,6 @@ def _check_incomplete_args(phi: float, k: float) -> None:
         raise ValueError("phi must lie in [0, pi/2]")
     if not 0.0 <= k < 1.0:
         raise ValueError("k must lie in [0, 1)")
-    if k * math.sin(phi) >= 1.0:
-        raise ValueError("k*sin(phi) must stay below 1")
 
 
 def quad_F(phi: float, k: float) -> float:

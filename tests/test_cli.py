@@ -8,6 +8,7 @@ import pytest
 
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
 from multiagm.cli import console_main, main
+from multiagm.roots import principal_sqrt
 
 
 def run_to_file(tmp_path, name, args):
@@ -68,6 +69,15 @@ class TestFillCommands:
         assert text.startswith("<svg")
         assert "<circle" in text
 
+    def test_svg_without_finite_values_draws_no_point(self, tmp_path):
+        # b = 1e300 overflows k, so both E values are NaN
+        svg = tmp_path / "e.svg"
+        code, _ = run_to_file(tmp_path, "e.csv", ["fill-e", "--b", "1e300", "--sigma-bits", "1", "--svg", str(svg)])
+        assert code == 0
+        text = svg.read_text()
+        assert text.startswith("<svg") and text.endswith("</svg>\n")
+        assert "<circle" not in text
+
     @pytest.mark.parametrize("args", [["fill-z"], ["fill-k", "--format", "json"]])
     def test_out_file_gets_the_stdout_bytes(self, args, tmp_path, capsys):
         assert main(args) == 0
@@ -99,6 +109,15 @@ class TestFillCommands:
         assert code == 0
         base = data.decode().strip().split("\n")[-1].split(",")
         assert float(base[6]) == pytest.approx(2.801206084665204, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [0.5, math.sqrt(0.9375), 1 - 2**-30])
+    def test_k_flag_gives_the_bytes_of_its_complement(self, k, capsys):
+        # --k reaches the engine unconverted, which takes b = sqrt((1-k)(1+k)) once
+        b = principal_sqrt((1 - k) * (1 + k)).real
+        assert main(["fill-k", "--b", repr(b)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["fill-k", "--k", repr(k)]) == 0
+        assert capsys.readouterr().out == expected
 
 
 # stdout SHA-256 of deep fills, recorded before the grid dedupe and the
@@ -246,6 +265,25 @@ class TestFlagValidation:
         assert captured.err == f"error: logarithmic singularity: {message}\n"
 
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # (1 - b)(1 + b) overflows once |b| passes about 1.34e154
+            (["ref", "--b", "1e300"], "b = 1.0000000000000001e+300+0j, k = 0+infj"),
+            (["ref", "--b", "1.4e154"], "b = 1.4e+154+0j, k = 0+infj"),
+            (["ref", "--k", "1e300"], "b = 0+infj, k = 1.0000000000000001e+300+0j"),
+            (["verify", "--kind", "k", "--b", "1e300"], "b = 1.0000000000000001e+300+0j, k = 0+infj"),
+        ],
+    )
+    def test_overflowing_moduli_rejected_by_value(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: overflow: the complete integrals are not finite at {message}\n"
+
+
 class TestVerify:
     @pytest.mark.parametrize("kind", ["k", "k-both", "f", "e", "n", "z-restricted"])
     def test_default_parameters_pass(self, kind, capsys):
@@ -347,6 +385,15 @@ class TestOtherCommands:
         assert "legendre residual" in out
         residual = float(out.split("legendre residual =")[1].split()[0])
         assert residual < 1e-12
+
+    def test_ref_keeps_k_as_given(self, capsys):
+        assert main(["ref", "--k", "0.5"]) == 0
+        assert "\nk   = 0.5+0j\n" in capsys.readouterr().out
+
+    def test_ref_at_a_tiny_k(self, capsys):
+        # b = sqrt((1-k)(1+k)) rounds to 1, but k itself stays off the singularity
+        assert main(["ref", "--k", "1e-300"]) == 0
+        assert "\nK(b) = 692.16182225933358+0j\n" in capsys.readouterr().out
 
     def test_magm_check(self, capsys):
         assert main(["magm-check", "--mask-bits", "2"]) == 0

@@ -77,6 +77,10 @@ class TestPredictLocus:
         assert len(spec.cosets) == 2
         assert spec.cosets[1] == 2 * refs.K_k - 2 * spec.origin
 
+    def test_z_restricted_needs_phi(self, refs):
+        with pytest.raises(ValueError, match="^Z locus needs the amplitude phi$"):
+            predict_locus("Z_restricted", refs)
+
     def test_z_restricted_unit(self, refs):
         spec = predict_locus("Z_restricted", refs, phi=math.asin(0.8))
         assert spec.gen2 == 0

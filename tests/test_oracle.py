@@ -1,8 +1,10 @@
+import cmath
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 
-from multiagm import complete_from_complement, landen_check, quad_E_inc, quad_F, reference_set
+from multiagm import QuartetParams, complete_from_complement, landen_check, quad_E_inc, quad_F, reference_set
 from multiagm.oracle import adaptive_simpson
 from multiagm.roots import signed_root
 
@@ -176,6 +178,25 @@ class TestReferenceSet:
         by_k = reference_set(k=by_b.k)
         assert by_k.K_k == pytest.approx(by_b.K_k, rel=1e-14)
         assert by_k.K_b == pytest.approx(by_b.K_b, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1 - 2**-30, 0.9999999, 0.5, 1e-9])
+    def test_complement_of_k_is_exact_and_shared_with_the_engine(self, k):
+        b = reference_set(k=k).b
+        assert repr(b) == repr(QuartetParams(k=k, sinphi=0.5).complement_value())
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (1 - Decimal(k) * Decimal(k)).sqrt()
+        assert b.imag == 0
+        assert abs(Decimal(b.real) - exact) <= Decimal(math.ulp(b.real))
+
+    @pytest.mark.parametrize("moduli", [{"b": 1e300}, {"b": 1.4e154}, {"k": 1e300}])
+    def test_overflowing_modulus_raises_naming_b_and_k(self, moduli):
+        with pytest.raises(ValueError, match=r"^overflow: .* at b = .*, k = "):
+            reference_set(**moduli)
+
+    def test_largest_finite_modulus(self):
+        refs = reference_set(b=1.3e154)
+        assert all(map(cmath.isfinite, (refs.k, refs.K_k, refs.K_b, refs.E_k, refs.E_b)))
 
     def test_ratios(self):
         refs = reference_set(b=0.25)
