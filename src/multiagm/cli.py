@@ -10,6 +10,7 @@ tolerance.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -313,10 +314,14 @@ def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
         "--delta-bits", type=int, default=delta, help=f"free forward-root sign bits (default {default(delta)})"
     )
     sub.add_argument("--gamma-bits", type=int, default=gamma, help=f"free zeta-root sign bits (default {default(gamma)})")
-    sub.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER, help="iteration count (default 20)")
+    sub.add_argument(
+        "--max-iter", type=int, default=DEFAULT_MAX_ITER, help=f"iteration count (default {DEFAULT_MAX_ITER})"
+    )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once and shared: commands fill unset flags on their namespace, never on it."""
     parser = argparse.ArgumentParser(
         prog="multiagm",
         description="Multivalued AGM point clouds of elliptic integrals and their locus checks.",
@@ -338,7 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("verify", help="fit a cloud against its predicted locus")
     sub.add_argument("--kind", choices=sorted(VERIFY_KINDS), required=True)
     _add_common(sub, None)
-    sub.add_argument("--tol", type=float, default=DEFAULT_FIT_TOL, help="max residual to pass (default 1e-6)")
+    sub.add_argument(
+        "--tol", type=float, default=DEFAULT_FIT_TOL, help=f"max residual to pass (default {DEFAULT_FIT_TOL:g})"
+    )
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.set_defaults(run=_cmd_verify)
 

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import multiagm
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
-from multiagm.cli import console_main, main
+from multiagm.cli import build_parser, console_main, main
+from multiagm.engine import DEFAULT_MAX_ITER
+from multiagm.lattice import DEFAULT_FIT_TOL
 from multiagm.roots import principal_sqrt
 
 
@@ -438,3 +443,54 @@ def test_console_main_exit_code(argv, code, monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         console_main()
     assert err.value.code == code
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``main(argv)`` in this process."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of the same command in a new interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(multiagm.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "multiagm.cli", *argv], capture_output=True, text=True, env=env, timeout=60, check=False
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestSharedParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_call_carries_nothing_to_the_next(self, capsys):
+        # each command follows one that set flags it leaves unset, or one that failed
+        sequence = [
+            ["verify", "--kind", "f", "--sigma-bits", "2", "--delta-bits", "2"],
+            ["verify", "--kind", "k"],
+            ["fill-k", "--signb", "-1"],
+            ["fill-k"],
+            ["bogus"],
+            ["verify", "--kind", "k", "--tol", "nan"],
+            ["ref"],
+        ]
+        in_process = [_in_process(argv, capsys) for argv in sequence]
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 2, 0]
+        for argv, result in zip(sequence, in_process):
+            assert result == _fresh_process(argv), argv
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_repeats(self, argv, capsys):
+        first = _in_process(argv, capsys)
+        assert first[0] == 0 and first[1].startswith("usage: multiagm")
+        assert _in_process(argv, capsys) == first
+
+    def test_help_shows_the_default_constants(self, capsys):
+        _, out, _ = _in_process(["verify", "--help"], capsys)
+        assert f"(default {DEFAULT_MAX_ITER})" in out
+        assert f"(default {DEFAULT_FIT_TOL:g})" in out
