@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import asdict
 
-from .clouds import CloudRequest, MultivaluePoint, enumerate_cloud
+from .clouds import KIND_BITS, CloudRequest, MultivaluePoint, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
 from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
 from .magm import magm_equivalence, magm_negative_experiment
@@ -49,8 +49,13 @@ FILL_DEFAULTS = {
     "fill-z-restricted": ("Z_restricted", "Zr", 0.8, 0, 4, 0),
 }
 
-# Sweep shape of each cloud kind, which `verify` shares with its fill.
-SHAPE_FLAGS = ("sinphi", "sigma_bits", "delta_bits", "gamma_bits")
+# Sweep-shape flags with their help, and the shape of each cloud kind, which `verify` shares with its fill.
+SHAPE_FLAGS = {
+    "sinphi": "sine of the amplitude",
+    "sigma_bits": "free geometric-mean sign bits",
+    "delta_bits": "free forward-root sign bits",
+    "gamma_bits": "free zeta-root sign bits",
+}
 KIND_SHAPES = {kind: shape for kind, _, *shape in FILL_DEFAULTS.values()}
 
 VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
@@ -174,9 +179,8 @@ def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePo
         CloudRequest(
             kind=kind,
             params=QuartetParams(k=k, sinphi=sinphi, signb=signb, max_iter=args.max_iter, complement=b),
-            sigma_bits=args.sigma_bits,
-            delta_bits=args.delta_bits,
-            gamma_bits=args.gamma_bits,
+            # a fill has only the bit flags its kind reads; the others are 0
+            **{name: getattr(args, name, 0) for name in SHAPE_FLAGS if name != "sinphi"},
         )
     )
 
@@ -294,26 +298,27 @@ def _add_moduli(sub: argparse.ArgumentParser) -> None:
     mod.add_argument("--k", type=float, default=None, help="modulus (alternative to --b)")
 
 
-def _add_common(sub: argparse.ArgumentParser, shape: list | None) -> None:
-    """Modulus, sweep-shape and iteration flags.
+def _add_common(sub: argparse.ArgumentParser, kind: str | None) -> None:
+    """Modulus, sweep-shape and iteration flags; a fill gets only the sign-bit flags its kind reads.
 
-    With ``shape`` None the sweep-shape flags default to None, for the
-    command to fill from `KIND_SHAPES`.
+    A fill's kind sets the defaults.  `verify` chooses its kind at run time:
+    with ``kind`` None every flag is offered and defaults to None, for the
+    command to fill from `KIND_SHAPES`, and `CloudRequest` rejects the bits
+    the chosen kind does not read.
     """
-    sinphi, sigma, delta, gamma = shape or (None,) * len(SHAPE_FLAGS)
-
-    def default(value) -> str:
-        return "per --kind" if value is None else str(value)
-
+    if kind is None:
+        defaults, names = dict.fromkeys(SHAPE_FLAGS), tuple(SHAPE_FLAGS)
+    else:
+        defaults, names = dict(zip(SHAPE_FLAGS, KIND_SHAPES[kind])), ("sinphi", *KIND_BITS[kind])
     _add_moduli(sub)
-    sub.add_argument("--sinphi", type=float, default=sinphi, help=f"sine of the amplitude (default {default(sinphi)})")
-    sub.add_argument(
-        "--sigma-bits", type=int, default=sigma, help=f"free geometric-mean sign bits (default {default(sigma)})"
-    )
-    sub.add_argument(
-        "--delta-bits", type=int, default=delta, help=f"free forward-root sign bits (default {default(delta)})"
-    )
-    sub.add_argument("--gamma-bits", type=int, default=gamma, help=f"free zeta-root sign bits (default {default(gamma)})")
+    for name in names:
+        value = defaults[name]
+        sub.add_argument(
+            "--" + name.replace("_", "-"),
+            type=float if name == "sinphi" else int,
+            default=value,
+            help=f"{SHAPE_FLAGS[name]} (default {'per --kind' if value is None else value})",
+        )
     sub.add_argument(
         "--max-iter", type=int, default=DEFAULT_MAX_ITER, help=f"iteration count (default {DEFAULT_MAX_ITER})"
     )
@@ -328,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, (kind, _, *shape) in FILL_DEFAULTS.items():
+    for name, (kind, *_) in FILL_DEFAULTS.items():
         sub = commands.add_parser(name, help=f"emit the {kind} point cloud")
-        _add_common(sub, shape)
+        _add_common(sub, kind)
         if name == "fill-k":
             sub.add_argument("--signb", choices=("both", "+1", "-1", "1"), default="both")
         else:

@@ -1,8 +1,8 @@
 """Sign-schedule sweeps producing multivalue point clouds.
 
-One cloud fixes the recursion parameters and sweeps the free bits of the
-sign masks in descending mask order, evaluating the requested function for
-every schedule.  Near-coincident values are cross-referenced instead of
+One cloud fixes the recursion parameters and sweeps the free sign bits its
+function reads in descending mask order, evaluating the function for every
+schedule.  Near-coincident values are cross-referenced instead of
 dropped, and each point is built once, with its link.
 """
 
@@ -26,6 +26,7 @@ from .engine import (
 )
 
 __all__ = [
+    "KIND_BITS",
     "CLOUD_KINDS",
     "MultivaluePoint",
     "CloudRequest",
@@ -33,10 +34,18 @@ __all__ = [
     "DUPLICATE_RTOL",
 ]
 
-CLOUD_KINDS = ("K", "F", "E", "N", "Z", "Z_restricted")
+# The sign bits each kind's value reads; a kind reads the amplitude pair if it reads delta bits.
+# Z_restricted's zeta sign at iteration n repeats its forward sign of iteration n-1.
+KIND_BITS = {
+    "K": ("sigma_bits",),
+    "F": ("sigma_bits", "delta_bits"),
+    "E": ("sigma_bits",),
+    "N": ("sigma_bits",),
+    "Z": ("sigma_bits", "delta_bits", "gamma_bits"),
+    "Z_restricted": ("delta_bits",),
+}
 
-# The kinds whose value reads the amplitude pair; K, E and N sweep the mean pair alone.
-AMPLITUDE_KINDS = ("F", "Z", "Z_restricted")
+CLOUD_KINDS = tuple(KIND_BITS)
 
 # Two points closer than this times the cloud scale count as one value.
 DUPLICATE_RTOL = 1e-9
@@ -65,7 +74,7 @@ class MultivaluePoint:
 
 @dataclass(frozen=True)
 class CloudRequest:
-    """A sweep request: which function, which parameters, how many free bits."""
+    """A sweep request: which function, which parameters, how many free bits of each sort its kind reads."""
 
     kind: str
     params: QuartetParams
@@ -74,7 +83,8 @@ class CloudRequest:
     gamma_bits: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind not in CLOUD_KINDS:
+        reads = KIND_BITS.get(self.kind)
+        if reads is None:
             raise ValueError(f"unknown cloud kind {self.kind!r}")
         for name in ("sigma_bits", "delta_bits", "gamma_bits"):
             bits = getattr(self, name)
@@ -82,25 +92,8 @@ class CloudRequest:
                 raise ValueError(f"{name} must be nonnegative")
             if bits > self.params.max_iter:
                 raise ValueError(f"{name} exceeds max_iter")
-        if self.kind == "Z_restricted" and (self.sigma_bits or self.gamma_bits):
-            raise ValueError("Z_restricted sweeps delta bits only; sigma_bits and gamma_bits must be 0")
-
-
-def _schedules(req: CloudRequest) -> list[SignSchedule]:
-    # Sigma runs outermost, then delta, then gamma, each descending.  So
-    # sigma mask s owns the block of 2**(D + G) schedules starting at
-    # (2**S - 1 - s) * 2**(D + G), and the pair (s, d) the block of 2**G
-    # starting at ((2**S - 1 - s) * 2**D + 2**D - 1 - d) * 2**G, where
-    # S, D and G count the sigma, delta and gamma bits.
-    if req.kind == "Z_restricted":
-        # the zeta sign at iteration n repeats the forward sign of iteration n-1
-        return [SignSchedule(delta_mask=d, gamma_mask=d << 1) for d in range(2**req.delta_bits - 1, -1, -1)]
-    out = []
-    for s in range(2**req.sigma_bits - 1, -1, -1):
-        for d in range(2**req.delta_bits - 1, -1, -1):
-            for g in range(2**req.gamma_bits - 1, -1, -1):
-                out.append(SignSchedule(sigma_mask=s, delta_mask=d, gamma_mask=g))
-    return out
+            if bits and name not in reads:
+                raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
 
 
 def _extract(kind: str, trace: QuartetTrace) -> complex:
@@ -113,10 +106,8 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
         if k_val == 0 or not cmath.isfinite(k_val):
             return complex(math.nan, math.nan)
         return complete_E(trace) / k_val
-    if kind == "F":
-        return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace, 0)
-    # Z and Z_restricted: a trace of `run_quartet` carries its sum; a cloud signs it per schedule
-    return trace.z_sum
+    # F; Zeta values are signed per schedule by `zeta_sum`
+    return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace, 0)
 
 
 def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | None]:
@@ -154,36 +145,37 @@ def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | Non
 
 
 def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
-    """Evaluate the requested function over the full mask sweep.
+    """Evaluate the requested function over every schedule of the bits its kind reads.
 
-    Masks run in descending order (sigma outermost); the all-plus schedule
-    is therefore the last point.  K, E and N read the mean pair alone, so
-    their traces come from `sweep_sigma`, one per sigma mask.  F, Z and
-    Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
-    mask, and the gamma bits only sign the Zeta terms, which `zeta_sum`
-    adds per schedule.  A value and its flag fill every schedule their
-    trace stands for; then each schedule gets one point, with its link.
-    Ill-conditioned or unconverged traces yield flagged points, never
-    omissions.
+    Position ``i`` holds the schedule whose masks, read as one number with
+    sigma highest and gamma lowest, equal ``last - i``: masks run in
+    descending order, and the all-plus schedule is the last point.
+    Z_restricted's gamma mask is its delta mask shifted up one.  K, E and
+    N read the mean pair alone, so their traces come from `sweep_sigma`,
+    one per sigma mask.  F, Z and Z_restricted take theirs from
+    `sweep_quartet`, one per sigma and delta mask.  Each trace gives one
+    point, except on Z, whose gamma bits only sign the Zeta terms:
+    `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
+    unconverged traces yield flagged points, never omissions.
     """
-    schedules = _schedules(req)
-    top = 2**req.sigma_bits - 1
-    zeta = req.kind in ("Z", "Z_restricted")
-    if req.kind in AMPLITUDE_KINDS:
-        traces = sweep_quartet(req.params, req.sigma_bits, req.delta_bits, zeta)
-        deltas, block = 2**req.delta_bits, 2**req.gamma_bits
+    kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
+    zeta = kind in ("Z", "Z_restricted")
+    if "delta_bits" in KIND_BITS[kind]:
+        traces = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        traces = ((mask, 0, trace, None) for mask, trace in sweep_sigma(req.params, req.sigma_bits))
-        deltas, block = 1, 2 ** (req.delta_bits + req.gamma_bits)
-    values: list = [None] * len(schedules)
-    flags: list = [None] * len(schedules)
+        traces = ((sigma, 0, trace, None) for sigma, trace in sweep_sigma(req.params, req.sigma_bits))
+    last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
+    values: list = [None] * (last + 1)
+    flags: list = [None] * (last + 1)
+    schedules: list = [None] * (last + 1)
     for sigma, delta, trace, terms in traces:
-        start = ((top - sigma) * deltas + deltas - 1 - delta) * block
-        end = start + block
-        if zeta:
-            values[start:end] = [zeta_sum(terms, s.gamma_mask) for s in schedules[start:end]]
-        else:
-            values[start:end] = [_extract(req.kind, trace)] * block
-        flags[start:end] = [trace.ill_conditioned or not trace.converged] * block
+        value = None if zeta else _extract(kind, trace)
+        flag = trace.ill_conditioned or not trace.converged
+        head = last - ((sigma << delta_bits | delta) << gamma_bits)
+        for gamma in range(2**gamma_bits):
+            schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
+            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else value
+            flags[head - gamma] = flag
+            schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
     return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,12 +142,6 @@ DEEP_FILL_DIGESTS = {
     "fill-k --sigma-bits 12 --signb both --max-iter 48": "48295aa9cfcdbf9d01f79f0a435a7d44534cfed30fa4365ffc6c6406791c277e",
     "fill-e --sigma-bits 11 --max-iter 40": "142e5647a1aa6afdd33ad1cb406c766c6371e7ee841e83bd3ed640e01bf40a19",
     "fill-f --sigma-bits 4 --delta-bits 6 --max-iter 40": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
-    # recorded before clouds filled a block of schedules with one slice: in
-    # each, one K, E, N or F value stands for 16, 8, 8 or 4 schedules
-    "fill-k --sigma-bits 6 --delta-bits 2 --gamma-bits 2 --signb both": "c7cde69ee819ffb64fa728d38a168f1b1561e3c607db668efd097aae3e009693",
-    "fill-e --sigma-bits 5 --gamma-bits 3": "1e3aecabe0c1f3f2ee48b02b02654bd420a71bc890774de38b8f517945087959",
-    "fill-n --sigma-bits 5 --delta-bits 3": "b80566a71920d821da6d89214b16c64405c536f69ef46af0b9fa5d0c6e13c7a5",
-    "fill-f --sigma-bits 3 --delta-bits 3 --gamma-bits 2": "b1c957e6aa9fc5b78f8641e61032265daa47867134c882b4eb6fa15d5736054d",
 }
 
 
@@ -287,6 +282,61 @@ class TestFlagValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: overflow: the complete integrals are not finite at {message}\n"
+
+
+class TestSignBitFlags:
+    # the sign-bit flags each fill offers: the bits its kind reads
+    FILL_BIT_FLAGS = {
+        "fill-k": {"--sigma-bits"},
+        "fill-f": {"--sigma-bits", "--delta-bits"},
+        "fill-e": {"--sigma-bits"},
+        "fill-n": {"--sigma-bits"},
+        "fill-z": {"--sigma-bits", "--delta-bits", "--gamma-bits"},
+        "fill-z-restricted": {"--delta-bits"},
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fill-k", "--delta-bits", "1"], ["fill-f", "--gamma-bits", "1"], ["fill-z-restricted", "--sigma-bits", "1"]],
+    )
+    def test_fill_has_no_flag_for_a_bit_it_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {argv[1]} 1\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["verify", "--kind", "k", "--gamma-bits", "1"], "K reads sigma_bits only; gamma_bits must be 0"),
+            (
+                ["verify", "--kind", "z-restricted", "--sigma-bits", "1"],
+                "Z_restricted reads delta_bits only; sigma_bits must be 0",
+            ),
+        ],
+    )
+    def test_verify_rejects_a_bit_its_kind_does_not_read_by_name(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", sorted(FILL_BIT_FLAGS))
+    def test_fill_help_lists_the_bit_flags_of_its_kind(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert set(re.findall(r"--[a-z]+-bits", capsys.readouterr().out)) == self.FILL_BIT_FLAGS[command]
+
+    def test_verify_help_lists_every_bit_flag(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify", "--help"])
+        assert err.value.code == 0
+        assert set(re.findall(r"--[a-z]+-bits", capsys.readouterr().out)) == self.FILL_BIT_FLAGS["fill-z"]
 
 
 class TestVerify:

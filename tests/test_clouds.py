@@ -4,9 +4,11 @@ import random
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiagm import CloudRequest, QuartetParams, SignSchedule, complete_from_complement, enumerate_cloud
-from multiagm.clouds import DUPLICATE_RTOL, MultivaluePoint, _mark_duplicates
+from multiagm.clouds import CLOUD_KINDS, DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _mark_duplicates
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -31,6 +33,40 @@ class TestRequestValidation:
     def test_negative_bits(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CloudRequest(kind="K", params=params(), delta_bits=-1)
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [
+            (kind, name)
+            for kind, reads in KIND_BITS.items()
+            for name in ("sigma_bits", "delta_bits", "gamma_bits")
+            if name not in reads
+        ],
+    )
+    def test_rejects_each_bit_its_kind_does_not_read(self, kind, name):
+        with pytest.raises(ValueError, match=f"^{kind} reads .* only; {name} must be 0$"):
+            CloudRequest(kind=kind, params=params(), **{name: 1})
+        # zero of an unread bit is the default, and allowed
+        CloudRequest(kind=kind, params=params(), **{name: 0})
+
+
+@given(kind=st.sampled_from(CLOUD_KINDS), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
+    bits = {name: data.draw(st.integers(0, 3), label=name) for name in KIND_BITS[kind]}
+    cloud = enumerate_cloud(CloudRequest(kind=kind, params=params(sinphi=0.8), **bits))
+    last = 2 ** sum(bits.values()) - 1
+    assert len(cloud) == last + 1
+    delta_bits, gamma_bits = bits.get("delta_bits", 0), bits.get("gamma_bits", 0)
+    for i, point in enumerate(cloud):
+        sched = point.schedule
+        if kind == "Z_restricted":
+            # its gamma mask follows from the delta mask and is no part of the number
+            assert sched.gamma_mask == sched.delta_mask << 1
+            assert sched.delta_mask == last - i
+        else:
+            assert (sched.sigma_mask << delta_bits | sched.delta_mask) << gamma_bits | sched.gamma_mask == last - i
+    assert cloud[-1].schedule == SignSchedule()
 
 
 def restricted_schedules(delta_bits):
@@ -58,7 +94,7 @@ class TestRestrictedSchedule:
 
     @pytest.mark.parametrize("bits", [{"sigma_bits": 3}, {"gamma_bits": 1}, {"sigma_bits": 1, "gamma_bits": 2}])
     def test_rejects_bits_it_does_not_sweep(self, bits):
-        with pytest.raises(ValueError, match="Z_restricted sweeps delta bits only"):
+        with pytest.raises(ValueError, match="Z_restricted reads delta_bits only; (sigma|gamma)_bits must be 0"):
             CloudRequest(kind="Z_restricted", params=params(), delta_bits=4, **bits)
 
 
@@ -132,21 +168,6 @@ class TestOtherKinds:
         assert cloud[0].schedule.delta_mask == 15
         assert cloud[-1].schedule == SignSchedule()
 
-    def test_gamma_flip_invisible_outside_zeta(self):
-        for kind in ("K", "E", "N"):
-            cloud = enumerate_cloud(CloudRequest(kind=kind, params=params(), sigma_bits=1, gamma_bits=1))
-            by_sigma = {}
-            for p in cloud:
-                by_sigma.setdefault(p.schedule.sigma_mask, set()).add(p.value)
-            for values in by_sigma.values():
-                assert len(values) == 1
-
-    def test_gamma_twin_marked_duplicate(self):
-        cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), gamma_bits=1))
-        assert len(cloud) == 2
-        assert cloud[0].duplicate_of is None
-        assert cloud[1].duplicate_of == 0
-
     def test_restricted_zeta_cloud(self):
         cloud = enumerate_cloud(
             CloudRequest(kind="Z_restricted", params=params(sinphi=0.8), delta_bits=4)
@@ -173,9 +194,9 @@ class TestOtherKinds:
         # k = 0: a sigma flip at iteration 1 alone makes a = 1, g = -1, so a_inf == 0
         # exactly, and F divides by it
         p = QuartetParams(k=0, sinphi=0.3 + 0.4j, max_iter=3)
-        cloud = enumerate_cloud(CloudRequest(kind="F", params=p, sigma_bits=3, delta_bits=3, gamma_bits=2))
+        cloud = enumerate_cloud(CloudRequest(kind="F", params=p, sigma_bits=3, delta_bits=3))
         zero = [point for point in cloud if point.schedule.sigma_mask & 3 == 2]
-        assert len(zero) == 2 * 2**5
+        assert len(zero) == 2 * 2**3
         assert all(cmath.isnan(point.value) and point.ill_conditioned for point in zero)
 
     def test_unrestricted_zeta_cloud_all_finite(self):

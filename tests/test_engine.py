@@ -23,7 +23,7 @@ from multiagm import (
     reference_set,
     run_quartet,
 )
-from multiagm.clouds import CLOUD_KINDS, _extract, _schedules
+from multiagm.clouds import CLOUD_KINDS, KIND_BITS, _extract
 from multiagm.engine import (
     CONV_TOL,
     ILL_CONDITION_RATIO,
@@ -300,6 +300,16 @@ def test_run_quartet_matches_reference_loop_at_any_budget(b, sinphi, signb, max_
     assert repr(run_quartet(p, sched)) == repr(reference_run_quartet(p, sched))
 
 
+def descending_schedules(req):
+    """Every schedule of the request, sigma outermost, then delta, then gamma, each descending."""
+    return [
+        SignSchedule(sigma, delta, delta << 1 if req.kind == "Z_restricted" else gamma)
+        for sigma in range(2**req.sigma_bits - 1, -1, -1)
+        for delta in range(2**req.delta_bits - 1, -1, -1)
+        for gamma in range(2**req.gamma_bits - 1, -1, -1)
+    ]
+
+
 def walked_and_reference_cloud(req):
     """(repr of value, flag, schedule) of each point: from the walk, and from the reference loop per schedule.
 
@@ -307,9 +317,10 @@ def walked_and_reference_cloud(req):
     """
     walked = [(repr(p.value), p.ill_conditioned, p.schedule) for p in enumerate_cloud(req)]
     alone = []
-    for schedule in _schedules(req):
+    for schedule in descending_schedules(req):
         trace = reference_run_quartet(req.params, schedule, amplitude=req.kind not in ("K", "E", "N"))
-        alone.append((repr(_extract(req.kind, trace)), trace.ill_conditioned or not trace.converged, schedule))
+        value = trace.z_sum if req.kind in ("Z", "Z_restricted") else _extract(req.kind, trace)
+        alone.append((repr(value), trace.ill_conditioned or not trace.converged, schedule))
     return walked, alone
 
 
@@ -323,11 +334,9 @@ def test_cloud_walk_is_bit_identical_to_reference_per_schedule():
         sinphi = rng.choice((1, rng.uniform(0.05, 0.99), complex(rng.uniform(-1, 1), rng.uniform(-1, 1))))
         max_iter = rng.choice((1, 2, 5, 20, 32, 48, 64))
         p = params(b=b, sinphi=sinphi, signb=rng.choice((1, -1)), max_iter=max_iter)
-        if kind == "Z_restricted":
-            req = CloudRequest(kind, p, delta_bits=rng.randint(0, min(max_iter, 6)))
-        else:
-            bits = [rng.randint(0, min(max_iter, 3)) for _ in range(3)]
-            req = CloudRequest(kind, p, *bits)
+        # draw only the bits the kind reads: a one-bit kind gets deeper masks
+        depth = 6 if len(KIND_BITS[kind]) == 1 else 3
+        req = CloudRequest(kind, p, **{name: rng.randint(0, min(max_iter, depth)) for name in KIND_BITS[kind]})
         walked, alone = walked_and_reference_cloud(req)
         assert walked == alone, req
 
@@ -346,23 +355,18 @@ def test_cloud_walk_is_bit_identical_to_reference_per_schedule():
 )
 def test_cloud_walk_branches_at_every_level(kind, start, max_iter):
     # every mask as deep as the iteration count, so every node branches
-    bits = (0, max_iter, 0) if kind == "Z_restricted" else (max_iter,) * 3
-    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(**start, max_iter=max_iter), *bits))
+    bits = dict.fromkeys(KIND_BITS[kind], max_iter)
+    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(**start, max_iter=max_iter), **bits))
     assert walked == alone
 
 
 @pytest.mark.parametrize("kind", ["K", "E", "N"])
 @pytest.mark.parametrize("sinphi", [0.5, 0.3 + 0.4j, 1e200, 1e-200])
 def test_mean_pair_cloud_keys_on_sigma_bits_only(kind, sinphi):
-    # delta and gamma bits below max_iter: schedules equal in sigma share one trace
-    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(sinphi=sinphi, max_iter=20), 3, 3, 3))
+    walked, alone = walked_and_reference_cloud(CloudRequest(kind, params(sinphi=sinphi, max_iter=20), 3))
     assert walked == alone
-    by_sigma = {}
-    for value, flag, schedule in walked:
-        assert by_sigma.setdefault(schedule.sigma_mask, (value, flag)) == (value, flag)
-    assert len(by_sigma) == 8
     # the amplitude never reaches K, E or N: the same cloud at any sinphi
-    same = enumerate_cloud(CloudRequest(kind, params(sinphi=0.5, max_iter=20), 3, 3, 3))
+    same = enumerate_cloud(CloudRequest(kind, params(sinphi=0.5, max_iter=20), 3))
     assert walked == [(repr(p.value), p.ill_conditioned, p.schedule) for p in same]
     assert not any(flag for _, flag, _ in walked)
 
