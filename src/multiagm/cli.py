@@ -5,6 +5,10 @@ CSV (or JSON) with a fixed 17-significant-digit format, so repeated runs
 with the same flags are byte-identical.  ``verify`` fits a cloud against
 its predicted locus and exits nonzero when the residual exceeds the
 tolerance.
+
+The front end restates nothing the library decides: each kind's defaults
+come from one table, the sign bits a kind reads from `KIND_BITS`, and the
+modulus or its complement reaches the engine and the oracle as given.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -21,7 +26,6 @@ from .engine import DEFAULT_MAX_ITER, QuartetParams
 from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
 from .magm import magm_equivalence, magm_negative_experiment
 from .oracle import landen_check, reference_set
-from .roots import principal_sqrt
 
 __all__ = ["main", "console_main"]
 
@@ -38,25 +42,26 @@ CSV_HEADER = (
     "duplicate_of",
 )
 
-FILL_DEFAULTS = {
-    # kind, series label, sinphi, sigma_bits, delta_bits, gamma_bits;
-    # fill-k appends the start sign to its label
-    "fill-k": ("K", "K", 0.5, 5, 0, 0),
-    "fill-f": ("F", "F", 0.8, 3, 4, 0),
-    "fill-e": ("E", "E", 0.5, 5, 0, 0),
-    "fill-n": ("N", "N", 0.5, 5, 0, 0),
-    "fill-z": ("Z", "Z", 0.8, 2, 2, 2),
-    "fill-z-restricted": ("Z_restricted", "Zr", 0.8, 0, 4, 0),
-}
-
-# Sweep-shape flags with their help, and the shape of each cloud kind, which `verify` shares with its fill.
 SHAPE_FLAGS = {
     "sinphi": "sine of the amplitude",
     "sigma_bits": "free geometric-mean sign bits",
     "delta_bits": "free forward-root sign bits",
     "gamma_bits": "free zeta-root sign bits",
 }
-KIND_SHAPES = {kind: shape for kind, _, *shape in FILL_DEFAULTS.values()}
+
+# Each cloud kind's series label, which fill-k appends its start sign to, and the defaults
+# of its fill's shape flags: sinphi and the sign bits the kind reads (`KIND_BITS`), no others.
+KIND_DEFAULTS = {
+    "K": ("K", {"sinphi": 0.5, "sigma_bits": 5}),
+    "F": ("F", {"sinphi": 0.8, "sigma_bits": 3, "delta_bits": 4}),
+    "E": ("E", {"sinphi": 0.5, "sigma_bits": 5}),
+    "N": ("N", {"sinphi": 0.5, "sigma_bits": 5}),
+    "Z": ("Z", {"sinphi": 0.8, "sigma_bits": 2, "delta_bits": 2, "gamma_bits": 2}),
+    "Z_restricted": ("Zr", {"sinphi": 0.8, "delta_bits": 4}),
+}
+
+# the start signs of fill-k's default and of verify --kind k-both
+BOTH_SIGNS = (1, -1)
 
 VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
 
@@ -76,12 +81,11 @@ def _finite(name: str, value: float) -> float:
     return value
 
 
-def _moduli(args: argparse.Namespace) -> tuple[complex, complex | None]:
-    """(k, b) from ``--b``, or ``--k`` as given with b None: the engine and the oracle then derive b."""
+def _moduli(args: argparse.Namespace) -> tuple[complex | None, complex | None]:
+    """(k, b): the one given, checked finite, and None for the other, which the engine and the oracle derive."""
     if args.k is not None:
         return complex(_finite("k", args.k)), None
-    b = complex(_finite("b", args.b))
-    return principal_sqrt((1 - b) * (1 + b)), b
+    return None, complex(_finite("b", args.b))
 
 
 def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[tuple]:
@@ -172,27 +176,24 @@ def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[Multivalue
         _write_svg(args.svg, series_list, title)
 
 
-def _cloud(args: argparse.Namespace, kind: str, signb: int) -> list[MultivaluePoint]:
+def _clouds(args: argparse.Namespace, kind: str, signbs: tuple[int, ...]) -> list[list[MultivaluePoint]]:
+    """One cloud of ``kind`` per start sign in ``signbs``."""
     k, b = _moduli(args)
     sinphi = _finite("sinphi", args.sinphi)
-    return enumerate_cloud(
-        CloudRequest(
-            kind=kind,
-            params=QuartetParams(k=k, sinphi=sinphi, signb=signb, max_iter=args.max_iter, complement=b),
-            # a fill has only the bit flags its kind reads; the others are 0
-            **{name: getattr(args, name, 0) for name in SHAPE_FLAGS if name != "sinphi"},
-        )
-    )
+    # a fill has only the bit flags its kind reads, and verify leaves the others None: both are 0
+    bits = {name: getattr(args, name, None) or 0 for name in SHAPE_FLAGS if name != "sinphi"}
+    return [
+        enumerate_cloud(CloudRequest(kind, QuartetParams(k, sinphi, signb, args.max_iter, complement=b), **bits))
+        for signb in signbs
+    ]
 
 
-def _cmd_fill(args: argparse.Namespace) -> int:
-    kind, label = FILL_DEFAULTS[args.command][:2]
-    if args.command == "fill-k":
-        signbs = (1, -1) if args.signb == "both" else (int(args.signb),)
-        series_list = [(label + ("+" if signb > 0 else "-"), _cloud(args, kind, signb)) for signb in signbs]
-    else:
-        series_list = [(label, _cloud(args, kind, int(args.signb)))]
-    _emit(args, series_list, args.command)
+def _cmd_fill(kind: str, args: argparse.Namespace) -> int:
+    label = KIND_DEFAULTS[kind][0]
+    # only fill-k offers "both", and only its labels carry the start sign
+    signbs = BOTH_SIGNS if args.signb == "both" else (int(args.signb),)
+    labels = [label + ("+" if signb > 0 else "-") for signb in signbs] if kind == "K" else [label]
+    _emit(args, list(zip(labels, _clouds(args, kind, signbs))), args.command)
     return 0
 
 
@@ -200,22 +201,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 < args.tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {args.tol}")
     kind = VERIFY_KINDS[args.kind]
-    cloud_kind = "K" if kind == "K_both" else kind
-    for name, default in zip(SHAPE_FLAGS, KIND_SHAPES[cloud_kind]):
+    cloud_kind, signbs = ("K", BOTH_SIGNS) if kind == "K_both" else (kind, (1,))
+    for name, default in KIND_DEFAULTS[cloud_kind][1].items():
         if getattr(args, name) is None:
             setattr(args, name, default)
     k, b = _moduli(args)
-    refs = reference_set(k=k) if b is None else reference_set(b=b)
+    refs = reference_set(b=b, k=k)
     phi = None
-    if kind in ("F", "Z_restricted"):
+    # a cloud that reads delta bits reads the amplitude pair, so its locus needs the amplitude
+    if "delta_bits" in KIND_BITS[cloud_kind]:
         if not 0 < args.sinphi <= 1:
             raise ValueError("sinphi must lie in (0, 1]")
         phi = math.asin(args.sinphi)
     spec = predict_locus(kind, refs, phi=phi)
 
-    points = _cloud(args, cloud_kind, 1)
-    if kind == "K_both":
-        points = points + _cloud(args, cloud_kind, -1)
+    points = [point for cloud in _clouds(args, cloud_kind, signbs) for point in cloud]
     report = fit_cloud(points, spec, tol=args.tol)
 
     if args.format == "json":
@@ -274,7 +274,7 @@ def _cmd_magm_check(args: argparse.Namespace) -> int:
 
 def _cmd_ref(args: argparse.Namespace) -> int:
     k, b = _moduli(args)
-    refs = reference_set(k=k) if b is None else reference_set(b=b)
+    refs = reference_set(b=b, k=k)
     # the Landen residuals may raise, so take them before printing anything
     landen = landen_check(refs.b.real) if refs.b.imag == 0 and 0 < refs.b.real < 1 else None
     print(f"b   = {refs.b:.17g}")
@@ -298,21 +298,17 @@ def _add_moduli(sub: argparse.ArgumentParser) -> None:
     mod.add_argument("--k", type=float, default=None, help="modulus (alternative to --b)")
 
 
-def _add_common(sub: argparse.ArgumentParser, kind: str | None) -> None:
-    """Modulus, sweep-shape and iteration flags; a fill gets only the sign-bit flags its kind reads.
+def _add_common(sub: argparse.ArgumentParser, defaults: dict[str, float | int | None]) -> None:
+    """Modulus and iteration flags, and one sweep-shape flag per entry of ``defaults``, with its default.
 
-    A fill's kind sets the defaults.  `verify` chooses its kind at run time:
-    with ``kind`` None every flag is offered and defaults to None, for the
-    command to fill from `KIND_SHAPES`, and `CloudRequest` rejects the bits
-    the chosen kind does not read.
+    A fill is handed its kind's row of `KIND_DEFAULTS`, so it offers only
+    the sign-bit flags its kind reads.  `verify` chooses its kind at run
+    time: it is handed every shape flag with default None, fills the unset
+    ones from the chosen kind's row, and `CloudRequest` rejects the bits
+    that kind does not read.
     """
-    if kind is None:
-        defaults, names = dict.fromkeys(SHAPE_FLAGS), tuple(SHAPE_FLAGS)
-    else:
-        defaults, names = dict(zip(SHAPE_FLAGS, KIND_SHAPES[kind])), ("sinphi", *KIND_BITS[kind])
     _add_moduli(sub)
-    for name in names:
-        value = defaults[name]
+    for name, value in defaults.items():
         sub.add_argument(
             "--" + name.replace("_", "-"),
             type=float if name == "sinphi" else int,
@@ -327,27 +323,29 @@ def _add_common(sub: argparse.ArgumentParser, kind: str | None) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once and shared: commands fill unset flags on their namespace, never on it."""
-    parser = argparse.ArgumentParser(
+    # a flag answers to its full name only, so that no flag's prefix can stand for another
+    new_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+    parser = new_parser(
         prog="multiagm",
         description="Multivalued AGM point clouds of elliptic integrals and their locus checks.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
 
-    for name, (kind, *_) in FILL_DEFAULTS.items():
-        sub = commands.add_parser(name, help=f"emit the {kind} point cloud")
-        _add_common(sub, kind)
-        if name == "fill-k":
+    for kind, (_, defaults) in KIND_DEFAULTS.items():
+        sub = commands.add_parser("fill-" + kind.lower().replace("_", "-"), help=f"emit the {kind} point cloud")
+        _add_common(sub, defaults)
+        if kind == "K":
             sub.add_argument("--signb", choices=("both", "+1", "-1", "1"), default="both")
         else:
             sub.add_argument("--signb", choices=("+1", "-1", "1"), default="+1")
         sub.add_argument("--format", choices=("csv", "json"), default="csv")
         sub.add_argument("--out", default="-", help="output path, '-' for stdout")
         sub.add_argument("--svg", default=None, help="also write an SVG scatter to this path")
-        sub.set_defaults(run=_cmd_fill)
+        sub.set_defaults(run=functools.partial(_cmd_fill, kind))
 
     sub = commands.add_parser("verify", help="fit a cloud against its predicted locus")
     sub.add_argument("--kind", choices=sorted(VERIFY_KINDS), required=True)
-    _add_common(sub, None)
+    _add_common(sub, dict.fromkeys(SHAPE_FLAGS))
     sub.add_argument(
         "--tol", type=float, default=DEFAULT_FIT_TOL, help=f"max residual to pass (default {DEFAULT_FIT_TOL:g})"
     )
@@ -372,13 +370,24 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # a reader that stops early is no user error: `console_main` ends quietly
+        raise
     except (ValueError, OSError) as exc:
         # an OSError names the output path it could not write
         parser.exit(2, f"error: {exc}\n")
 
 
 def console_main() -> None:
-    sys.exit(main())
+    """Run `main` on ``sys.argv`` and exit with its status; 1, without a message, once stdout's reader has gone."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a failed write must raise here, not in the flush on exit
+    except BrokenPipeError:
+        # Python's EPIPE recipe: with stdout on devnull the flush on exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -99,16 +99,19 @@ class QuartetParams:
     complex-capable.  ``signb`` multiplies the two initial square roots.
     ``complement`` optionally supplies an exact value of ``sqrt(1-k**2)``
     so that callers parameterising by the complementary modulus do not
-    round-trip it through ``k``.
+    round-trip it through ``k``.  Once it is given ``k`` is never read and
+    may be None; one of the two must be given.
     """
 
-    k: complex
+    k: complex | None
     sinphi: complex
     signb: int = 1
     max_iter: int = DEFAULT_MAX_ITER
     complement: complex | None = None
 
     def __post_init__(self) -> None:
+        if self.k is None and self.complement is None:
+            raise ValueError("give the modulus k or its complement")
         if self.sinphi == 0:
             raise ValueError("sinphi must be nonzero")
         if self.signb not in (1, -1):

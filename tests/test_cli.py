@@ -11,7 +11,8 @@ import pytest
 
 import multiagm
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
-from multiagm.cli import build_parser, console_main, main
+from multiagm.cli import KIND_DEFAULTS, build_parser, console_main, main
+from multiagm.clouds import CLOUD_KINDS, KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
 from multiagm.lattice import DEFAULT_FIT_TOL
 from multiagm.roots import principal_sqrt
@@ -332,6 +333,19 @@ class TestSignBitFlags:
         assert err.value.code == 0
         assert set(re.findall(r"--[a-z]+-bits", capsys.readouterr().out)) == self.FILL_BIT_FLAGS[command]
 
+    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    def test_fill_bit_defaults_are_the_bits_its_kind_reads(self, kind):
+        # the table holds a default for each bit the kind reads and for no other, and the fill offers those
+        defaults = KIND_DEFAULTS[kind][1]
+        assert [name for name in defaults if name != "sinphi"] == list(KIND_BITS[kind])
+        args = vars(build_parser().parse_args(["fill-" + kind.lower().replace("_", "-")]))
+        assert {name: value for name, value in args.items() if name.endswith("_bits")} == {
+            name: defaults[name] for name in KIND_BITS[kind]
+        }
+
+    def test_the_defaults_table_follows_the_cloud_kinds(self):
+        assert tuple(KIND_DEFAULTS) == CLOUD_KINDS
+
     def test_verify_help_lists_every_bit_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["verify", "--help"])
@@ -347,23 +361,23 @@ class TestVerify:
         assert "PASS" in out
 
     @pytest.mark.parametrize(
-        "abbreviated,full",
+        "argv",
         [
-            (["--kind", "f", "--sig", "1"], ["--kind", "f", "--sigma-bits", "1"]),
-            (["--kind", "z-restricted", "--sinp", "0.6"], ["--kind", "z-restricted", "--sinphi", "0.6"]),
+            ["verify", "--kind", "f", "--sig", "1"],
+            ["verify", "--kind", "z-restricted", "--sinp", "0.6"],
+            # fill-z-restricted has no --sigma-bits, so a prefix match would take --signb
+            ["fill-z-restricted", "--sig", "-1"],
         ],
+        ids=["verify-sig", "verify-sinp", "fill-sig"],
     )
-    def test_abbreviated_shape_flags_are_honoured(self, abbreviated, full, capsys):
-        outputs = []
-        for args in (abbreviated, full):
-            code = main(["verify", *args, "--format", "json"])
-            outputs.append((code, capsys.readouterr().out))
-        assert outputs[0] == outputs[1]
-        if full[1] == "f":
-            assert len(json.loads(outputs[0][1])["points"]) == 2 * 16
-        else:
-            assert main(["verify", "--kind", "z-restricted", "--format", "json"]) == 0
-            assert capsys.readouterr().out != outputs[0][1]
+    def test_abbreviated_flags_are_refused(self, argv, capsys):
+        # a flag answers to its full name only, so no prefix is silently taken for another flag
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
 
     def test_json_parses_strictly_with_non_finite_residuals(self, capsys):
         # at sinphi 1e-300 every F point is flagged with an infinite residual, which
@@ -382,6 +396,11 @@ class TestVerify:
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == "PASS kind=k max_residual=1.424e-14 tol=1.0e-06 excluded=0"
 
+    def test_k_takes_a_sinphi_outside_the_amplitude_range(self, capsys):
+        # K never reads the amplitude, so its locus asks nothing of sinphi, unlike F and Z_restricted
+        assert main(["verify", "--kind", "k", "--sinphi", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("PASS kind=k ")
+
     def test_impossible_tolerance_fails(self, capsys):
         assert main(["verify", "--kind", "k", "--tol", "1e-20"]) == 1
         assert "FAIL" in capsys.readouterr().out
@@ -395,6 +414,8 @@ class TestVerify:
             (["--kind", "n", "--b", "1.5"], "E(b)/K(b) must be real for this locus, got -0.0754768+0.51214j"),
             (["--kind", "f", "--b", "1.5"], "k must be real for this locus, got 0+1.11803j"),
             (["--kind", "z-restricted", "--b", "-0.25"], "E(k)/K(k) must be real for this locus, got 0.184315+0.174158j"),
+            # the kinds whose clouds read delta bits need an amplitude; K takes sinphi 2 (below)
+            (["--kind", "z-restricted", "--sinphi", "2"], "sinphi must lie in (0, 1]"),
         ],
     )
     def test_rejects_inputs_without_a_real_locus(self, args, message, capsys):
@@ -495,6 +516,28 @@ def test_console_main_exit_code(argv, code, monkeypatch, capsys):
     assert err.value.code == code
 
 
+def _fresh_env() -> dict[str, str]:
+    """The environment of a new interpreter that imports this package."""
+    return {**os.environ, "PYTHONPATH": str(Path(multiagm.__file__).resolve().parents[1])}
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # about 800 kB of CSV, far above a pipe buffer, so a write after the reader has gone fails
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "multiagm.cli", "fill-k", "--sigma-bits", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_fresh_env(),
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+    assert lines[0].startswith(b"series,") and lines[1].startswith(b"K+,")
+
+
 def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of ``main(argv)`` in this process."""
     try:
@@ -507,7 +550,7 @@ def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
 
 def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of the same command in a new interpreter."""
-    env = {**os.environ, "PYTHONPATH": str(Path(multiagm.__file__).resolve().parents[1])}
+    env = _fresh_env()
     done = subprocess.run(
         [sys.executable, "-m", "multiagm.cli", *argv], capture_output=True, text=True, env=env, timeout=60, check=False
     )

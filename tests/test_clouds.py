@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from multiagm import CloudRequest, QuartetParams, SignSchedule, complete_from_complement, enumerate_cloud
 from multiagm.clouds import CLOUD_KINDS, DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _mark_duplicates
+from multiagm.roots import principal_sqrt
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -48,6 +49,18 @@ class TestRequestValidation:
             CloudRequest(kind=kind, params=params(), **{name: 1})
         # zero of an unread bit is the default, and allowed
         CloudRequest(kind=kind, params=params(), **{name: 0})
+
+
+@pytest.mark.parametrize("kind", CLOUD_KINDS)
+@pytest.mark.parametrize("b", [0.25, 0.7, -0.25, 1.5, 0.3 + 0.4j])
+def test_complement_alone_gives_the_cloud_of_its_modulus(kind, b):
+    # a given complement is all the engine reads: k may be None
+    bits = dict.fromkeys(KIND_BITS[kind], 2)
+    by_pair = QuartetParams(k=principal_sqrt((1 - b) * (1 + b)), sinphi=0.8, complement=b)
+    clouds = [
+        enumerate_cloud(CloudRequest(kind=kind, params=replace(by_pair, k=k), **bits)) for k in (by_pair.k, None)
+    ]
+    assert repr(clouds[1]) == repr(clouds[0])
 
 
 @given(kind=st.sampled_from(CLOUD_KINDS), data=st.data())

@@ -104,6 +104,9 @@ class TestRunQuartet:
             QuartetParams(k=0.5, sinphi=1, max_iter=0)
         with pytest.raises(ValueError, match="max_iter"):
             QuartetParams(k=0.5, sinphi=1, max_iter=MAX_ITER_LIMIT + 1)
+        # without a complement the modulus is needed
+        with pytest.raises(ValueError, match="^give the modulus k or its complement$"):
+            QuartetParams(k=None, sinphi=0.5)
 
     def test_longest_run_keeps_finite_series(self):
         trace = run_quartet(params(sinphi=0.8, max_iter=MAX_ITER_LIMIT), SignSchedule(0b101, 0b11, 0b110))
