@@ -176,9 +176,10 @@ def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[Multivalue
         _write_svg(args.svg, series_list, title)
 
 
-def _clouds(args: argparse.Namespace, kind: str, signbs: tuple[int, ...]) -> list[list[MultivaluePoint]]:
-    """One cloud of ``kind`` per start sign in ``signbs``."""
-    k, b = _moduli(args)
+def _clouds(
+    args: argparse.Namespace, kind: str, signbs: tuple[int, ...], k: complex | None, b: complex | None
+) -> list[list[MultivaluePoint]]:
+    """One cloud of ``kind`` per start sign in ``signbs``, at the moduli `_moduli` checked."""
     sinphi = _finite("sinphi", args.sinphi)
     # a fill has only the bit flags its kind reads, and verify leaves the others None: both are 0
     bits = {name: getattr(args, name, None) or 0 for name in SHAPE_FLAGS if name != "sinphi"}
@@ -193,7 +194,7 @@ def _cmd_fill(kind: str, args: argparse.Namespace) -> int:
     # only fill-k offers "both", and only its labels carry the start sign
     signbs = BOTH_SIGNS if args.signb == "both" else (int(args.signb),)
     labels = [label + ("+" if signb > 0 else "-") for signb in signbs] if kind == "K" else [label]
-    _emit(args, list(zip(labels, _clouds(args, kind, signbs))), args.command)
+    _emit(args, list(zip(labels, _clouds(args, kind, signbs, *_moduli(args)))), args.command)
     return 0
 
 
@@ -215,7 +216,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         phi = math.asin(args.sinphi)
     spec = predict_locus(kind, refs, phi=phi)
 
-    points = [point for cloud in _clouds(args, cloud_kind, signbs) for point in cloud]
+    points = [point for cloud in _clouds(args, cloud_kind, signbs, k, b) for point in cloud]
     report = fit_cloud(points, spec, tol=args.tol)
 
     if args.format == "json":

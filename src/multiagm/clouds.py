@@ -27,7 +27,6 @@ from .engine import (
 
 __all__ = [
     "KIND_BITS",
-    "CLOUD_KINDS",
     "MultivaluePoint",
     "CloudRequest",
     "enumerate_cloud",
@@ -44,8 +43,6 @@ KIND_BITS = {
     "Z": ("sigma_bits", "delta_bits", "gamma_bits"),
     "Z_restricted": ("delta_bits",),
 }
-
-CLOUD_KINDS = tuple(KIND_BITS)
 
 # Two points closer than this times the cloud scale count as one value.
 DUPLICATE_RTOL = 1e-9

@@ -135,14 +135,6 @@ def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> La
     raise ValueError(f"no predicted locus for kind {kind!r}")
 
 
-def _point_value(point) -> complex:
-    return complex(getattr(point, "value", point))
-
-
-def _point_flag(point) -> bool:
-    return bool(getattr(point, "ill_conditioned", False))
-
-
 def _fit_lattice(value: complex, spec: LatticeSpec) -> tuple[int, int, int, float]:
     if not cmath.isfinite(value):
         # no lattice cell to round to
@@ -177,8 +169,8 @@ def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFA
     worst: int | None = None
     excluded_count = 0
     for i, point in enumerate(cloud):
-        value = _point_value(point)
-        excluded = _point_flag(point)
+        value = complex(getattr(point, "value", point))
+        excluded = bool(getattr(point, "ill_conditioned", False))
         if isinstance(spec, CircleSpec):
             m = n = ci = 0
             residual = abs(abs(value - spec.center) - spec.radius)

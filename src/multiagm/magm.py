@@ -15,7 +15,7 @@ from itertools import islice
 
 from .lattice import fit_cloud, predict_locus
 from .oracle import agm_series, complete_from_complement, reference_set
-from .roots import near_root, principal_sqrt
+from .roots import principal_sqrt, signed_root
 
 __all__ = [
     "MagmTriplet",
@@ -53,7 +53,8 @@ def magm_step(t: MagmTriplet, sign: int = 1) -> MagmTriplet:
     The root of ``(x-z)(y-z)`` is taken nearer to the mean of the two
     factors, matching the geometric-mean convention used everywhere else.
     """
-    y_next = t.z + sign * near_root(t.x - t.z, t.y - t.z)
+    p, r = t.x - t.z, t.y - t.z
+    y_next = t.z + sign * signed_root(p * r, p + r, tie_positive_imag=True)
     x_next = (t.x + t.y) / 2
     return MagmTriplet(x=x_next, y=y_next, z=2 * t.z - y_next)
 

@@ -128,8 +128,8 @@ def reference_set(b: complex | None = None, k: complex | None = None) -> Referen
     )
 
 
-def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float, tol: float = QUAD_TOL) -> float:
-    """Adaptive Simpson quadrature of ``f`` on [lo, hi] to absolute tolerance ``tol``."""
+def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Adaptive Simpson quadrature of ``f`` on [lo, hi] to absolute tolerance `QUAD_TOL`."""
     if lo == hi:
         return 0.0
 
@@ -149,7 +149,7 @@ def adaptive_simpson(f: Callable[[float], float], lo: float, hi: float, tol: flo
     mid = 0.5 * (lo + hi)
     f0, f1, f2 = f(lo), f(mid), f(hi)
     whole = (hi - lo) / 6.0 * (f0 + 4.0 * f1 + f2)
-    return recurse(lo, hi, f0, f1, f2, whole, tol)
+    return recurse(lo, hi, f0, f1, f2, whole, QUAD_TOL)
 
 
 def _check_incomplete_args(phi: float, k: float) -> None:

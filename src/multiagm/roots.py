@@ -16,7 +16,6 @@ import math
 __all__ = [
     "principal_sqrt",
     "signed_root",
-    "near_root",
     "pair_step",
 ]
 
@@ -53,15 +52,6 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
         if w.imag < 0.0:
             return -w
     return w
-
-
-def near_root(a: complex, g: complex) -> complex:
-    """The root of ``a*g`` nearer to the arithmetic mean ``(a+g)/2``.
-
-    Equidistant roots resolve to the one with positive imaginary part.
-    ``a*g == 0`` returns 0 (mean iteration collapse; callers flag it).
-    """
-    return signed_root(a * g, a + g, tie_positive_imag=True)
 
 
 def pair_step(s: complex, q: complex, root: complex, flip: int) -> tuple[complex, complex, complex, complex]:

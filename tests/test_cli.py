@@ -12,7 +12,7 @@ import pytest
 import multiagm
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
 from multiagm.cli import KIND_DEFAULTS, build_parser, console_main, main
-from multiagm.clouds import CLOUD_KINDS, KIND_BITS
+from multiagm.clouds import KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
 from multiagm.lattice import DEFAULT_FIT_TOL
 from multiagm.roots import principal_sqrt
@@ -151,6 +151,37 @@ def test_deep_fill_bytes(command, capsys):
     assert main(command.split()) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest()
     assert digest == DEEP_FILL_DIGESTS[command]
+
+
+# exit code and stdout SHA-256 of paths that the recorded default shapes
+# reach only shallowly: they pin bytes, not verdicts (the F fit FAILs)
+DEEP_PATH_DIGESTS = {
+    # magm_step over 256 masks, and fit_cloud on one bare value per converged mask
+    "magm-check --b 0.6 --rows 40 --mask-bits 8": (0, "f967f55317b4dcfdf6a5a5ba4fb80ba175d69795a2f414ad02a9c27c12d25ea2"),
+    "verify --kind k-both --sigma-bits 10 --max-iter 32 --format json": (
+        0,
+        "e899f55309e4f06f0c2dce90af2d9cf3d3026056287dbac1418dfb08fc586a71",
+    ),
+    # the circle fit
+    "verify --kind n --sigma-bits 9 --format json": (0, "5ac3b3a60fc336884a0953881ae4498954efbf3f4eb0d360400c5b68c2076fd3"),
+    # quad_E_inc in the locus
+    "verify --kind z-restricted --delta-bits 7 --format json": (
+        0,
+        "ac2a93b3387b7996b7aad87b58ce8c2043688a476c9bc53667c2b543f02442bb",
+    ),
+    # quad_F in the locus, and both cosets
+    "verify --kind f --sigma-bits 4 --delta-bits 6 --format json": (
+        1,
+        "832d732851a2d97143c28371cf667b882b0bb92cf025a798b4292233afd13178",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_PATH_DIGESTS))
+def test_deep_path_bytes(command, capsys):
+    code, digest = DEEP_PATH_DIGESTS[command]
+    assert main(command.split()) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
 
 
 # stdout SHA-256 of `verify --kind KIND --format json`; the report's key
@@ -333,7 +364,7 @@ class TestSignBitFlags:
         assert err.value.code == 0
         assert set(re.findall(r"--[a-z]+-bits", capsys.readouterr().out)) == self.FILL_BIT_FLAGS[command]
 
-    @pytest.mark.parametrize("kind", CLOUD_KINDS)
+    @pytest.mark.parametrize("kind", tuple(KIND_BITS))
     def test_fill_bit_defaults_are_the_bits_its_kind_reads(self, kind):
         # the table holds a default for each bit the kind reads and for no other, and the fill offers those
         defaults = KIND_DEFAULTS[kind][1]
@@ -344,7 +375,7 @@ class TestSignBitFlags:
         }
 
     def test_the_defaults_table_follows_the_cloud_kinds(self):
-        assert tuple(KIND_DEFAULTS) == CLOUD_KINDS
+        assert tuple(KIND_DEFAULTS) == tuple(KIND_BITS)
 
     def test_verify_help_lists_every_bit_flag(self, capsys):
         with pytest.raises(SystemExit) as err:

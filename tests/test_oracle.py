@@ -5,7 +5,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from multiagm import QuartetParams, complete_from_complement, landen_check, quad_E_inc, quad_F, reference_set
-from multiagm.oracle import adaptive_simpson
+from multiagm.oracle import QUAD_TOL, adaptive_simpson
 from multiagm.roots import signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -85,7 +85,7 @@ class TestRefComplete:
 
 class TestQuadrature:
     def test_simpson_sine(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-11)
+        assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=QUAD_TOL)
 
     def test_zero_amplitude(self):
         assert quad_F(0.0, 0.5) == 0.0

@@ -38,3 +38,36 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [export for export in module.__all__ if not hasattr(module, export)]
     assert not missing
+
+
+def _defined_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (target.id for target in targets if isinstance(target, ast.Name))
+
+
+def _read_names(tree: ast.Module):
+    # the strings of `__all__` are constants, so they count as no read
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_top_level_name_has_a_reader():
+    # a name that only tests read is a helper without a user; public entry points need none
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    read = {name for tree in trees.values() for name in _read_names(tree)}
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _defined_names(tree)
+        if name not in read and name not in multiagm.__all__ and not name.startswith("__")
+    ]
+    assert not unread

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiagm.engine import QuartetParams, SignSchedule, jacobi_Z, run_quartet
-from multiagm.roots import near_root, pair_step, principal_sqrt, signed_root
+from multiagm.roots import pair_step, principal_sqrt, signed_root
 
 EPS = 2.220446049250313e-16
 
@@ -44,6 +44,11 @@ class TestPrincipalSqrt:
         assert w.real >= 0
         if w.real == 0:
             assert w.imag >= 0
+
+
+def near_root(a, g):
+    """The root of ``a*g`` nearer to the mean ``(a+g)/2``, spelled as the mean loops and `magm_step` take it."""
+    return signed_root(a * g, a + g, tie_positive_imag=True)
 
 
 class TestNearRoot:
