@@ -21,7 +21,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from .clouds import KIND_BITS, CloudRequest, MultivaluePoint, enumerate_cloud
+from .clouds import KIND_BITS, Cloud, CloudRequest, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
 from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
 from .magm import magm_equivalence, magm_negative_experiment
@@ -88,7 +88,7 @@ def _moduli(args: argparse.Namespace) -> tuple[complex | None, complex | None]:
     return None, complex(_finite("b", args.b))
 
 
-def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[tuple]:
+def _series_rows(series_list: list[tuple[str, Cloud]]) -> list[tuple]:
     rows = []
     offset = 0
     for label, points in series_list:
@@ -101,13 +101,13 @@ def _series_rows(series_list: list[tuple[str, list[MultivaluePoint]]]) -> list[t
     return rows
 
 
-def _write_csv(stream, series_list: list[tuple[str, list[MultivaluePoint]]]) -> None:
+def _write_csv(stream, series_list: list[tuple[str, Cloud]]) -> None:
     stream.write(",".join(CSV_HEADER) + "\n")
     for row in _series_rows(series_list):
         stream.write(",".join(row) + "\n")
 
 
-def _write_json(stream, series_list: list[tuple[str, list[MultivaluePoint]]]) -> None:
+def _write_json(stream, series_list: list[tuple[str, Cloud]]) -> None:
     records = [dict(zip(CSV_HEADER, row)) for row in _series_rows(series_list)]
     json.dump(records, stream, indent=2)
     stream.write("\n")
@@ -124,7 +124,7 @@ def _strict_json(obj):
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
-def _write_svg(path: str, series_list: list[tuple[str, list[MultivaluePoint]]], title: str) -> None:
+def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> None:
     pts = []
     for si, (_, points) in enumerate(series_list):
         for point in points:
@@ -165,7 +165,7 @@ def _write_svg(path: str, series_list: list[tuple[str, list[MultivaluePoint]]], 
         handle.write("\n".join(parts) + "\n")
 
 
-def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[MultivaluePoint]]], title: str) -> None:
+def _emit(args: argparse.Namespace, series_list: list[tuple[str, Cloud]], title: str) -> None:
     write = _write_csv if args.format == "csv" else _write_json
     if args.out == "-":
         write(sys.stdout, series_list)
@@ -178,7 +178,7 @@ def _emit(args: argparse.Namespace, series_list: list[tuple[str, list[Multivalue
 
 def _clouds(
     args: argparse.Namespace, kind: str, signbs: tuple[int, ...], k: complex | None, b: complex | None
-) -> list[list[MultivaluePoint]]:
+) -> list[Cloud]:
     """One cloud of ``kind`` per start sign in ``signbs``, at the moduli `_moduli` checked."""
     sinphi = _finite("sinphi", args.sinphi)
     # a fill has only the bit flags its kind reads, and verify leaves the others None: both are 0

@@ -3,15 +3,16 @@
 One cloud fixes the recursion parameters and sweeps the free sign bits its
 function reads in descending mask order, evaluating the function for every
 schedule.  Near-coincident values are cross-referenced instead of
-dropped, and each point is built once, with its link.
+dropped.  A cloud keeps its values, flags and links as columns by
+position, and builds a point only when one is read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 
 from .engine import (
     QuartetParams,
@@ -29,6 +30,7 @@ __all__ = [
     "KIND_BITS",
     "MultivaluePoint",
     "CloudRequest",
+    "Cloud",
     "enumerate_cloud",
     "DUPLICATE_RTOL",
 ]
@@ -93,6 +95,55 @@ class CloudRequest:
                 raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
 
 
+@dataclass(frozen=True, slots=True, repr=False, eq=False)
+class Cloud(Sequence):
+    """The points of one cloud, kept as columns by position.
+
+    ``values``, ``flags`` and ``links`` hold each position's value,
+    ``ill_conditioned`` and ``duplicate_of``.  Position ``i`` carries the
+    schedule that `enumerate_cloud` gives it, decoded from ``last - i``
+    and the bit counts.  Indexing, slicing and iteration build
+    `MultivaluePoint` objects on access; ``repr`` is that of the list of
+    points, and ``+`` joins the points into a list.
+    """
+
+    kind: str
+    signb: int
+    delta_bits: int
+    gamma_bits: int
+    values: tuple[complex, ...]
+    flags: tuple[bool, ...]
+    links: tuple[int | None, ...]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __getitem__(self, index):
+        positions = range(len(self.values))[index]
+        if isinstance(index, slice):
+            return list(map(self._point, positions))
+        return self._point(positions)
+
+    def __iter__(self):
+        return map(self._point, range(len(self.values)))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+    def __add__(self, other) -> list[MultivaluePoint]:
+        return list(self) + list(other)
+
+    def _point(self, i: int) -> MultivaluePoint:
+        number = len(self.values) - 1 - i
+        gamma = number & ((1 << self.gamma_bits) - 1)
+        number >>= self.gamma_bits
+        delta = number & ((1 << self.delta_bits) - 1)
+        if self.kind == "Z_restricted":
+            gamma = delta << 1
+        schedule = SignSchedule(number >> self.delta_bits, delta, gamma)
+        return MultivaluePoint(self.values[i], schedule, self.signb, self.flags[i], self.links[i])
+
+
 def _extract(kind: str, trace: QuartetTrace) -> complex:
     if kind == "K":
         return complete_K(trace)
@@ -141,7 +192,7 @@ def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | Non
     return links
 
 
-def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
+def enumerate_cloud(req: CloudRequest) -> Cloud:
     """Evaluate the requested function over every schedule of the bits its kind reads.
 
     Position ``i`` holds the schedule whose masks, read as one number with
@@ -153,7 +204,8 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     `sweep_quartet`, one per sigma and delta mask.  Each trace gives one
     point, except on Z, whose gamma bits only sign the Zeta terms:
     `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
-    unconverged traces yield flagged points, never omissions.
+    unconverged traces yield flagged points, never omissions.  The sweep
+    writes only the value and flag columns; no schedule or point is built.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
@@ -164,15 +216,12 @@ def enumerate_cloud(req: CloudRequest) -> list[MultivaluePoint]:
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values: list = [None] * (last + 1)
     flags: list = [None] * (last + 1)
-    schedules: list = [None] * (last + 1)
     for sigma, delta, trace, terms in traces:
         value = None if zeta else _extract(kind, trace)
         flag = trace.ill_conditioned or not trace.converged
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
         for gamma in range(2**gamma_bits):
-            schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
-            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else value
+            values[head - gamma] = zeta_sum(terms, delta << 1 if kind == "Z_restricted" else gamma) if zeta else value
             flags[head - gamma] = flag
-            schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
-    return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
+    return Cloud(kind, req.params.signb, delta_bits, gamma_bits, tuple(values), tuple(flags), tuple(links))

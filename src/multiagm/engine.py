@@ -170,8 +170,9 @@ def sweep_sigma(
     Yields ``(mask, trace)`` once per mask, in no particular order.  The
     sweep is depth first over the binary tree of sigma prefixes: at every
     node and iteration it takes the one mean root, and below ``sigma_bits``
-    it steps the pair both ways from that root, keeps the flipped child for
-    later and goes on with the other.  Higher bits come from ``sigma_mask``.
+    it steps the pair once from that root, keeps the flipped child for
+    later and goes on with the other.  Higher bits come from ``sigma_mask``,
+    which must leave the free bits clear.
     Past its last flip a node stops once a step leaves a finite ``(a, g,
     s_ag, d_ag)`` bit for bit as it was, with ``d_ag == 0``: every later
     step would repeat it and add a signed zero to ``s_sum``.  Each trace is
@@ -185,6 +186,9 @@ def sweep_sigma(
     max_iter = params.max_iter
     if not 0 <= sigma_bits <= max_iter:
         raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
+    if sigma_mask >> sigma_bits << sigma_bits != sigma_mask:
+        # a fixed bit among the free ones would give two masks twice and two never
+        raise ValueError(f"sigma_mask {sigma_mask:#b} sets bits below sigma_bits={sigma_bits}")
     isfinite = cmath.isfinite
     nan = complex(math.nan, math.nan)
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
@@ -206,16 +210,14 @@ def sweep_sigma(
             q = d_ag * d_ag / 4
             if path:
                 path[n] = (a, g, s_ag, d_ag, near, q)
-            if n < sigma_bits:
-                fa, fg, fs, fd = pair_step(s_ag, q, near, 1)
-                stack.append(
-                    (n + 1, mask | 1 << n, fa, fg, fs, fd, s_sum, collapsed, finite and isfinite(fa) and isfinite(fg))
-                )
             # marshal writes the bytes of each double, so unlike == it tells signed zeros apart
             before = None if d_ag or n < stop_from or not finite else dumps((a, g, s_ag, d_ag), 2)
             a, g, s_ag, d_ag = pair_step(s_ag, q, near, mask >> n & 1)
             if finite:
                 finite = isfinite(a) and isfinite(g)
+            if n < sigma_bits:
+                # bit n is clear here, and the flipped step swaps sum and difference and negates g
+                stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed, finite))
             if before and before == dumps((a, g, s_ag, d_ag), 2):
                 if path:
                     path[n + 1 : max_iter] = [path[n]] * (max_iter - 1 - n)
@@ -234,13 +236,14 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
     """Step the amplitude pair ``(u, v)`` along one sigma mask's ``path`` for every free delta prefix.
 
     ``mean`` is that mask's trace.  Depth first over the tree of delta
-    prefixes as `sweep_sigma` walks sigma, higher bits from ``delta_mask``:
-    one forward root per node and iteration, and with ``zeta`` a Zeta root,
-    from which the iteration's term ``2**n * d_uv * zr / u`` is finished at
-    once.  A node stops as a mean node does, on ``(u, s_uv)``, once the path
-    is fixed.  Yields ``(delta_mask, trace, terms)`` per leaf, ``terms``
-    ``()`` without ``zeta``; ``uv_rows``, with no free bits only, collects
-    ``(u, v)`` per row.
+    prefixes as `sweep_sigma` walks sigma, higher bits from ``delta_mask``,
+    whose free bits are clear: one forward root per node and iteration, and
+    with ``zeta`` a Zeta root, from which the iteration's term
+    ``2**n * d_uv * zr / u`` is finished at once.  A node stops as a mean
+    node does, on ``(u, s_uv)``, once the path is fixed.  Yields
+    ``(delta_mask, trace, terms)`` per leaf, ``terms`` ``()`` without
+    ``zeta``; ``uv_rows``, with no free bits only, collects ``(u, v)`` per
+    row.
     """
     isfinite = cmath.isfinite
     nan = complex(math.nan, math.nan)
@@ -276,15 +279,15 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
             if finite:
                 # both children step to (s_uv / 2, +-w)
                 finite = isfinite(s_uv) and isfinite(w)
-            if n < delta_bits:
-                fu, _, fs, fd = pair_step(s_uv, q, w, 1)
-                stack.append(
-                    (n + 1, mask | 1 << n, fu, fs, fd, degenerate, finite, None if terms is None else terms[:])
-                )
             # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed
             # zero, or NaN as this step's term already is if the Zeta root is not finite
             before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
             u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
+            if n < delta_bits:
+                # as in `sweep_sigma`: bit n is clear, and the flipped child swaps sum and difference
+                stack.append(
+                    (n + 1, mask | 1 << n, u, d_uv, s_uv, degenerate, finite, None if terms is None else terms[:])
+                )
             if uv_rows is not None:
                 uv_rows.append((u, v))
             if before and before == dumps((u, s_uv), 2):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
+from .clouds import Cloud
 from .oracle import ReferenceSet, quad_E_inc, quad_F
 
 __all__ = [
@@ -135,50 +136,63 @@ def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> La
     raise ValueError(f"no predicted locus for kind {kind!r}")
 
 
-def _fit_lattice(value: complex, spec: LatticeSpec) -> tuple[int, int, int, float]:
-    if not cmath.isfinite(value):
-        # no lattice cell to round to
-        return 0, 0, 0, math.inf
-    best: tuple[int, int, int, float] | None = None
-    for ci, coset in enumerate(spec.cosets):
-        d = value - spec.origin - coset
-        if spec.gen2 == 0:
-            m = round((d / spec.gen1).real)
-            n = 0
-        else:
-            det = spec.gen1.real * spec.gen2.imag - spec.gen2.real * spec.gen1.imag
-            m = round((d.real * spec.gen2.imag - spec.gen2.real * d.imag) / det)
-            n = round((spec.gen1.real * d.imag - d.real * spec.gen1.imag) / det)
-        residual = abs(d - m * spec.gen1 - n * spec.gen2)
-        if best is None or residual < best[3]:
-            best = (m, n, ci, residual)
-    assert best is not None
-    return best
+def _locus_fit(spec: LatticeSpec | CircleSpec) -> Callable[[complex], tuple[int, int, int, float]]:
+    """The fit of one value to ``spec``, ``(m, n, coset, residual)``, chosen once per cloud."""
+    if isinstance(spec, CircleSpec):
+        center, radius = spec.center, spec.radius
+        return lambda value: (0, 0, 0, abs(abs(value - center) - radius))
+    origin, gen1, gen2 = spec.origin, spec.gen1, spec.gen2
+    cosets = tuple(enumerate(spec.cosets))
+    det = gen1.real * gen2.imag - gen2.real * gen1.imag
+
+    def fit(value: complex) -> tuple[int, int, int, float]:
+        if not cmath.isfinite(value):
+            # no lattice cell to round to
+            return 0, 0, 0, math.inf
+        best: tuple[int, int, int, float] | None = None
+        for ci, coset in cosets:
+            d = value - origin - coset
+            if gen2 == 0:
+                m = round((d / gen1).real)
+                n = 0
+            else:
+                m = round((d.real * gen2.imag - gen2.real * d.imag) / det)
+                n = round((gen1.real * d.imag - d.real * gen1.imag) / det)
+            residual = abs(d - m * gen1 - n * gen2)
+            if best is None or residual < best[3]:
+                best = (m, n, ci, residual)
+        assert best is not None
+        return best
+
+    return fit
 
 
 def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFAULT_FIT_TOL) -> FitReport:
     """Assign every cloud point to the locus and report residuals.
 
-    Accepts `MultivaluePoint` instances or bare complex values.  Flagged
+    Accepts a `Cloud`, whose columns are read as they are, or a sequence
+    of `MultivaluePoint` instances or bare complex values.  Flagged
     (ill-conditioned) points are listed but excluded from the maximum and
     from the pass verdict; non-finite residuals count as infinite.  A cloud
     with no unexcluded point does not pass.
     """
+    if isinstance(cloud, Cloud):
+        values, flags = cloud.values, cloud.flags
+    else:
+        values, flags = [], []
+        for point in cloud:
+            values.append(complex(getattr(point, "value", point)))
+            flags.append(bool(getattr(point, "ill_conditioned", False)))
+    fit = _locus_fit(spec)
     fits: list[PointFit] = []
     max_residual = 0.0
     worst: int | None = None
     excluded_count = 0
-    for i, point in enumerate(cloud):
-        value = complex(getattr(point, "value", point))
-        excluded = bool(getattr(point, "ill_conditioned", False))
-        if isinstance(spec, CircleSpec):
-            m = n = ci = 0
-            residual = abs(abs(value - spec.center) - spec.radius)
-        else:
-            m, n, ci, residual = _fit_lattice(value, spec)
+    for i, (value, excluded) in enumerate(zip(values, flags)):
+        m, n, ci, residual = fit(value)
         if not math.isfinite(residual):
             residual = math.inf
-        fits.append(PointFit(index=i, m=m, n=n, coset=ci, residual=residual, excluded=excluded))
+        fits.append(PointFit(i, m, n, ci, residual, excluded))
         if excluded:
             excluded_count += 1
         elif worst is None or residual > max_residual:

@@ -143,6 +143,8 @@ DEEP_FILL_DIGESTS = {
     "fill-k --sigma-bits 12 --signb both --max-iter 48": "48295aa9cfcdbf9d01f79f0a435a7d44534cfed30fa4365ffc6c6406791c277e",
     "fill-e --sigma-bits 11 --max-iter 40": "142e5647a1aa6afdd33ad1cb406c766c6371e7ee841e83bd3ed640e01bf40a19",
     "fill-f --sigma-bits 4 --delta-bits 6 --max-iter 40": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
+    # recorded before a cloud kept its points as columns and built each one on access
+    "fill-k --sigma-bits 14 --signb both": "a71361fdc5cd0532d8b4c8316f477a28909d0b543ab1ac90ffdb831b6a848b70",
 }
 
 

@@ -1,14 +1,28 @@
 import cmath
 import math
 import random
-from dataclasses import fields, replace
+from collections.abc import Sequence
+from dataclasses import FrozenInstanceError, asdict, fields, replace
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiagm import CloudRequest, QuartetParams, SignSchedule, complete_from_complement, enumerate_cloud
-from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _mark_duplicates
+from multiagm import (
+    CircleSpec,
+    CloudRequest,
+    QuartetParams,
+    SignSchedule,
+    clouds,
+    complete_from_complement,
+    enumerate_cloud,
+    fit_cloud,
+    lattice,
+)
+from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _extract, _mark_duplicates
+from multiagm.engine import sweep_quartet, sweep_sigma, zeta_sum
+from multiagm.lattice import LatticeSpec
 from multiagm.roots import principal_sqrt
 
 K_SQRT09375 = math.sqrt(0.9375)
@@ -80,6 +94,86 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
         else:
             assert (sched.sigma_mask << delta_bits | sched.delta_mask) << gamma_bits | sched.gamma_mask == last - i
     assert cloud[-1].schedule == SignSchedule()
+
+
+def points_one_by_one(req):
+    """The cloud's points, each built with its schedule as the sweep yields its trace."""
+    kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
+    zeta = kind in ("Z", "Z_restricted")
+    if "delta_bits" in KIND_BITS[kind]:
+        traces = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
+    else:
+        traces = ((sigma, 0, trace, None) for sigma, trace in sweep_sigma(req.params, req.sigma_bits))
+    last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
+    values, flags, schedules = [None] * (last + 1), [None] * (last + 1), [None] * (last + 1)
+    for sigma, delta, trace, terms in traces:
+        head = last - ((sigma << delta_bits | delta) << gamma_bits)
+        for gamma in range(2**gamma_bits):
+            schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
+            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else _extract(kind, trace)
+            flags[head - gamma] = trace.ill_conditioned or not trace.converged
+            schedules[head - gamma] = schedule
+    links = _mark_duplicates(values, flags)
+    return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
+
+
+@given(kind=st.sampled_from(tuple(KIND_BITS)), signb=st.sampled_from((1, -1)), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_cloud_reads_as_its_points(kind, signb, data):
+    bits = {name: data.draw(st.integers(0, 3), label=name) for name in KIND_BITS[kind]}
+    req = CloudRequest(kind=kind, params=params(sinphi=0.8, signb=signb), **bits)
+    cloud = enumerate_cloud(req)
+    expected = points_one_by_one(req)
+    assert isinstance(cloud, Sequence)
+    assert repr(list(cloud)) == repr(expected) == repr(cloud)
+    n = len(cloud)
+    assert n == len(expected) == len(cloud.values) == len(cloud.flags) == len(cloud.links)
+    assert repr(cloud[-1]) == repr(expected[-1]) and cloud[-1].schedule == SignSchedule()
+    assert repr(cloud[-n]) == repr(expected[0])
+    for piece in (slice(None), slice(1, 3), slice(None, None, -1), slice(-2, None), slice(n, None), slice(0, n, 3)):
+        assert repr(cloud[piece]) == repr(expected[piece])
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            cloud[index]
+    assert repr(cloud + cloud) == repr(cloud + expected) == repr(expected + expected)
+    for spec in (LatticeSpec(origin=0.5j, gen1=1.0, gen2=0.5 + 1j, cosets=(0j, 0.25)), CircleSpec(x1=-1.0, x2=2.0)):
+        assert asdict(fit_cloud(cloud, spec)) == asdict(fit_cloud(list(cloud), spec))
+
+
+def test_cloud_is_read_only():
+    cloud = k_cloud(sigma_bits=2)
+    with pytest.raises(TypeError):
+        cloud[0] = cloud[1]
+    with pytest.raises(FrozenInstanceError):
+        cloud.values = ()
+    assert isinstance(cloud.values, tuple) and isinstance(cloud.flags, tuple) and isinstance(cloud.links, tuple)
+
+
+def counting_builds(monkeypatch, module, name):
+    """Count the objects built through a module global by replacing it with a counting factory."""
+    built = []
+    cls = getattr(module, name)
+
+    def build(*args, **kwargs):
+        built.append(None)
+        return cls(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, build)
+    return built
+
+
+def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
+    # a cloud is columns: only the fit builds one object per point
+    points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
+    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
+    fits = counting_builds(monkeypatch, lattice, "PointFit")
+    cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=10))
+    report = fit_cloud(cloud, LatticeSpec(origin=1.0, gen1=4.0, gen2=4j))
+    assert (len(points), len(schedules), len(fits)) == (0, 0, 1024)
+    assert len(report.points) == len(cloud) == 1024
+    # reading a point builds it and its schedule, and only then
+    assert cloud[-1].schedule.sigma_mask == 0
+    assert (len(points), len(schedules)) == (1, 1)
 
 
 def restricted_schedules(delta_bits):

@@ -33,7 +33,7 @@ from multiagm.engine import (
     sweep_sigma,
     zeta_sum,
 )
-from multiagm.roots import principal_sqrt, signed_root
+from multiagm.roots import pair_step, principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -428,6 +428,14 @@ def test_sweep_sigma_edge_cases(start, max_iter):
         next(sweep_sigma(p, -1))
 
 
+def test_sweep_sigma_rejects_fixed_bits_among_the_free_ones():
+    # a fixed bit 0 under 2 free bits would yield masks 1, 1, 3, 3 and never 0 or 2
+    for sigma_mask in (1, 0b10, 0b111):
+        with pytest.raises(ValueError, match="sigma_mask .* sets bits below sigma_bits=2"):
+            next(sweep_sigma(params(), 2, sigma_mask=sigma_mask))
+    assert sorted(mask for mask, _ in sweep_sigma(params(), 2, sigma_mask=0b100)) == [4, 5, 6, 7]
+
+
 def test_mean_pair_trace_gives_no_amplitude_value():
     ((_, trace),) = sweep_sigma(params(sinphi=0.8), 0)
     assert trace.converged and not trace.ill_conditioned
@@ -518,6 +526,26 @@ def test_cloud_steps_each_shared_prefix_once(monkeypatch):
     # mean roots and 2 * 10 amplitude roots instead of 3 * 20
     run_quartet(params())
     assert (calls.count(True), calls.count(False)) == (10, 2 * 10)
+
+
+def test_k_cloud_steps_each_node_once(monkeypatch):
+    # the flipped child is the unflipped step with sum and difference swapped
+    # and g negated, so each mean root is followed by exactly one pair step
+    calls = counting_roots(monkeypatch)
+    steps = []
+
+    def counting_step(*args):
+        steps.append(args[3])
+        return pair_step(*args)
+
+    monkeypatch.setattr(engine, "pair_step", counting_step)
+    for max_iter, roots in ((20, 36530), (32, 49570)):
+        calls.clear()
+        steps.clear()
+        enumerate_cloud(CloudRequest("K", params(max_iter=max_iter), sigma_bits=12))
+        assert len(steps) == len(calls) == roots
+        # every step of a sweep with no fixed bits goes the unflipped way
+        assert not any(steps)
 
 
 def test_zeta_cloud_roots_do_not_depend_on_gamma_bits(monkeypatch):
