@@ -14,6 +14,7 @@ modulus or its complement reaches the engine and the oracle as given.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -24,7 +25,7 @@ from dataclasses import asdict
 from .clouds import KIND_BITS, Cloud, CloudRequest, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
 from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
-from .magm import magm_equivalence, magm_negative_experiment
+from .magm import DEFAULT_ROWS, magm_equivalence, magm_negative_experiment
 from .oracle import landen_check, reference_set
 
 __all__ = ["main", "console_main"]
@@ -95,7 +96,7 @@ def _series_rows(series_list: list[tuple[str, Cloud]]) -> list[tuple]:
         for point in points:
             sched, value = point.schedule, point.value
             dup = "" if point.duplicate_of is None else str(point.duplicate_of + offset)
-            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask, point.signb, point.generation))
+            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask, point.signb, sched.generation()))
             rows.append((label, *ints, _fmt(value.real), _fmt(value.imag), str(int(point.ill_conditioned)), dup))
         offset += len(points)
     return rows
@@ -130,7 +131,7 @@ def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> N
         for point in points:
             v = point.value
             if math.isfinite(v.real) and math.isfinite(v.imag):
-                pts.append((v.real, v.imag, si, point.generation))
+                pts.append((v.real, v.imag, si, point.schedule.generation()))
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     # with no finite value the frame stays and no point is drawn
@@ -167,13 +168,12 @@ def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> N
 
 def _emit(args: argparse.Namespace, series_list: list[tuple[str, Cloud]], title: str) -> None:
     write = _write_csv if args.format == "csv" else _write_json
-    if args.out == "-":
-        write(sys.stdout, series_list)
-    else:
-        with open(args.out, "w", encoding="ascii", newline="") as stream:
-            write(stream, series_list)
-    if args.svg:
-        _write_svg(args.svg, series_list, title)
+    out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="ascii", newline="")
+    # the output is opened and the SVG drawn before the first row, so that a path that cannot be written leaves none
+    with out as stream:
+        if args.svg:
+            _write_svg(args.svg, series_list, title)
+        write(stream, series_list)
 
 
 def _clouds(
@@ -216,8 +216,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         phi = math.asin(args.sinphi)
     spec = predict_locus(kind, refs, phi=phi)
 
-    points = [point for cloud in _clouds(args, cloud_kind, signbs, k, b) for point in cloud]
-    report = fit_cloud(points, spec, tol=args.tol)
+    clouds = _clouds(args, cloud_kind, signbs, k, b)
+    # one cloud is fitted by its columns; k-both's two join into one list of points
+    cloud = clouds[0] + clouds[1] if kind == "K_both" else clouds[0]
+    report = fit_cloud(cloud, spec, tol=args.tol)
 
     if args.format == "json":
         payload = asdict(report)
@@ -233,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  gen2 {spec.gen2:.12g}")
             if len(spec.cosets) > 1:
                 print(f"  cosets {[format(c, '.12g') for c in spec.cosets]}")
-        for pf, point in zip(report.points, points):
+        for pf, point in zip(report.points, cloud):
             sched = point.schedule
             tag = " excluded" if pf.excluded else ""
             print(
@@ -355,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("magm-check", help="triplet-iteration equivalence and sign experiments")
     sub.add_argument("--b", type=float, default=DEFAULT_B, help=f"complementary modulus (default {DEFAULT_B})")
-    sub.add_argument("--rows", type=int, default=20)
+    sub.add_argument("--rows", type=int, default=DEFAULT_ROWS)
     sub.add_argument("--mask-bits", type=int, default=4)
     sub.set_defaults(run=_cmd_magm_check)
 

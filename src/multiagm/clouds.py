@@ -65,11 +65,6 @@ class MultivaluePoint:
     ill_conditioned: bool
     duplicate_of: int | None = None
 
-    @property
-    def generation(self) -> int:
-        """The schedule's generation: the schedule fixes it, so no field stores it."""
-        return self.schedule.generation()
-
 
 @dataclass(frozen=True)
 class CloudRequest:
@@ -97,20 +92,17 @@ class CloudRequest:
 
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Cloud(Sequence):
-    """The points of one cloud, kept as columns by position.
+    """The points of one cloud, kept as columns by position beside the request that made them.
 
     ``values``, ``flags`` and ``links`` hold each position's value,
     ``ill_conditioned`` and ``duplicate_of``.  Position ``i`` carries the
     schedule that `enumerate_cloud` gives it, decoded from ``last - i``
-    and the bit counts.  Indexing, slicing and iteration build
+    and the request's bit counts.  Indexing, slicing and iteration build
     `MultivaluePoint` objects on access; ``repr`` is that of the list of
     points, and ``+`` joins the points into a list.
     """
 
-    kind: str
-    signb: int
-    delta_bits: int
-    gamma_bits: int
+    request: CloudRequest
     values: tuple[complex, ...]
     flags: tuple[bool, ...]
     links: tuple[int | None, ...]
@@ -134,14 +126,15 @@ class Cloud(Sequence):
         return list(self) + list(other)
 
     def _point(self, i: int) -> MultivaluePoint:
+        req = self.request
         number = len(self.values) - 1 - i
-        gamma = number & ((1 << self.gamma_bits) - 1)
-        number >>= self.gamma_bits
-        delta = number & ((1 << self.delta_bits) - 1)
-        if self.kind == "Z_restricted":
+        gamma = number & ((1 << req.gamma_bits) - 1)
+        number >>= req.gamma_bits
+        delta = number & ((1 << req.delta_bits) - 1)
+        if req.kind == "Z_restricted":
             gamma = delta << 1
-        schedule = SignSchedule(number >> self.delta_bits, delta, gamma)
-        return MultivaluePoint(self.values[i], schedule, self.signb, self.flags[i], self.links[i])
+        schedule = SignSchedule(number >> req.delta_bits, delta, gamma)
+        return MultivaluePoint(self.values[i], schedule, req.params.signb, self.flags[i], self.links[i])
 
 
 def _extract(kind: str, trace: QuartetTrace) -> complex:
@@ -224,4 +217,4 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
             values[head - gamma] = zeta_sum(terms, delta << 1 if kind == "Z_restricted" else gamma) if zeta else value
             flags[head - gamma] = flag
     links = _mark_duplicates(values, flags)
-    return Cloud(kind, req.params.signb, delta_bits, gamma_bits, tuple(values), tuple(flags), tuple(links))
+    return Cloud(req, tuple(values), tuple(flags), tuple(links))

@@ -33,7 +33,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from marshal import dumps
 
-from .roots import pair_step, principal_sqrt, signed_root
+from .roots import complement, pair_step, principal_sqrt, signed_root
 
 __all__ = [
     "SignSchedule",
@@ -124,7 +124,7 @@ class QuartetParams:
     def complement_value(self) -> complex:
         if self.complement is not None:
             return complex(self.complement)
-        return principal_sqrt((1 - complex(self.k)) * (1 + complex(self.k)))
+        return complement(complex(self.k))
 
     def k_squared(self) -> complex:
         if self.complement is not None:

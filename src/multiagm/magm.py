@@ -27,7 +27,11 @@ __all__ = [
     "magm_equivalence",
     "MagmOutcome",
     "magm_negative_experiment",
+    "DEFAULT_ROWS",
 ]
+
+# The row count of an equivalence check or a sign experiment when none is given.
+DEFAULT_ROWS = 20
 
 # The shifted pair of `magm_rows_plus` grows as 2**rows; its
 # (sqrt(p) + sqrt(r))**2 < 2**(rows + 1) stays below the float range
@@ -110,14 +114,12 @@ def gauss_series_rows(b: float, rows: int) -> list[complex]:
 
 @dataclass(frozen=True)
 class MagmEquivalence:
-    b: float
-    rows: int
     max_row_deviation: float
     limit: complex
     limit_deviation: float
 
 
-def magm_equivalence(b: float, rows: int = 20) -> MagmEquivalence:
+def magm_equivalence(b: float, rows: int = DEFAULT_ROWS) -> MagmEquivalence:
     """Row-by-row deviation |x_n - (1 - S_n)| plus the limit error against E/K."""
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
@@ -128,28 +130,19 @@ def magm_equivalence(b: float, rows: int = 20) -> MagmEquivalence:
     max_dev = max(abs(triplets[n].x - partials[n]) for n in range(rows + 1))
     K_k, E_k = complete_from_complement(b)
     limit = triplets[-1].x
-    return MagmEquivalence(
-        b=b,
-        rows=rows,
-        max_row_deviation=max_dev,
-        limit=limit,
-        limit_deviation=abs(limit - E_k / K_k),
-    )
+    return MagmEquivalence(max_row_deviation=max_dev, limit=limit, limit_deviation=abs(limit - E_k / K_k))
 
 
 @dataclass(frozen=True)
 class MagmOutcome:
     """Recorded result of one signed run: no claims, just what happened."""
 
-    b: float
-    sign_mask: int
-    rows: int
     converged: bool
     limit: complex | None
     lattice_distance: float | None
 
 
-def magm_negative_experiment(b: float, sign_mask: int, rows: int = 20) -> MagmOutcome:
+def magm_negative_experiment(b: float, sign_mask: int, rows: int = DEFAULT_ROWS) -> MagmOutcome:
     """Run the signed triplet iteration and record convergence behaviour.
 
     If the iteration converges, the limit is scaled by K(k) and its
@@ -166,8 +159,8 @@ def magm_negative_experiment(b: float, sign_mask: int, rows: int = 20) -> MagmOu
     gap = abs(last.x - last.y)
     converged = bool(finite and gap <= _EXPERIMENT_CONV_TOL * max(1.0, abs(last.x)))
     if not converged:
-        return MagmOutcome(b, sign_mask, rows, False, None, None)
+        return MagmOutcome(False, None, None)
     refs = reference_set(b=b)
     spec = predict_locus("E", refs)
     report = fit_cloud([last.x * refs.K_k], spec, tol=math.inf)
-    return MagmOutcome(b, sign_mask, rows, True, last.x, report.points[0].residual)
+    return MagmOutcome(True, last.x, report.points[0].residual)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import count, islice
 from typing import Callable, Iterator
 
-from .roots import pair_step, principal_sqrt, signed_root
+from .roots import complement, pair_step, signed_root
 
 __all__ = [
     "ReferenceSet",
@@ -104,10 +104,10 @@ def reference_set(b: complex | None = None, k: complex | None = None) -> Referen
         raise ValueError("give exactly one of b or k")
     if b is None:
         k = complex(k)
-        b = principal_sqrt((1 - k) * (1 + k))
+        b = complement(k)
     else:
         b = complex(b)
-        k = principal_sqrt((1 - b) * (1 + b))
+        k = complement(b)
     if b == 0 or k == 0:
         integral = "K(k)" if b == 0 else "K(b)"
         raise ValueError(f"logarithmic singularity: {integral} is infinite at b = {b:.17g}, k = {k:.17g}")

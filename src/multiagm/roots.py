@@ -17,6 +17,7 @@ __all__ = [
     "principal_sqrt",
     "signed_root",
     "pair_step",
+    "complement",
 ]
 
 
@@ -30,6 +31,11 @@ def principal_sqrt(z: complex) -> complex:
     if w.real < 0.0 or (w.real == 0.0 and w.imag < 0.0):
         w = -w
     return w
+
+
+def complement(x: complex) -> complex:
+    """The complement of modulus ``x``, principal ``sqrt((1 - x) * (1 + x))``: ``1 - x*x`` would cancel near 1."""
+    return principal_sqrt((1 - x) * (1 + x))
 
 
 def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool = False) -> complex:

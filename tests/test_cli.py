@@ -15,6 +15,7 @@ from multiagm.cli import KIND_DEFAULTS, build_parser, console_main, main
 from multiagm.clouds import KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
 from multiagm.lattice import DEFAULT_FIT_TOL
+from multiagm.magm import DEFAULT_ROWS
 from multiagm.roots import principal_sqrt
 
 
@@ -259,6 +260,17 @@ class TestFlagValidation:
         err_text = capsys.readouterr().err
         assert err_text.startswith("error: [Errno ")
         assert repr(str(path)) in err_text
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_unwritable_svg_writes_no_row(self, to_file, tmp_path, capsys):
+        out = tmp_path / "cloud.csv"
+        argv = ["fill-e", "--sigma-bits", "1", "--svg", str(tmp_path / "missing" / "x.svg")]
+        with pytest.raises(SystemExit) as err:
+            main(argv + (["--out", str(out)] if to_file else []))
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        if to_file:
+            assert out.read_text(encoding="ascii") == ""
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -527,6 +539,9 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bound}\n"
+
+    def test_magm_check_rows_default_is_the_library_default(self):
+        assert build_parser().parse_args(["magm-check"]).rows == DEFAULT_ROWS
 
     def test_magm_check_mask_bits_up_to_rows(self, capsys):
         assert main(["magm-check", "--rows", "3", "--mask-bits", "3"]) == 0

@@ -20,6 +20,7 @@ from multiagm import (
     fit_cloud,
     lattice,
 )
+from multiagm.cli import main
 from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _extract, _mark_duplicates
 from multiagm.engine import sweep_quartet, sweep_sigma, zeta_sum
 from multiagm.lattice import LatticeSpec
@@ -176,6 +177,22 @@ def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
     assert (len(points), len(schedules)) == (1, 1)
 
 
+@pytest.mark.parametrize("fmt,built", [("json", 0), ("text", 1024)])
+def test_verify_builds_points_only_for_its_text_lines(fmt, built, monkeypatch, capsys):
+    # verify fits the cloud it built by its columns; only the text form prints a line per point
+    points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
+    assert main(["verify", "--kind", "k", "--sigma-bits", "10", "--format", fmt]) == 0
+    assert len(points) == built
+    assert capsys.readouterr().out.count("\n  point ") == built
+
+
+def test_cloud_holds_its_request():
+    # kind, start sign and bit counts are read from the request, never copied beside it
+    req = CloudRequest(kind="F", params=params(sinphi=0.8, signb=-1), sigma_bits=1, delta_bits=2)
+    assert enumerate_cloud(req).request is req
+    assert [f.name for f in fields(clouds.Cloud)] == ["request", "values", "flags", "links"]
+
+
 def restricted_schedules(delta_bits):
     cloud = enumerate_cloud(CloudRequest(kind="Z_restricted", params=params(sinphi=0.8), delta_bits=delta_bits))
     return [p.schedule for p in cloud]
@@ -217,7 +234,7 @@ class TestKCloud:
         base = k_cloud()[-1]
         assert base.schedule == SignSchedule()
         assert abs(base.value - K_k) <= 1e-9 * abs(K_k)
-        assert base.generation == 0
+        assert base.schedule.generation() == 0
         assert not base.ill_conditioned
 
     def test_first_flip_lands_four_quarter_periods_away(self):
@@ -236,8 +253,8 @@ class TestKCloud:
 
     def test_generations(self):
         for p in k_cloud():
-            assert p.generation == p.schedule.sigma_mask.bit_length()
-            assert p.generation <= 5
+            assert p.schedule.generation() == p.schedule.sigma_mask.bit_length()
+            assert p.schedule.generation() <= 5
 
     def test_generation_is_read_from_the_schedule(self):
         # a stored copy could disagree with the schedule that fixes it
@@ -245,7 +262,7 @@ class TestKCloud:
             "value", "schedule", "signb", "ill_conditioned", "duplicate_of"
         ]
         point = MultivaluePoint(0j, SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2), 1, False)
-        assert point.generation == 3
+        assert point.schedule.generation() == 3
 
     def test_duplicate_report_is_produced(self):
         for i, p in enumerate(k_cloud()):

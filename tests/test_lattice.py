@@ -231,7 +231,7 @@ class TestCloudFits:
         cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=5))
         report = fit_cloud(cloud, predict_locus("K", refs))
         for point, pf in zip(cloud, report.points):
-            bound = 2 ** (point.generation - 1) if point.generation else 0
+            bound = 2 ** (point.schedule.generation() - 1) if point.schedule.generation() else 0
             assert max(abs(pf.m), abs(pf.n)) <= bound
 
     def test_e_indices_match_k_indices(self, refs):

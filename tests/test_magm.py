@@ -1,12 +1,20 @@
 import cmath
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multiagm import MagmTriplet, magm_equivalence, magm_negative_experiment, magm_step
-from multiagm.magm import MAX_EQUIVALENCE_ROWS, gauss_series_rows, magm_rows_plus, run_magm
+from multiagm.magm import (
+    MAX_EQUIVALENCE_ROWS,
+    MagmEquivalence,
+    MagmOutcome,
+    gauss_series_rows,
+    magm_rows_plus,
+    run_magm,
+)
 from multiagm.roots import principal_sqrt, signed_root
 
 EPS = 2.220446049250313e-16
@@ -203,3 +211,9 @@ class TestSignExperiments:
             magm_negative_experiment(0.0, 1)
         with pytest.raises(ValueError, match="rows must be nonnegative"):
             magm_negative_experiment(0.25, 0, rows=-1)
+
+
+def test_records_keep_only_what_their_inputs_do_not_say():
+    # b, the sign mask and the row count are the caller's arguments; no record echoes them
+    assert [f.name for f in fields(MagmOutcome)] == ["converged", "limit", "lattice_distance"]
+    assert [f.name for f in fields(MagmEquivalence)] == ["max_row_deviation", "limit", "limit_deviation"]

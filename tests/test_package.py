@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -71,3 +72,11 @@ def test_every_top_level_name_has_a_reader():
         if name not in read and name not in multiagm.__all__ and not name.startswith("__")
     ]
     assert not unread
+
+
+def test_readme_library_example_runs(capsys):
+    # an API change that breaks the documented example fails here, not in a reader's hands
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines()[-1].startswith("True ")
