@@ -20,11 +20,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from .clouds import KIND_BITS, Cloud, CloudRequest, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
-from .lattice import DEFAULT_FIT_TOL, CircleSpec, fit_cloud, predict_locus
+from .lattice import DEFAULT_FIT_TOL, CircleSpec, PointFit, fit_cloud, predict_locus
 from .magm import DEFAULT_ROWS, magm_equivalence, magm_negative_experiment
 from .oracle import landen_check, reference_set
 
@@ -66,6 +66,9 @@ BOTH_SIGNS = (1, -1)
 
 VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
 
+# the keys of each point of verify's JSON, in the order a `PointFit` lists them
+POINT_FIT_KEYS = tuple(field.name for field in fields(PointFit))
+
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25
 
@@ -92,13 +95,15 @@ def _moduli(args: argparse.Namespace) -> tuple[complex | None, complex | None]:
 def _series_rows(series_list: list[tuple[str, Cloud]]) -> list[tuple]:
     rows = []
     offset = 0
-    for label, points in series_list:
-        for point in points:
-            sched, value = point.schedule, point.value
-            dup = "" if point.duplicate_of is None else str(point.duplicate_of + offset)
-            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask, point.signb, sched.generation()))
-            rows.append((label, *ints, _fmt(value.real), _fmt(value.imag), str(int(point.ill_conditioned)), dup))
-        offset += len(points)
+    for label, cloud in series_list:
+        signb = str(cloud.request.params.signb)
+        for i, (value, flag, link) in enumerate(zip(cloud.values, cloud.flags, cloud.links)):
+            sched = cloud.schedule(i)
+            dup = "" if link is None else str(link + offset)
+            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask))
+            rows.append((label, *ints, signb, str(sched.generation()), _fmt(value.real), _fmt(value.imag),
+                         str(int(flag)), dup))
+        offset += len(cloud)
     return rows
 
 
@@ -127,11 +132,10 @@ def _strict_json(obj):
 
 def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> None:
     pts = []
-    for si, (_, points) in enumerate(series_list):
-        for point in points:
-            v = point.value
+    for si, (_, cloud) in enumerate(series_list):
+        for i, v in enumerate(cloud.values):
             if math.isfinite(v.real) and math.isfinite(v.imag):
-                pts.append((v.real, v.imag, si, point.schedule.generation()))
+                pts.append((v.real, v.imag, si, cloud.schedule(i).generation()))
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     # with no finite value the frame stays and no point is drawn
@@ -217,12 +221,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = predict_locus(kind, refs, phi=phi)
 
     clouds = _clouds(args, cloud_kind, signbs, k, b)
-    # one cloud is fitted by its columns; k-both's two join into one list of points
-    cloud = clouds[0] + clouds[1] if kind == "K_both" else clouds[0]
-    report = fit_cloud(cloud, spec, tol=args.tol)
+    # k-both's two clouds are fitted as one, by their joined columns
+    values = tuple(value for cloud in clouds for value in cloud.values)
+    report = fit_cloud(values, spec, tol=args.tol, flags=tuple(flag for cloud in clouds for flag in cloud.flags))
+    fits = report.points
+    columns = (fits.m, fits.n, fits.coset, fits.residual, fits.excluded)
 
     if args.format == "json":
-        payload = asdict(report)
+        payload = {field.name: getattr(report, field.name) for field in fields(report)}
+        payload["points"] = [dict(zip(POINT_FIT_KEYS, row)) for row in zip(range(len(values)), *columns)]
         payload["kind"] = args.kind
         payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = asdict(spec)
         print(json.dumps(_strict_json(payload), indent=2, allow_nan=False))
@@ -235,13 +242,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"  gen2 {spec.gen2:.12g}")
             if len(spec.cosets) > 1:
                 print(f"  cosets {[format(c, '.12g') for c in spec.cosets]}")
-        for pf, point in zip(report.points, cloud):
-            sched = point.schedule
-            tag = " excluded" if pf.excluded else ""
+        # each position's schedule is decoded from its cloud; no point is built
+        schedules = ((cloud.request.params.signb, cloud.schedule(i)) for cloud in clouds for i in range(len(cloud)))
+        for index, ((signb, sched), m, n, coset, residual, excluded) in enumerate(zip(schedules, *columns)):
+            tag = " excluded" if excluded else ""
             print(
-                f"  point {pf.index:3d} masks({sched.sigma_mask},{sched.delta_mask},{sched.gamma_mask})"
-                f" signb={point.signb:+d} (m,n)=({pf.m},{pf.n}) coset={pf.coset}"
-                f" residual={pf.residual:.3e}{tag}"
+                f"  point {index:3d} masks({sched.sigma_mask},{sched.delta_mask},{sched.gamma_mask})"
+                f" signb={signb:+d} (m,n)=({m},{n}) coset={coset}"
+                f" residual={residual:.3e}{tag}"
             )
         verdict = "PASS" if report.passed else "FAIL"
         print(

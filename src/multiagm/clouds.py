@@ -3,8 +3,9 @@
 One cloud fixes the recursion parameters and sweeps the free sign bits its
 function reads in descending mask order, evaluating the function for every
 schedule.  Near-coincident values are cross-referenced instead of
-dropped.  A cloud keeps its values, flags and links as columns by
-position, and builds a point only when one is read.
+dropped.  A cloud keeps its values and flags as columns by position,
+finds its duplicate links the first time they are read, and builds a
+point only when one is read.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import (
     QuartetParams,
@@ -28,6 +29,7 @@ from .engine import (
 
 __all__ = [
     "KIND_BITS",
+    "ColumnView",
     "MultivaluePoint",
     "CloudRequest",
     "Cloud",
@@ -90,51 +92,74 @@ class CloudRequest:
                 raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
 
 
+class ColumnView(Sequence):
+    """A read-only sequence over columns kept by position, building each item on access.
+
+    A subclass gives ``__len__`` and ``_item(i)``, which builds the item at
+    position ``i``; indexing, slicing and iteration call it, and ``repr``
+    is that of the list of items.
+    """
+
+    __slots__ = ()
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(index, slice):
+            return list(map(self._item, positions))
+        return self._item(positions)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Cloud(Sequence):
+class Cloud(ColumnView):
     """The points of one cloud, kept as columns by position beside the request that made them.
 
-    ``values``, ``flags`` and ``links`` hold each position's value,
-    ``ill_conditioned`` and ``duplicate_of``.  Position ``i`` carries the
-    schedule that `enumerate_cloud` gives it, decoded from ``last - i``
-    and the request's bit counts.  Indexing, slicing and iteration build
-    `MultivaluePoint` objects on access; ``repr`` is that of the list of
-    points, and ``+`` joins the points into a list.
+    ``values`` and ``flags`` hold each position's value and
+    ``ill_conditioned``.  ``links`` holds each position's
+    ``duplicate_of``: the duplicate scan runs the first time it or a point
+    is read, and its result is kept.  Position ``i`` carries the schedule
+    `schedule` decodes from ``last - i`` and the request's bit counts.
+    Indexing, slicing and iteration build `MultivaluePoint` objects on
+    access; ``repr`` is that of the list of points, and ``+`` joins the
+    points into a list.
     """
 
     request: CloudRequest
     values: tuple[complex, ...]
     flags: tuple[bool, ...]
-    links: tuple[int | None, ...]
+    _links: tuple[int | None, ...] | None = field(default=None, init=False)
+
+    @property
+    def links(self) -> tuple[int | None, ...]:
+        if self._links is None:
+            object.__setattr__(self, "_links", tuple(_mark_duplicates(self.values, self.flags)))
+        return self._links
 
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, index):
-        positions = range(len(self.values))[index]
-        if isinstance(index, slice):
-            return list(map(self._point, positions))
-        return self._point(positions)
-
-    def __iter__(self):
-        return map(self._point, range(len(self.values)))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
     def __add__(self, other) -> list[MultivaluePoint]:
         return list(self) + list(other)
 
-    def _point(self, i: int) -> MultivaluePoint:
+    def schedule(self, i: int) -> SignSchedule:
+        """The schedule of position ``i``, which may count from the end, decoded from ``last - i``."""
         req = self.request
-        number = len(self.values) - 1 - i
+        number = len(self.values) - 1 - range(len(self.values))[i]
         gamma = number & ((1 << req.gamma_bits) - 1)
         number >>= req.gamma_bits
         delta = number & ((1 << req.delta_bits) - 1)
         if req.kind == "Z_restricted":
             gamma = delta << 1
-        schedule = SignSchedule(number >> req.delta_bits, delta, gamma)
-        return MultivaluePoint(self.values[i], schedule, req.params.signb, self.flags[i], self.links[i])
+        return SignSchedule(number >> req.delta_bits, delta, gamma)
+
+    def _item(self, i: int) -> MultivaluePoint:
+        signb = self.request.params.signb
+        return MultivaluePoint(self.values[i], self.schedule(i), signb, self.flags[i], self.links[i])
 
 
 def _extract(kind: str, trace: QuartetTrace) -> complex:
@@ -151,7 +176,14 @@ def _extract(kind: str, trace: QuartetTrace) -> complex:
     return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace, 0)
 
 
-def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | None]:
+# The 3x3 block of grid cells around a cell, as steps of its key.  A cell is keyed by one complex
+# number rather than a pair of ints, to save memory; its coordinates stay exact, since no value lies
+# more than about 1e9 cells from the origin (the scale is the largest value, the cell about 2e-9 of
+# it), far below 2**53.
+_NEIGHBOURS = tuple(complex(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
+
+
+def _mark_duplicates(values: Sequence[complex], flags: Sequence[bool]) -> list[int | None]:
     """Each position's ``duplicate_of``: the earliest unflagged finite match, or None."""
     scale = max((abs(v) for v, flag in zip(values, flags) if not flag and cmath.isfinite(v)), default=0.0)
     if scale == 0.0:
@@ -161,26 +193,34 @@ def _mark_duplicates(values: list[complex], flags: list[bool]) -> list[int | Non
     # cells; the factor 2 leaves room for rounding in the division.  A
     # threshold that underflows to zero matches nothing, so any cell works.
     cell = 2.0 * threshold or 1.0
-    grid: dict[tuple[int, int], list[int]] = {}
+    # a cell holds its one index as an int, and a list only once a second one arrives
+    grid: dict[complex, int | list[int]] = {}
     links: list[int | None] = []
     for i, (value, flag) in enumerate(zip(values, flags)):
         dup = None
         if not flag and cmath.isfinite(value):
-            cx = math.floor(value.real / cell)
-            cy = math.floor(value.imag / cell)
+            cell_at = complex(math.floor(value.real / cell), math.floor(value.imag / cell))
             # the earliest match over the 3x3 block, as a scan in index order finds it
             first = i
-            for x in (cx - 1, cx, cx + 1):
-                for y in (cy - 1, cy, cy + 1):
-                    for j in grid.get((x, y), ()):
-                        if j >= first:
-                            break
-                        if abs(value - values[j]) < threshold:
-                            first = j
-                            break
+            for step in _NEIGHBOURS:
+                held = grid.get(cell_at + step)
+                if held is None:
+                    continue
+                for j in (held,) if isinstance(held, int) else held:
+                    if j >= first:
+                        break
+                    if abs(value - values[j]) < threshold:
+                        first = j
+                        break
             if first < i:
                 dup = first if links[first] is None else links[first]
-            grid.setdefault((cx, cy), []).append(i)
+            held = grid.get(cell_at)
+            if held is None:
+                grid[cell_at] = i
+            elif isinstance(held, int):
+                grid[cell_at] = [held, i]
+            else:
+                held.append(i)
         links.append(dup)
     return links
 
@@ -198,7 +238,8 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     point, except on Z, whose gamma bits only sign the Zeta terms:
     `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
     unconverged traces yield flagged points, never omissions.  The sweep
-    writes only the value and flag columns; no schedule or point is built.
+    writes only the value and flag columns; no schedule or point is built,
+    and no duplicate is looked for until ``links`` is read.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
@@ -216,5 +257,4 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
         for gamma in range(2**gamma_bits):
             values[head - gamma] = zeta_sum(terms, delta << 1 if kind == "Z_restricted" else gamma) if zeta else value
             flags[head - gamma] = flag
-    links = _mark_duplicates(values, flags)
-    return Cloud(req, tuple(values), tuple(flags), tuple(links))
+    return Cloud(req, tuple(values), tuple(flags))

@@ -15,13 +15,14 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .clouds import Cloud
+from .clouds import Cloud, ColumnView
 from .oracle import ReferenceSet, quad_E_inc, quad_F
 
 __all__ = [
     "LatticeSpec",
     "CircleSpec",
     "PointFit",
+    "PointFits",
     "FitReport",
     "predict_locus",
     "fit_cloud",
@@ -82,16 +83,42 @@ class PointFit:
     excluded: bool
 
 
+class PointFits(ColumnView):
+    """The `PointFit` of every fitted position, kept as columns and built on access.
+
+    ``m``, ``n``, ``coset``, ``residual`` and ``excluded`` hold each
+    position's fields.
+    """
+
+    __slots__ = ("m", "n", "coset", "residual", "excluded")
+
+    def __init__(self, m: Sequence[int], n: Sequence[int], coset: Sequence[int], residual: Sequence[float],
+                 excluded: Sequence[bool]) -> None:
+        self.m, self.n, self.coset = tuple(m), tuple(n), tuple(coset)
+        self.residual, self.excluded = tuple(residual), tuple(excluded)
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointFits):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def _item(self, i: int) -> PointFit:
+        return PointFit(i, self.m[i], self.n[i], self.coset[i], self.residual[i], self.excluded[i])
+
+
 @dataclass(frozen=True)
 class FitReport:
-    """Fit of a whole cloud; `dataclasses.asdict` gives its JSON in field order."""
+    """Fit of a whole cloud; ``points`` holds each position's `PointFit`, built on access."""
 
     tol: float
     passed: bool
     max_residual: float
     worst_point: int | None
     flagged_excluded: int
-    points: tuple[PointFit, ...]
+    points: PointFits
 
 
 def _real(name: str, value: complex) -> float:
@@ -167,16 +194,24 @@ def _locus_fit(spec: LatticeSpec | CircleSpec) -> Callable[[complex], tuple[int,
     return fit
 
 
-def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFAULT_FIT_TOL) -> FitReport:
+def fit_cloud(
+    cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFAULT_FIT_TOL, *, flags: Sequence | None = None
+) -> FitReport:
     """Assign every cloud point to the locus and report residuals.
 
-    Accepts a `Cloud`, whose columns are read as they are, or a sequence
-    of `MultivaluePoint` instances or bare complex values.  Flagged
+    Accepts a `Cloud`, whose columns are read as they are; bare complex
+    values with their ``flags``; or a sequence of `MultivaluePoint`
+    instances or bare complex values, unflagged.  Flagged
     (ill-conditioned) points are listed but excluded from the maximum and
     from the pass verdict; non-finite residuals count as infinite.  A cloud
-    with no unexcluded point does not pass.
+    with no unexcluded point does not pass.  The report keeps each
+    position's fit as columns; ``points`` builds a `PointFit` when one is read.
     """
-    if isinstance(cloud, Cloud):
+    if flags is not None:
+        values = cloud
+        if len(flags) != len(values):
+            raise ValueError(f"{len(values)} values but {len(flags)} flags")
+    elif isinstance(cloud, Cloud):
         values, flags = cloud.values, cloud.flags
     else:
         values, flags = [], []
@@ -184,25 +219,22 @@ def fit_cloud(cloud: Sequence, spec: LatticeSpec | CircleSpec, tol: float = DEFA
             values.append(complex(getattr(point, "value", point)))
             flags.append(bool(getattr(point, "ill_conditioned", False)))
     fit = _locus_fit(spec)
-    fits: list[PointFit] = []
-    max_residual = 0.0
-    worst: int | None = None
-    excluded_count = 0
-    for i, (value, excluded) in enumerate(zip(values, flags)):
-        m, n, ci, residual = fit(value)
-        if not math.isfinite(residual):
-            residual = math.inf
-        fits.append(PointFit(i, m, n, ci, residual, excluded))
-        if excluded:
-            excluded_count += 1
-        elif worst is None or residual > max_residual:
-            max_residual = residual
-            worst = i
+    m, n, coset, residual = [], [], [], []
+    for value in values:
+        mi, ni, ci, r = fit(value)
+        m.append(mi)
+        n.append(ni)
+        coset.append(ci)
+        # non-finite residuals count as infinite
+        residual.append(r if r < math.inf else math.inf)
+    kept = [i for i, excluded in enumerate(flags) if not excluded]
+    worst = max(kept, key=residual.__getitem__, default=None)
+    max_residual = 0.0 if worst is None else residual[worst]
     return FitReport(
-        points=tuple(fits),
+        points=PointFits(m, n, coset, residual, flags),
         max_residual=max_residual,
         worst_point=worst,
-        flagged_excluded=excluded_count,
+        flagged_excluded=len(flags) - len(kept),
         tol=tol,
         passed=worst is not None and max_residual < tol,
     )

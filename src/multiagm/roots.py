@@ -46,12 +46,14 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
     root with positive imaginary part when ``tie_positive_imag`` is set
     and to the principal root otherwise.
     """
-    w = principal_sqrt(square)
+    # either root decides: negating w negates w/reference exactly, so the principal one is needed only on a tie
+    w = cmath.sqrt(square)
     t = (w / reference).real if reference else 0.0
     if t > 0.0:
         return w
     if t < 0.0:
         return -w
+    w = principal_sqrt(square)
     if tie_positive_imag:
         if w.imag > 0.0:
             return w

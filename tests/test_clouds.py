@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 from collections.abc import Sequence
@@ -95,6 +96,9 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
         else:
             assert (sched.sigma_mask << delta_bits | sched.delta_mask) << gamma_bits | sched.gamma_mask == last - i
     assert cloud[-1].schedule == SignSchedule()
+    assert [cloud.schedule(i) for i in range(-len(cloud), len(cloud))] == [p.schedule for p in cloud] * 2
+    with pytest.raises(IndexError):
+        cloud.schedule(len(cloud))
 
 
 def points_one_by_one(req):
@@ -151,7 +155,7 @@ def test_cloud_is_read_only():
 
 
 def counting_builds(monkeypatch, module, name):
-    """Count the objects built through a module global by replacing it with a counting factory."""
+    """Count the calls through a module global, objects built or scans run, by replacing it with a counting wrapper."""
     built = []
     cls = getattr(module, name)
 
@@ -164,33 +168,58 @@ def counting_builds(monkeypatch, module, name):
 
 
 def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
-    # a cloud is columns: only the fit builds one object per point
+    # a cloud and a fit are columns: neither builds an object per point, nor looks for duplicates
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
     schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
+    scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
     fits = counting_builds(monkeypatch, lattice, "PointFit")
     cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=10))
     report = fit_cloud(cloud, LatticeSpec(origin=1.0, gen1=4.0, gen2=4j))
-    assert (len(points), len(schedules), len(fits)) == (0, 0, 1024)
+    assert (len(points), len(schedules), len(scans), len(fits)) == (0, 0, 0, 0)
     assert len(report.points) == len(cloud) == 1024
-    # reading a point builds it and its schedule, and only then
+    # reading a point builds it and its schedule, and runs the one scan of the cloud
     assert cloud[-1].schedule.sigma_mask == 0
-    assert (len(points), len(schedules)) == (1, 1)
+    assert (len(points), len(schedules), len(scans)) == (1, 1, 1)
+    # reading a point fit builds it alone
+    assert report.points[-1].index == 1023
+    assert len(fits) == 1
 
 
-@pytest.mark.parametrize("fmt,built", [("json", 0), ("text", 1024)])
-def test_verify_builds_points_only_for_its_text_lines(fmt, built, monkeypatch, capsys):
-    # verify fits the cloud it built by its columns; only the text form prints a line per point
+def test_links_are_found_once_on_first_read(monkeypatch):
+    scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
+    cloud = enumerate_cloud(CloudRequest(kind="F", params=params(sinphi=0.8), sigma_bits=2, delta_bits=3))
+    assert not scans
+    links = cloud.links
+    assert cloud.links is links and [p.duplicate_of for p in cloud] == list(links)
+    assert len(scans) == 1
+    assert links == tuple(_mark_duplicates(cloud.values, cloud.flags))
+
+
+def test_fill_scans_each_cloud_once(monkeypatch, capsys):
+    scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
-    assert main(["verify", "--kind", "k", "--sigma-bits", "10", "--format", fmt]) == 0
-    assert len(points) == built
-    assert capsys.readouterr().out.count("\n  point ") == built
+    assert main(["fill-k", "--sigma-bits", "6", "--signb", "both"]) == 0
+    assert (len(scans), len(points)) == (2, 0)
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 64
+
+
+@pytest.mark.parametrize("kind,lines", [("k", 1024), ("k-both", 2048)])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_builds_no_point_and_looks_for_no_duplicate(kind, lines, fmt, monkeypatch, capsys):
+    # verify fits the columns of the clouds it built and prints each point's line from them
+    points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
+    scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
+    assert main(["verify", "--kind", kind, "--sigma-bits", "10", "--format", fmt]) == 0
+    assert (len(points), len(scans)) == (0, 0)
+    out = capsys.readouterr().out
+    assert (out.count("\n  point ") if fmt == "text" else len(json.loads(out)["points"])) == lines
 
 
 def test_cloud_holds_its_request():
     # kind, start sign and bit counts are read from the request, never copied beside it
     req = CloudRequest(kind="F", params=params(sinphi=0.8, signb=-1), sigma_bits=1, delta_bits=2)
     assert enumerate_cloud(req).request is req
-    assert [f.name for f in fields(clouds.Cloud)] == ["request", "values", "flags", "links"]
+    assert [f.name for f in fields(clouds.Cloud)] == ["request", "values", "flags", "_links"]
 
 
 def restricted_schedules(delta_bits):

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+from collections.abc import Sequence
 from dataclasses import asdict
 
 import pytest
@@ -18,7 +19,7 @@ from multiagm import (
     reference_set,
 )
 from multiagm.clouds import MultivaluePoint
-from multiagm.lattice import LatticeSpec
+from multiagm.lattice import LatticeSpec, PointFit
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -183,6 +184,35 @@ class TestFitCloud:
             report = fit_cloud(cloud, spec)
             assert (report.passed, report.worst_point, report.max_residual) == (False, None, 0.0)
         assert fit_cloud([flagged, 1j], spec).passed
+
+    def test_points_read_as_point_fits(self):
+        # the report keeps columns; its points are built on access and read as a tuple of them did
+        spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
+        values = [2 + 3j, 0.25 - 1j, complex(math.nan, math.nan)]
+        flags = [False, False, True]
+        expected = [
+            PointFit(0, 2, 3, 0, 0.0, False),
+            PointFit(1, 0, -1, 0, 0.25, False),
+            PointFit(2, 0, 0, 0, math.inf, True),
+        ]
+        report = fit_cloud(values, spec, flags=flags)
+        points = report.points
+        assert isinstance(points, Sequence) and len(points) == 3
+        assert list(points) == expected and repr(points) == repr(expected)
+        assert points[-1] == expected[-1] and points[1:] == expected[1:] and points[::-1] == expected[::-1]
+        first, second, third = points
+        assert (first, second, third) == tuple(expected)
+        with pytest.raises(IndexError):
+            points[3]
+        assert (points.m, points.residual, points.excluded) == ((2, 0, 0), (0.0, 0.25, math.inf), (False, False, True))
+        assert (report.worst_point, report.max_residual, report.flagged_excluded) == (1, 0.25, 1)
+        # bare values with their flags fit as the points carrying them do
+        marked = [
+            MultivaluePoint(value=v, schedule=SignSchedule(), signb=1, ill_conditioned=f) for v, f in zip(values, flags)
+        ]
+        assert fit_cloud(marked, spec) == report
+        with pytest.raises(ValueError, match="3 values but 2 flags"):
+            fit_cloud(values, spec, flags=flags[:2])
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)

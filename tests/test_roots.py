@@ -1,4 +1,5 @@
 import cmath
+import marshal
 import math
 
 import pytest
@@ -44,6 +45,48 @@ class TestPrincipalSqrt:
         assert w.real >= 0
         if w.real == 0:
             assert w.imag >= 0
+
+
+
+def principal_then_select(square, reference, *, tie_positive_imag=False):
+    """`signed_root` as it read when it took the principal root before choosing a sign."""
+    w = principal_sqrt(square)
+    t = (w / reference).real if reference else 0.0
+    if t > 0.0:
+        return w
+    if t < 0.0:
+        return -w
+    if tie_positive_imag:
+        if w.imag > 0.0:
+            return w
+        if w.imag < 0.0:
+            return -w
+    return w
+
+
+# signed zeros, infinities, the smallest subnormal, tiny and huge magnitudes, and any float at all
+EDGE_FLOATS = (0.0, 5e-324, 1e-300, 1e-160, 1.0, 1e160, 1e300, 1.7976931348623157e308, math.inf)
+edge_component = st.one_of(st.sampled_from(EDGE_FLOATS + tuple(-x for x in EDGE_FLOATS)), st.floats())
+edge_complex = st.builds(complex, edge_component, edge_component)
+
+
+def same_bits(square, reference, tie_positive_imag):
+    # marshal format 2 writes both doubles as they are and, unlike format 3 on, no reference flag
+    expected = principal_then_select(square, reference, tie_positive_imag=tie_positive_imag)
+    actual = signed_root(square, reference, tie_positive_imag=tie_positive_imag)
+    return marshal.dumps(actual, 2) == marshal.dumps(expected, 2)
+
+
+@given(square=edge_complex, reference=edge_complex, tie_positive_imag=st.booleans())
+@settings(max_examples=500)
+def test_signed_root_matches_principal_then_select_bit_for_bit(square, reference, tie_positive_imag):
+    # negating a root negates its ratio to the reference exactly, so either root chooses the same sign
+    assert same_bits(square, reference, tie_positive_imag)
+
+
+def test_signed_root_matches_principal_then_select_on_every_edge_pair():
+    grid = [complex(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS for x, y in ((x, y), (-x, y), (x, -y), (-x, -y))]
+    assert all(same_bits(square, reference, tie) for square in grid for reference in grid for tie in (False, True))
 
 
 def near_root(a, g):
