@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 
 from .engine import (
     QuartetParams,
-    QuartetTrace,
     SignSchedule,
-    complete_E,
-    complete_K,
-    incomplete_F,
+    complete_E_of,
+    complete_K_of,
+    incomplete_F_of,
     sweep_quartet,
     sweep_sigma,
     zeta_sum,
@@ -162,18 +161,19 @@ class Cloud(ColumnView):
         return MultivaluePoint(self.values[i], self.schedule(i), signb, self.flags[i], self.links[i])
 
 
-def _extract(kind: str, trace: QuartetTrace) -> complex:
+def _extract(kind: str, a_inf: complex, s_sum: complex, u_inf: complex) -> complex:
+    """The value of a K, E, N or F leaf, by the formulas that `complete_K`, `complete_E` and `incomplete_F` apply."""
     if kind == "K":
-        return complete_K(trace)
+        return complete_K_of(a_inf)
     if kind == "E":
-        return complete_E(trace)
+        return complete_E_of(a_inf, s_sum)
     if kind == "N":
-        k_val = complete_K(trace)
+        k_val = complete_K_of(a_inf)
         if k_val == 0 or not cmath.isfinite(k_val):
             return complex(math.nan, math.nan)
-        return complete_E(trace) / k_val
+        return complete_E_of(a_inf, s_sum) / k_val
     # F; Zeta values are signed per schedule by `zeta_sum`
-    return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace, 0)
+    return complex(math.nan, math.nan) if u_inf == 0 else incomplete_F_of(a_inf, u_inf, 0)
 
 
 # The 3x3 block of grid cells around a cell, as steps of its key.  A cell is keyed by one complex
@@ -232,27 +232,28 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     sigma highest and gamma lowest, equal ``last - i``: masks run in
     descending order, and the all-plus schedule is the last point.
     Z_restricted's gamma mask is its delta mask shifted up one.  K, E and
-    N read the mean pair alone, so their traces come from `sweep_sigma`,
+    N read the mean pair alone, so their leaves come from `sweep_sigma`,
     one per sigma mask.  F, Z and Z_restricted take theirs from
-    `sweep_quartet`, one per sigma and delta mask.  Each trace gives one
+    `sweep_quartet`, one per sigma and delta mask.  Each leaf gives one
     point, except on Z, whose gamma bits only sign the Zeta terms:
     `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
-    unconverged traces yield flagged points, never omissions.  The sweep
-    writes only the value and flag columns; no schedule or point is built,
-    and no duplicate is looked for until ``links`` is read.
+    unconverged leaves yield flagged points, never omissions.  The sweep
+    writes only the value and flag columns; no trace, schedule or point is
+    built, and no duplicate is looked for until ``links`` is read.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
     if "delta_bits" in KIND_BITS[kind]:
-        traces = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
+        leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        traces = ((sigma, 0, trace, None) for sigma, trace in sweep_sigma(req.params, req.sigma_bits))
+        leaves = ((sigma, 0, a_inf, s_sum, None, converged, ill, None)
+                  for sigma, a_inf, s_sum, converged, ill in sweep_sigma(req.params, req.sigma_bits))
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values: list = [None] * (last + 1)
     flags: list = [None] * (last + 1)
-    for sigma, delta, trace, terms in traces:
-        value = None if zeta else _extract(kind, trace)
-        flag = trace.ill_conditioned or not trace.converged
+    for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:
+        value = None if zeta else _extract(kind, a_inf, s_sum, u_inf)
+        flag = ill or not converged
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
         for gamma in range(2**gamma_bits):
             values[head - gamma] = zeta_sum(terms, delta << 1 if kind == "Z_restricted" else gamma) if zeta else value

@@ -19,10 +19,16 @@ loop, walks the binary tree of sigma prefixes, one mean root per node and
 step.  For F and Zeta it records each mask's path, and `sweep_quartet`
 walks the tree of delta prefixes along it, one forward root per node and
 step and a Zeta root only for Zeta, which finishes that step's term;
-`zeta_sum` signs and adds the terms per gamma mask.  `run_quartet` is the
-one-schedule case.  Past its last flip a node stops once a step repeats
-its state bit for bit with a zero difference: the AGM converges
-quadratically, and every later step would repeat it.
+`zeta_sum` signs and adds the terms per gamma mask.  The sweeps yield bare
+leaves, tuples of the limits and flags a value reads; `run_quartet` is the
+one-schedule case, and the only builder of a `QuartetTrace`.  Past its
+last flip a node stops once a step repeats its state bit for bit with a
+zero difference: the AGM converges quadratically, and every later step
+would repeat it.  Before that, an F node settles once its sum ``s_uv``
+stops moving and every later ``|d_ag|`` lies below a quarter ulp of it:
+``s_uv -+ d_ag`` then rounds to ``s_uv`` exactly, so the forward root and
+the sum repeat, and the node finishes by dividing each later ``q`` by
+``s_uv`` for its difference alone.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from marshal import dumps
 
 from .roots import complement, pair_step, principal_sqrt, signed_root
@@ -47,6 +53,9 @@ __all__ = [
     "incomplete_F",
     "complete_E",
     "jacobi_Z",
+    "complete_K_of",
+    "incomplete_F_of",
+    "complete_E_of",
     "DEFAULT_MAX_ITER",
     "CONV_TOL",
     "MAX_ITER_LIMIT",
@@ -135,21 +144,19 @@ class QuartetParams:
 
 @dataclass(frozen=True, slots=True)
 class QuartetTrace:
-    """One full run of the recursion.
+    """One full run of the recursion on one schedule, as `run_quartet` gives it.
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
-    initial row, the fixed row repeated after a stop; only `run_quartet`
-    records them, and cloud traces carry ``rows=()``.  ``s_sum`` is the
+    initial row, the fixed row repeated after a stop.  ``s_sum`` is the
     weighted sum of ``a**2 - g**2`` terms, ``z_sum`` the Zeta series.
     ``ill_conditioned`` is set on root collapse, a degenerate forward root,
     a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
     compared to the start.
 
-    A trace of `sweep_sigma` carries only the mean pair: ``u_inf`` and
-    ``z_sum`` are ``complex(nan, nan)`` and ``zeta_defined`` is False,
-    so `incomplete_F` gives NaN and `jacobi_Z` raises.  Its flags come from
-    ``(a, g)`` alone.  A trace of `sweep_quartet` leaves ``z_sum`` NaN,
-    since the sum depends on the gamma mask that `zeta_sum` applies.
+    Only `run_quartet` builds one.  The sweeps behind a cloud yield bare
+    leaves, tuples of the limits and flags their values read, and the
+    value of a leaf and of a trace come from the same functions:
+    `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
     """
 
     rows: tuple[Quartet, ...]
@@ -164,19 +171,20 @@ class QuartetTrace:
 
 def sweep_sigma(
     params: QuartetParams, sigma_bits: int, sigma_mask: int = 0, path: list | None = None
-) -> Iterator[tuple[int, QuartetTrace]]:
+) -> Iterator[tuple[int, complex, complex, bool, bool]]:
     """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
 
-    Yields ``(mask, trace)`` once per mask, in no particular order.  The
-    sweep is depth first over the binary tree of sigma prefixes: at every
+    Yields one leaf ``(mask, a_inf, s_sum, converged, ill)`` per mask, in no
+    particular order: ``a_inf`` and ``s_sum`` bit for bit as `run_quartet`
+    over ``SignSchedule(mask)`` gives them, and flags from ``(a, g)`` alone.
+    The sweep is depth first over the binary tree of sigma prefixes: at every
     node and iteration it takes the one mean root, and below ``sigma_bits``
     it steps the pair once from that root, keeps the flipped child for
     later and goes on with the other.  Higher bits come from ``sigma_mask``,
     which must leave the free bits clear.
     Past its last flip a node stops once a step leaves a finite ``(a, g,
     s_ag, d_ag)`` bit for bit as it was, with ``d_ag == 0``: every later
-    step would repeat it and add a signed zero to ``s_sum``.  Each trace is
-    the mean-pair trace of ``SignSchedule(mask)``, as `QuartetTrace` says.
+    step would repeat it and add a signed zero to ``s_sum``.
 
     Given ``path``, ``max_iter + 1`` slots, the sweep fills it before each
     yield: ``(a, g, s_ag, d_ag, near, q)`` before each iteration, with the
@@ -190,7 +198,6 @@ def sweep_sigma(
         # a fixed bit among the free ones would give two masks twice and two never
         raise ValueError(f"sigma_mask {sigma_mask:#b} sets bits below sigma_bits={sigma_bits}")
     isfinite = cmath.isfinite
-    nan = complex(math.nan, math.nan)
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
     a = complex(1.0)
     g = params.signb * params.complement_value()
@@ -228,28 +235,58 @@ def sweep_sigma(
         scale = abs(a)
         converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
         ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
-        yield mask, QuartetTrace((), s_sum, nan, a, nan, converged, ill, False)
+        yield mask, a, s_sum, converged, ill
 
 
-def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bits: int, delta_mask: int = 0,
+def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int, delta_mask: int = 0,
                  zeta: bool = True, uv_rows: list | None = None):
     """Step the amplitude pair ``(u, v)`` along one sigma mask's ``path`` for every free delta prefix.
 
-    ``mean`` is that mask's trace.  Depth first over the tree of delta
-    prefixes as `sweep_sigma` walks sigma, higher bits from ``delta_mask``,
-    whose free bits are clear: one forward root per node and iteration, and
-    with ``zeta`` a Zeta root, from which the iteration's term
-    ``2**n * d_uv * zr / u`` is finished at once.  A node stops as a mean
-    node does, on ``(u, s_uv)``, once the path is fixed.  Yields
-    ``(delta_mask, trace, terms)`` per leaf, ``terms`` ``()`` without
-    ``zeta``; ``uv_rows``, with no free bits only, collects ``(u, v)`` per
-    row.
+    ``mean`` is that mask's `sweep_sigma` leaf.  Depth first over the tree
+    of delta prefixes as `sweep_sigma` walks sigma, higher bits from
+    ``delta_mask``, whose free bits are clear: one forward root per node and
+    iteration, and with ``zeta`` a Zeta root, from which the iteration's
+    term ``2**n * d_uv * zr / u`` is finished at once.  A node stops as a
+    mean node does, on ``(u, s_uv)``, once the path is fixed.  Yields
+    ``(delta_mask, u_inf, converged, ill, terms)`` per leaf, ``terms``
+    ``()`` without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits
+    only, collects ``(u, v)`` per row.
+
+    Without ``zeta`` a node past its last flip also settles.  Say a step
+    leaves a finite ``s_uv`` with two nonzero components unchanged and
+    ``u`` nonzero, outside the coinciding-pairs branch, and on this and
+    every later row each component of ``|d_ag|`` lies below a quarter ulp
+    of the matching component of ``s_uv``.  Then each later ``s_uv -+
+    d_ag`` rounds to ``s_uv`` exactly: a quarter, since the spacing below a
+    power of two is half an ulp.  So the square, the root, ``u`` and
+    ``s_uv`` repeat bit for bit, and only ``d_uv = q / s_uv`` still moves;
+    the node finishes on the path's ``q`` column under the same stop.  A
+    later row whose ``s_ag`` equals ``s_uv`` might take the coinciding
+    branch, so there the node keeps stepping.  Zeta keeps stepping too: its
+    root reads ``a`` on every row.
     """
     isfinite = cmath.isfinite
-    nan = complex(math.nan, math.nan)
+    ulp = math.ulp
     max_iter = params.max_iter
     fixed = path[max_iter - 1]
     stop_from = max(delta_bits - 1, delta_mask.bit_length())
+    _, a_inf, _, mean_converged, mean_ill = mean
+    if not zeta:
+        q_col = [row[5] for row in path[:max_iter]]
+        s_col = [row[2] for row in path[:max_iter]]
+        # per row, the largest |d_ag| components from it to the end, inf from a non-finite one on
+        top_re, top_im = [0.0] * max_iter, [0.0] * max_iter
+        re = im = 0.0
+        for n in range(max_iter - 1, -1, -1):
+            d_ag = path[n][3]
+            if isfinite(d_ag):
+                if abs(d_ag.real) > re:
+                    re = abs(d_ag.real)
+                if abs(d_ag.imag) > im:
+                    im = abs(d_ag.imag)
+            else:
+                re = im = math.inf
+            top_re[n], top_im[n] = re, im
     sp = complex(params.sinphi)
     u = 1 / sp
     # full amplitude: the second pair is an exact copy of the first
@@ -270,7 +307,8 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
                     terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)
             if not s_uv:
                 degenerate = True
-            if s_uv == s_ag and d_uv == d_ag:
+            coinciding = s_uv == s_ag and d_uv == d_ag
+            if coinciding:
                 # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
                 # mean-pair root and keep the copy exact bit for bit
                 w = near
@@ -282,6 +320,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
             # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed
             # zero, or NaN as this step's term already is if the Zeta root is not finite
             before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
+            s_in = s_uv
             u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
             if n < delta_bits:
                 # as in `sweep_sigma`: bit n is clear, and the flipped child swaps sum and difference
@@ -294,31 +333,54 @@ def _sweep_delta(params: QuartetParams, path: list, mean: QuartetTrace, delta_bi
                 if uv_rows is not None:
                     uv_rows.extend([uv_rows[-1]] * (max_iter - 1 - n))
                 break
+            if (
+                not zeta
+                and s_uv == s_in
+                and n >= stop_from
+                and finite
+                and not coinciding
+                and u
+                and s_uv.real
+                and s_uv.imag
+                and top_re[n] < ulp(s_uv.real) / 4
+                and top_im[n] < ulp(s_uv.imag) / 4
+                and s_uv not in s_col[n + 1 :]
+            ):
+                # settled: as the stepped rows would, stop after a row that starts from d_uv == 0 on the fixed path
+                for n in range(n + 1, max_iter):
+                    stop = not d_uv and path[n] is fixed
+                    d_uv = q_col[n] / s_uv
+                    if stop:
+                        break
+                break
 
-        converged = bool(mean.converged and finite and abs(d_uv) <= CONV_TOL * abs(mean.a_inf))
-        ill = mean.ill_conditioned or not finite or degenerate or terms is None
-        yield mask, QuartetTrace((), mean.s_sum, nan, mean.a_inf, u, converged, ill, terms is not None), terms
+        converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * abs(a_inf))
+        ill = mean_ill or not finite or degenerate or terms is None
+        yield mask, u, converged, ill, terms
 
 
 def sweep_quartet(
     params: QuartetParams, sigma_bits: int, delta_bits: int, zeta: bool = True
-) -> Iterator[tuple[int, int, QuartetTrace, list[complex] | None]]:
+) -> Iterator[tuple[int, int, complex, complex, complex, bool, bool, list[complex] | tuple | None]]:
     """Run the recursion for every sigma and delta mask below ``2**sigma_bits`` and ``2**delta_bits``.
 
-    Yields ``(sigma_mask, delta_mask, trace, terms)`` once per pair, in no
-    particular order; higher bits are plus.  The amplitude pair walks the
-    tree of delta prefixes along each mean path that `sweep_sigma` records.
-    ``terms`` holds the Zeta terms for ``zeta_sum(terms, gamma_mask)``, or
-    none without ``zeta``.  Each trace is bit for bit `run_quartet` over
-    ``SignSchedule(sigma_mask, delta_mask)`` with ``rows=()``, ``z_sum`` NaN.
+    Yields one leaf ``(sigma_mask, delta_mask, a_inf, s_sum, u_inf,
+    converged, ill, terms)`` per pair, in no particular order; higher bits
+    are plus.  The amplitude pair walks the tree of delta prefixes along
+    each mean path that `sweep_sigma` records.  ``terms`` holds the Zeta
+    terms for ``zeta_sum(terms, gamma_mask)``, is empty without ``zeta``,
+    and is None where Zeta is undefined.  Each leaf is bit for bit the
+    trace of `run_quartet` over ``SignSchedule(sigma_mask, delta_mask)``
+    without its rows and Zeta sum, ``ill`` its ``ill_conditioned``.
     """
     max_iter = params.max_iter
     if not 0 <= delta_bits <= max_iter:
         raise ValueError(f"delta_bits must lie in [0, {max_iter}]")
     path: list = [None] * (max_iter + 1)
-    for sigma_mask, mean in sweep_sigma(params, sigma_bits, path=path):
-        for delta_mask, trace, terms in _sweep_delta(params, path, mean, delta_bits, zeta=zeta):
-            yield sigma_mask, delta_mask, trace, terms
+    for mean in sweep_sigma(params, sigma_bits, path=path):
+        sigma_mask, a_inf, s_sum, _, _ = mean
+        for delta_mask, u_inf, converged, ill, terms in _sweep_delta(params, path, mean, delta_bits, zeta=zeta):
+            yield sigma_mask, delta_mask, a_inf, s_sum, u_inf, converged, ill, terms
 
 
 def zeta_sum(terms: Sequence[complex] | None, gamma_mask: int) -> complex:
@@ -327,8 +389,9 @@ def zeta_sum(terms: Sequence[complex] | None, gamma_mask: int) -> complex:
     ``None``, a trace whose Zeta went undefined at ``u == 0``, gives NaN.
     Terms after a stop would each be the last term again, a signed zero or
     NaN, and are left out.  Negation is exact, so a term signed here differs
-    from one signed before its product only in the sign of a zero or a NaN,
-    which a sum from +0 never shows.
+    from one signed before its product only in the sign of a zero, which a
+    sum from +0 never shows, or of a NaN, which the sum keeps but no printed
+    value shows.
     """
     if terms is None:
         return complex(math.nan, math.nan)
@@ -348,39 +411,56 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
     """
     schedule = schedule or SignSchedule()
     path: list = [None] * (params.max_iter + 1)
-    ((_, mean),) = sweep_sigma(params, 0, schedule.sigma_mask, path)
+    (mean,) = sweep_sigma(params, 0, schedule.sigma_mask, path)
     uv_rows: list = []
-    ((_, trace, terms),) = _sweep_delta(params, path, mean, 0, schedule.delta_mask, uv_rows=uv_rows)
+    ((_, u_inf, converged, ill, terms),) = _sweep_delta(params, path, mean, 0, schedule.delta_mask, uv_rows=uv_rows)
     rows = tuple((a, g, u, v) for (a, g, *_), (u, v) in zip(path, uv_rows))
-    return replace(trace, rows=rows, z_sum=zeta_sum(terms, schedule.gamma_mask))
+    _, a_inf, s_sum, _, _ = mean
+    z_sum = zeta_sum(terms, schedule.gamma_mask)
+    return QuartetTrace(rows, s_sum, z_sum, a_inf, u_inf, converged, ill, terms is not None)
 
 
-def complete_K(trace: QuartetTrace) -> complex:
-    """Quarter period ``pi / (2 a_inf)`` of the trace."""
-    if trace.a_inf == 0:
+def complete_K_of(a_inf: complex) -> complex:
+    """Quarter period ``pi / (2 a_inf)`` of a mean limit, NaN at 0."""
+    if a_inf == 0:
         return complex(math.nan, math.nan)
-    return math.pi / 2 / trace.a_inf
+    return math.pi / 2 / a_inf
 
 
-def incomplete_F(trace: QuartetTrace, branch: int = 0) -> complex:
-    """First-kind incomplete integral from the trace, on a chosen arcsine branch.
+def incomplete_F_of(a_inf: complex, u_inf: complex, branch: int = 0) -> complex:
+    """First-kind incomplete integral from the two limits, on a chosen arcsine branch.
 
     Branch 0 uses the principal arcsine.  An even branch ``n`` adds ``n*pi``
     to the principal value; an odd branch ``m`` negates it and adds ``m*pi``.
     """
-    if trace.u_inf == 0:
+    if u_inf == 0:
         raise ValueError("amplitude limit degenerate")
-    if trace.a_inf == 0:
+    if a_inf == 0:
         return complex(math.nan, math.nan)
-    base = cmath.asin(trace.a_inf / trace.u_inf)
+    base = cmath.asin(a_inf / u_inf)
     if branch % 2:
         base = -base
-    return (base + branch * math.pi) / trace.a_inf
+    return (base + branch * math.pi) / a_inf
+
+
+def complete_E_of(a_inf: complex, s_sum: complex) -> complex:
+    """Second-kind complete integral ``K * (1 - s_sum)`` from the mean limit and series."""
+    return complete_K_of(a_inf) * (1 - s_sum)
+
+
+def complete_K(trace: QuartetTrace) -> complex:
+    """Quarter period ``pi / (2 a_inf)`` of the trace."""
+    return complete_K_of(trace.a_inf)
+
+
+def incomplete_F(trace: QuartetTrace, branch: int = 0) -> complex:
+    """First-kind incomplete integral from the trace, on a chosen arcsine branch (see `incomplete_F_of`)."""
+    return incomplete_F_of(trace.a_inf, trace.u_inf, branch)
 
 
 def complete_E(trace: QuartetTrace) -> complex:
     """Second-kind complete integral ``K * (1 - s_sum)``."""
-    return complete_K(trace) * (1 - trace.s_sum)
+    return complete_E_of(trace.a_inf, trace.s_sum)
 
 
 def jacobi_Z(trace: QuartetTrace) -> complex:

@@ -173,23 +173,26 @@ def _locus_fit(spec: LatticeSpec | CircleSpec) -> Callable[[complex], tuple[int,
     det = gen1.real * gen2.imag - gen2.real * gen1.imag
 
     def fit(value: complex) -> tuple[int, int, int, float]:
+        # a non-finite value, or a finite one whose coordinates overflow, has no lattice cell to round to
         if not cmath.isfinite(value):
-            # no lattice cell to round to
             return 0, 0, 0, math.inf
         best: tuple[int, int, int, float] | None = None
         for ci, coset in cosets:
             d = value - origin - coset
-            if gen2 == 0:
-                m = round((d / gen1).real)
-                n = 0
-            else:
-                m = round((d.real * gen2.imag - gen2.real * d.imag) / det)
-                n = round((gen1.real * d.imag - d.real * gen1.imag) / det)
+            try:
+                if gen2 == 0:
+                    m = round((d / gen1).real)
+                    n = 0
+                else:
+                    m = round((d.real * gen2.imag - gen2.real * d.imag) / det)
+                    n = round((gen1.real * d.imag - d.real * gen1.imag) / det)
+            except (OverflowError, ValueError):
+                # round() of an infinite or NaN coordinate
+                continue
             residual = abs(d - m * gen1 - n * gen2)
             if best is None or residual < best[3]:
                 best = (m, n, ci, residual)
-        assert best is not None
-        return best
+        return best or (0, 0, 0, math.inf)
 
     return fit
 

@@ -146,6 +146,19 @@ DEEP_FILL_DIGESTS = {
     "fill-f --sigma-bits 4 --delta-bits 6 --max-iter 40": "a4c48f195f5084852144e5aafdde3f082e9c19f82a67895b7af1a1fa119f5aa7",
     # recorded before a cloud kept its points as columns and built each one on access
     "fill-k --sigma-bits 14 --signb both": "a71361fdc5cd0532d8b4c8316f477a28909d0b543ab1ac90ffdb831b6a848b70",
+    # recorded before a settled F leaf finished on its difference alone: deep
+    # delta trees, coinciding pairs, the minus start, a modulus near 1, and Zeta
+    "fill-f --sigma-bits 5 --delta-bits 7": "8ac7fe43bc34f5c99dd753bd4cb158c57f60c71fb4673f62ebacbe5950ce27db",
+    "fill-f --sinphi 1 --sigma-bits 3 --delta-bits 6": (
+        "4826250e22640a12be150906c349bc519634096862094789028b3712d9b6026b"
+    ),
+    "fill-f --signb -1 --sigma-bits 4 --delta-bits 6 --max-iter 32": (
+        "fe7c98a35fc5aa7955f3c607772468c1301f048dbd54f67623e7b4bc15d8b613"
+    ),
+    "fill-f --b 0.9 --sigma-bits 4 --delta-bits 6": "345cb05adfc491ef9f9b042f634ec6404cced4c9ec3f29240da940d51edb3c77",
+    "fill-z --sigma-bits 3 --delta-bits 4 --gamma-bits 2 --max-iter 32": (
+        "c890a95df0cfced0a50df25368e9079fc7722e19a0dc496236444f3aeb7fb631"
+    ),
 }
 
 

@@ -17,13 +17,14 @@ from multiagm import (
     SignSchedule,
     clouds,
     complete_from_complement,
+    engine,
     enumerate_cloud,
     fit_cloud,
     lattice,
 )
 from multiagm.cli import main
 from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _extract, _mark_duplicates
-from multiagm.engine import sweep_quartet, sweep_sigma, zeta_sum
+from multiagm.engine import run_quartet, sweep_quartet, sweep_sigma, zeta_sum
 from multiagm.lattice import LatticeSpec
 from multiagm.roots import principal_sqrt
 
@@ -102,21 +103,22 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
 
 
 def points_one_by_one(req):
-    """The cloud's points, each built with its schedule as the sweep yields its trace."""
+    """The cloud's points, each built with its schedule as the sweep yields its leaf."""
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
     if "delta_bits" in KIND_BITS[kind]:
-        traces = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
+        leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        traces = ((sigma, 0, trace, None) for sigma, trace in sweep_sigma(req.params, req.sigma_bits))
+        leaves = ((sigma, 0, a_inf, s_sum, None, converged, ill, None)
+                  for sigma, a_inf, s_sum, converged, ill in sweep_sigma(req.params, req.sigma_bits))
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values, flags, schedules = [None] * (last + 1), [None] * (last + 1), [None] * (last + 1)
-    for sigma, delta, trace, terms in traces:
+    for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
         for gamma in range(2**gamma_bits):
             schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
-            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else _extract(kind, trace)
-            flags[head - gamma] = trace.ill_conditioned or not trace.converged
+            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else _extract(kind, a_inf, s_sum, u_inf)
+            flags[head - gamma] = ill or not converged
             schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
     return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
@@ -183,6 +185,17 @@ def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
     # reading a point fit builds it alone
     assert report.points[-1].index == 1023
     assert len(fits) == 1
+
+
+@pytest.mark.parametrize("kind", tuple(KIND_BITS))
+def test_only_run_quartet_builds_a_trace(kind, monkeypatch):
+    # a sweep yields bare leaves; the one trace is the one `run_quartet` returns
+    traces = counting_builds(monkeypatch, engine, "QuartetTrace")
+    bits = dict.fromkeys(KIND_BITS[kind], 3)
+    assert len(enumerate_cloud(CloudRequest(kind=kind, params=params(sinphi=0.8), **bits))) == 2 ** sum(bits.values())
+    assert not traces
+    run_quartet(params(sinphi=0.8), SignSchedule(5, 3, 6))
+    assert len(traces) == 1
 
 
 def test_links_are_found_once_on_first_read(monkeypatch):

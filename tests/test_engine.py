@@ -1,7 +1,7 @@
 import cmath
 import math
 import random
-from dataclasses import replace
+from marshal import dumps
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +29,8 @@ from multiagm.engine import (
     ILL_CONDITION_RATIO,
     MAX_ITER_LIMIT,
     QuartetTrace,
+    complete_E_of,
+    complete_K_of,
     sweep_quartet,
     sweep_sigma,
     zeta_sum,
@@ -322,7 +324,7 @@ def walked_and_reference_cloud(req):
     alone = []
     for schedule in descending_schedules(req):
         trace = reference_run_quartet(req.params, schedule, amplitude=req.kind not in ("K", "E", "N"))
-        value = trace.z_sum if req.kind in ("Z", "Z_restricted") else _extract(req.kind, trace)
+        value = trace.z_sum if req.kind in ("Z", "Z_restricted") else _extract(req.kind, *leaf_fields(trace)[:3])
         alone.append((repr(value), trace.ill_conditioned or not trace.converged, schedule))
     return walked, alone
 
@@ -388,6 +390,11 @@ def test_mean_pair_walk_is_bit_identical_to_reference():
         assert_sweep_matches_reference(p, min(max_iter, 6), schedules)
 
 
+def leaf_fields(trace):
+    """``(a_inf, s_sum, u_inf, converged, ill)``: the fields of a trace that a sweep leaf carries."""
+    return trace.a_inf, trace.s_sum, trace.u_inf, trace.converged, trace.ill_conditioned
+
+
 def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
     """Every sweep of 0..top_bits sigma bits yields each mask once, as the reference loop runs it.
 
@@ -397,15 +404,17 @@ def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
     expected = {}
     for mask in range(2**top_bits):
         alone = reference_run_quartet(p, SignSchedule(mask), amplitude=False)
-        expected[mask] = repr(replace(alone, rows=()))
+        a_inf, s_sum, _, converged, ill = leaf_fields(alone)
+        # repr tells signed zeros and NaN payload positions apart, unlike ==
+        expected[mask] = repr((mask, a_inf, s_sum, converged, ill))
         other = schedules[mask % len(schedules)]
         full = reference_run_quartet(p, SignSchedule(mask, other.delta_mask, other.gamma_mask))
         assert repr((alone.a_inf, alone.s_sum)) == repr((full.a_inf, full.s_sum))
     for sigma_bits in range(top_bits + 1):
-        swept = [(mask, repr(trace)) for mask, trace in sweep_sigma(p, sigma_bits)]
-        assert sorted(mask for mask, _ in swept) == list(range(2**sigma_bits))
-        for mask, trace in swept:
-            assert trace == expected[mask]
+        swept = list(sweep_sigma(p, sigma_bits))
+        assert sorted(leaf[0] for leaf in swept) == list(range(2**sigma_bits))
+        for leaf in swept:
+            assert repr(leaf) == expected[leaf[0]]
 
 
 @pytest.mark.parametrize(
@@ -433,17 +442,16 @@ def test_sweep_sigma_rejects_fixed_bits_among_the_free_ones():
     for sigma_mask in (1, 0b10, 0b111):
         with pytest.raises(ValueError, match="sigma_mask .* sets bits below sigma_bits=2"):
             next(sweep_sigma(params(), 2, sigma_mask=sigma_mask))
-    assert sorted(mask for mask, _ in sweep_sigma(params(), 2, sigma_mask=0b100)) == [4, 5, 6, 7]
+    assert sorted(leaf[0] for leaf in sweep_sigma(params(), 2, sigma_mask=0b100)) == [4, 5, 6, 7]
 
 
-def test_mean_pair_trace_gives_no_amplitude_value():
-    ((_, trace),) = sweep_sigma(params(sinphi=0.8), 0)
-    assert trace.converged and not trace.ill_conditioned
-    assert complete_K(trace) == complete_K(run_quartet(params(sinphi=0.8)))
-    assert cmath.isnan(trace.u_inf) and cmath.isnan(trace.z_sum) and not trace.zeta_defined
-    assert cmath.isnan(incomplete_F(trace))
-    with pytest.raises(ValueError, match="u=0"):
-        jacobi_Z(trace)
+def test_mean_pair_leaf_gives_the_trace_values():
+    # a leaf carries the mean limit and series alone, and its values come from the trace readers' formulas
+    ((mask, a_inf, s_sum, converged, ill),) = sweep_sigma(params(sinphi=0.8), 0)
+    trace = run_quartet(params(sinphi=0.8))
+    assert (mask, converged, ill) == (0, True, False)
+    assert repr((a_inf, s_sum)) == repr((trace.a_inf, trace.s_sum))
+    assert repr((complete_K_of(a_inf), complete_E_of(a_inf, s_sum))) == repr((complete_K(trace), complete_E(trace)))
 
 
 def test_walk_yields_every_position_once():
@@ -459,15 +467,15 @@ def test_walk_yields_every_position_once():
     ):
         p = params(**start, max_iter=max_iter)
         swept = {}
-        for sigma, delta, trace, terms in sweep_quartet(p, sigma_bits, delta_bits):
+        for sigma, delta, *fields, terms in sweep_quartet(p, sigma_bits, delta_bits):
             assert (sigma, delta) not in swept
-            swept[sigma, delta] = trace, terms
+            swept[sigma, delta] = fields, terms
         assert sorted(swept) == [(s, d) for s in range(2**sigma_bits) for d in range(2**delta_bits)]
-        for (sigma, delta), (trace, terms) in swept.items():
-            assert cmath.isnan(trace.z_sum) and trace.rows == ()
+        for (sigma, delta), (fields, terms) in swept.items():
             for gamma in range(2**max_iter):
                 alone = reference_run_quartet(p, SignSchedule(sigma, delta, gamma))
-                assert repr(replace(trace, z_sum=zeta_sum(terms, gamma))) == repr(replace(alone, rows=()))
+                expected = (*leaf_fields(alone), alone.zeta_defined, alone.z_sum)
+                assert repr((*fields, terms is not None, zeta_sum(terms, gamma))) == repr(expected)
         for bits in ((max_iter + 1, 0), (0, max_iter + 1), (-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="_bits must lie"):
                 next(sweep_quartet(p, *bits))
@@ -511,9 +519,10 @@ def test_cloud_steps_each_shared_prefix_once(monkeypatch):
     # and for Z a Zeta root too.  F at 3x4 bits: 7 + 8 * 17 = 143 mean roots
     # and 8 * (15 + 16 * 16) = 2168 forward roots without the stop, 94 and
     # 1384 with it (4496 when each sigma mask stepped its own mean pair and
-    # F took Zeta roots too).
+    # F took Zeta roots too).  A settled F leaf takes no root at all after
+    # that: 540 of the 1384 fall away.
     enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
-    assert (calls.count(True), calls.count(False)) == (143 - 49, 2168 - 784) == (94, 1384)
+    assert (calls.count(True), calls.count(False)) == (143 - 49, 2168 - 784 - 540) == (94, 844)
     calls.clear()
     # Z at 2x2x2: 3 + 4 * 18 = 75 mean roots and 4 * 2 * (3 + 4 * 18) = 600
     # amplitude roots without the stop, 46 and 368 with it (680 before the
@@ -546,6 +555,52 @@ def test_k_cloud_steps_each_node_once(monkeypatch):
         assert len(steps) == len(calls) == roots
         # every step of a sweep with no fixed bits goes the unflipped way
         assert not any(steps)
+
+
+def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
+    # the default F cloud steps 94 mean and 1384 amplitude nodes to their stop, 1478 steps in
+    # all; a settled leaf divides the rest of the path's q column instead of stepping
+    steps = []
+
+    def counting_step(*args):
+        steps.append(args[3])
+        return pair_step(*args)
+
+    monkeypatch.setattr(engine, "pair_step", counting_step)
+    enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
+    assert len(steps) == 938
+
+
+@given(
+    kind=st.sampled_from(("F", "Z", "Z_restricted")),
+    b=st.one_of(
+        st.floats(0.01, 0.99),
+        st.builds(complex, st.floats(-1.0, 1.5), st.floats(-1.0, 1.0)),
+    ),
+    sinphi=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    signb=st.sampled_from((1, -1)),
+    max_iter=st.integers(1, 40),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, data):
+    # a settled F leaf finishes on d_uv alone; Zeta leaves step every row.  marshal writes
+    # each double's bytes, so signed zeros and NaN payloads must match too
+    p = params(b=b, sinphi=sinphi, signb=signb, max_iter=max_iter)
+    bits = {name: data.draw(st.integers(0, min(max_iter, 4)), label=name) for name in KIND_BITS[kind]}
+    req = CloudRequest(kind, p, **bits)
+    zeta = kind != "F"
+    leaves = list(sweep_quartet(p, req.sigma_bits, req.delta_bits, zeta))
+    assert len(leaves) == 2 ** (req.sigma_bits + req.delta_bits)
+    for sigma, delta, *fields, terms in leaves:
+        gammas = [delta << 1] if kind == "Z_restricted" else range(2**req.gamma_bits)
+        for gamma in gammas:
+            alone = reference_run_quartet(p, SignSchedule(sigma, delta, gamma))
+            # a term negated after its product may differ in a NaN's sign alone, which repr hides
+            leaf = (*fields, terms is not None, repr(zeta_sum(terms, gamma)) if zeta else None)
+            expected = (*leaf_fields(alone), alone.zeta_defined, repr(alone.z_sum) if zeta else None)
+            # version 2 writes no back-references, whose flags follow reference counts
+            assert dumps(leaf, 2) == dumps(expected, 2), (sigma, delta, gamma)
 
 
 def test_zeta_cloud_roots_do_not_depend_on_gamma_bits(monkeypatch):

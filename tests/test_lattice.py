@@ -177,6 +177,23 @@ class TestFitCloud:
             assert report.max_residual == math.inf
             assert report.worst_point == 1
 
+    @pytest.mark.parametrize(
+        "gen2",
+        [1e-3j, 1e300 + 1e300j],  # an infinite coordinate, and one that is inf - inf
+    )
+    def test_finite_value_whose_coordinate_overflows_fits_nowhere(self, gen2):
+        spec = LatticeSpec(origin=0j, gen1=1e-3, gen2=gen2)
+        report = fit_cloud([1 + 2j, 1e308 + 1e308j], spec)
+        assert report.points[1] == PointFit(1, 0, 0, 0, math.inf, False)
+        assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
+
+    def test_finite_value_whose_coordinate_overflows_fits_nowhere_on_a_line(self):
+        # one generator: the coordinate is (d / gen1).real alone
+        spec = LatticeSpec(origin=0j, gen1=1e-3, gen2=0j, cosets=(0j, 1.0))
+        report = fit_cloud([2.0, 1e308 + 0j], spec)
+        assert list(report.points) == [PointFit(0, 2000, 0, 0, 0.0, False), PointFit(1, 0, 0, 0, math.inf, False)]
+        assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
+
     def test_no_fitted_point_does_not_pass(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
         flagged = MultivaluePoint(value=0j, schedule=SignSchedule(), signb=1, ill_conditioned=True)
