@@ -172,11 +172,11 @@ def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> N
 
 def _emit(args: argparse.Namespace, series_list: list[tuple[str, Cloud]], title: str) -> None:
     write = _write_csv if args.format == "csv" else _write_json
+    # the SVG first: a path that cannot be written must leave no row, and opening the output empties it
+    if args.svg:
+        _write_svg(args.svg, series_list, title)
     out = contextlib.nullcontext(sys.stdout) if args.out == "-" else open(args.out, "w", encoding="ascii", newline="")
-    # the output is opened and the SVG drawn before the first row, so that a path that cannot be written leaves none
     with out as stream:
-        if args.svg:
-            _write_svg(args.svg, series_list, title)
         write(stream, series_list)
 
 

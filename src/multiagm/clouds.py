@@ -37,7 +37,6 @@ __all__ = [
 ]
 
 # The sign bits each kind's value reads; a kind reads the amplitude pair if it reads delta bits.
-# Z_restricted's zeta sign at iteration n repeats its forward sign of iteration n-1.
 KIND_BITS = {
     "K": ("sigma_bits",),
     "F": ("sigma_bits", "delta_bits"),
@@ -49,6 +48,11 @@ KIND_BITS = {
 
 # Two points closer than this times the cloud scale count as one value.
 DUPLICATE_RTOL = 1e-9
+
+
+def _gamma_mask(kind: str, delta: int, gamma: int) -> int:
+    """The gamma mask of a schedule: Z_restricted's zeta sign at iteration n repeats its forward sign of n-1."""
+    return delta << 1 if kind == "Z_restricted" else gamma
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,9 +156,7 @@ class Cloud(ColumnView):
         gamma = number & ((1 << req.gamma_bits) - 1)
         number >>= req.gamma_bits
         delta = number & ((1 << req.delta_bits) - 1)
-        if req.kind == "Z_restricted":
-            gamma = delta << 1
-        return SignSchedule(number >> req.delta_bits, delta, gamma)
+        return SignSchedule(number >> req.delta_bits, delta, _gamma_mask(req.kind, delta, gamma))
 
     def _item(self, i: int) -> MultivaluePoint:
         signb = self.request.params.signb
@@ -230,11 +232,11 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
 
     Position ``i`` holds the schedule whose masks, read as one number with
     sigma highest and gamma lowest, equal ``last - i``: masks run in
-    descending order, and the all-plus schedule is the last point.
-    Z_restricted's gamma mask is its delta mask shifted up one.  K, E and
-    N read the mean pair alone, so their leaves come from `sweep_sigma`,
-    one per sigma mask.  F, Z and Z_restricted take theirs from
-    `sweep_quartet`, one per sigma and delta mask.  Each leaf gives one
+    descending order, and the all-plus schedule is the last point;
+    `_gamma_mask` gives Z_restricted's gamma mask.  K, E and N read the
+    mean pair alone, so their leaves come from `sweep_sigma`, one per sigma
+    mask.  F, Z and Z_restricted take theirs from `sweep_quartet`, one per
+    sigma and delta mask, in the same layout.  Each leaf gives one
     point, except on Z, whose gamma bits only sign the Zeta terms:
     `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
     unconverged leaves yield flagged points, never omissions.  The sweep
@@ -246,8 +248,7 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     if "delta_bits" in KIND_BITS[kind]:
         leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        leaves = ((sigma, 0, a_inf, s_sum, None, converged, ill, None)
-                  for sigma, a_inf, s_sum, converged, ill in sweep_sigma(req.params, req.sigma_bits))
+        leaves = sweep_sigma(req.params, req.sigma_bits)
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values: list = [None] * (last + 1)
     flags: list = [None] * (last + 1)
@@ -256,6 +257,6 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
         flag = ill or not converged
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
         for gamma in range(2**gamma_bits):
-            values[head - gamma] = zeta_sum(terms, delta << 1 if kind == "Z_restricted" else gamma) if zeta else value
+            values[head - gamma] = zeta_sum(terms, _gamma_mask(kind, delta, gamma)) if zeta else value
             flags[head - gamma] = flag
     return Cloud(req, tuple(values), tuple(flags))

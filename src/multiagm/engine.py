@@ -18,17 +18,12 @@ gamma bit only negates one Zeta term.  So `sweep_sigma`, the one mean
 loop, walks the binary tree of sigma prefixes, one mean root per node and
 step.  For F and Zeta it records each mask's path, and `sweep_quartet`
 walks the tree of delta prefixes along it, one forward root per node and
-step and a Zeta root only for Zeta, which finishes that step's term;
-`zeta_sum` signs and adds the terms per gamma mask.  The sweeps yield bare
-leaves, tuples of the limits and flags a value reads; `run_quartet` is the
-one-schedule case, and the only builder of a `QuartetTrace`.  Past its
-last flip a node stops once a step repeats its state bit for bit with a
-zero difference: the AGM converges quadratically, and every later step
-would repeat it.  Before that, an F node settles once its sum ``s_uv``
-stops moving and every later ``|d_ag|`` lies below a quarter ulp of it:
-``s_uv -+ d_ag`` then rounds to ``s_uv`` exactly, so the forward root and
-the sum repeat, and the node finishes by dividing each later ``q`` by
-``s_uv`` for its difference alone.
+step and a Zeta root only for Zeta; `zeta_sum` signs and adds the finished
+terms per gamma mask.  Both sweeps yield bare leaves of one layout,
+``(sigma_mask, delta_mask, a_inf, s_sum, u_inf, converged, ill, terms)``.
+`run_quartet` is the one-schedule case, and the only builder of a
+`QuartetTrace`.  A node may stop or settle before ``max_iter`` (see
+`_sweep_delta`), but every leaf is bit for bit its own `run_quartet`.
 """
 
 from __future__ import annotations
@@ -153,10 +148,8 @@ class QuartetTrace:
     a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
     compared to the start.
 
-    Only `run_quartet` builds one.  The sweeps behind a cloud yield bare
-    leaves, tuples of the limits and flags their values read, and the
-    value of a leaf and of a trace come from the same functions:
-    `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
+    Only `run_quartet` builds one; a trace and a sweep leaf give their
+    values through `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
     """
 
     rows: tuple[Quartet, ...]
@@ -171,20 +164,20 @@ class QuartetTrace:
 
 def sweep_sigma(
     params: QuartetParams, sigma_bits: int, sigma_mask: int = 0, path: list | None = None
-) -> Iterator[tuple[int, complex, complex, bool, bool]]:
+) -> Iterator[tuple[int, int, complex, complex, None, bool, bool, tuple]]:
     """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
 
-    Yields one leaf ``(mask, a_inf, s_sum, converged, ill)`` per mask, in no
-    particular order: ``a_inf`` and ``s_sum`` bit for bit as `run_quartet`
-    over ``SignSchedule(mask)`` gives them, and flags from ``(a, g)`` alone.
+    Yields one leaf per mask, in no particular order, in the layout of
+    `sweep_quartet`: ``(mask, 0, a_inf, s_sum, None, converged, ill, ())``,
+    ``a_inf`` and ``s_sum`` bit for bit as `run_quartet` over
+    ``SignSchedule(mask)`` gives them, and flags from ``(a, g)`` alone.
     The sweep is depth first over the binary tree of sigma prefixes: at every
     node and iteration it takes the one mean root, and below ``sigma_bits``
     it steps the pair once from that root, keeps the flipped child for
     later and goes on with the other.  Higher bits come from ``sigma_mask``,
     which must leave the free bits clear.
-    Past its last flip a node stops once a step leaves a finite ``(a, g,
-    s_ag, d_ag)`` bit for bit as it was, with ``d_ag == 0``: every later
-    step would repeat it and add a signed zero to ``s_sum``.
+    Past its last flip a node stops at its exact fixed point, as
+    `_sweep_delta` proves.
 
     Given ``path``, ``max_iter + 1`` slots, the sweep fills it before each
     yield: ``(a, g, s_ag, d_ag, near, q)`` before each iteration, with the
@@ -235,7 +228,7 @@ def sweep_sigma(
         scale = abs(a)
         converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
         ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
-        yield mask, a, s_sum, converged, ill
+        yield mask, 0, a, s_sum, None, converged, ill, ()
 
 
 def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int, delta_mask: int = 0,
@@ -246,33 +239,43 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     of delta prefixes as `sweep_sigma` walks sigma, higher bits from
     ``delta_mask``, whose free bits are clear: one forward root per node and
     iteration, and with ``zeta`` a Zeta root, from which the iteration's
-    term ``2**n * d_uv * zr / u`` is finished at once.  A node stops as a
-    mean node does, on ``(u, s_uv)``, once the path is fixed.  Yields
-    ``(delta_mask, u_inf, converged, ill, terms)`` per leaf, ``terms``
-    ``()`` without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits
-    only, collects ``(u, v)`` per row.
+    term ``2**n * d_uv * zr / u`` is finished at once.  Yields one leaf per
+    delta mask in the layout of `sweep_quartet`, with ``terms`` ``()``
+    without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits only,
+    collects ``(u, v)`` per row.
 
-    Without ``zeta`` a node past its last flip also settles.  Say a step
-    leaves a finite ``s_uv`` with two nonzero components unchanged and
-    ``u`` nonzero, outside the coinciding-pairs branch, and on this and
-    every later row each component of ``|d_ag|`` lies below a quarter ulp
-    of the matching component of ``s_uv``.  Then each later ``s_uv -+
-    d_ag`` rounds to ``s_uv`` exactly: a quarter, since the spacing below a
-    power of two is half an ulp.  So the square, the root, ``u`` and
-    ``s_uv`` repeat bit for bit, and only ``d_uv = q / s_uv`` still moves;
-    the node finishes on the path's ``q`` column under the same stop.  A
-    later row whose ``s_ag`` equals ``s_uv`` might take the coinciding
-    branch, so there the node keeps stepping.  Zeta keeps stepping too: its
-    root reads ``a`` on every row.
+    Stop.  Past its last flip a node of either sweep stops after a step
+    that leaves its finite state bit for bit as it was, with a zero
+    difference: ``(a, g, s_ag, d_ag)`` on the mean pair, and ``(u, s_uv)``
+    on the amplitude pair once its path is fixed.  Every later step would
+    repeat the state and add a signed zero to each series, or, for a Zeta
+    root that is not finite, the NaN that the series already holds; a sum
+    from +0 never changes by adding a signed zero.
+
+    Settle.  Without ``zeta`` a node past its last flip may finish sooner.
+    Say a step leaves a finite ``s_uv`` unchanged, outside the
+    coinciding-pairs branch, and on this and every later row each component
+    of ``|d_ag|`` lies below a quarter ulp of the matching component of
+    ``s_uv``: a quarter, since the spacing below a power of two is half an
+    ulp.  Then each later ``s_uv -+ d_ag`` rounds to ``s_uv`` exactly.
+    ``ulp(x) / 4`` is 0 for every ``|x| < 2**-1020``, zero included, so
+    both components of ``s_uv`` are nonzero, and so is ``u = s_uv / 2``.
+    So the square, the root, ``u`` and ``s_uv`` repeat bit for bit, no
+    flag changes, and only ``d_uv = q / s_uv`` still moves.  The leaf reads it once,
+    after its last row, and that row's ``q`` is the path's last: a stepped
+    finish either runs to the end or stops on the fixed path, all of whose
+    rows are the last.  So one division finishes the leaf.  A later row
+    whose ``s_ag`` equals ``s_uv`` might take the coinciding branch, so
+    there the node keeps stepping.  Zeta keeps stepping too: its root reads
+    ``a`` on every row.
     """
     isfinite = cmath.isfinite
     ulp = math.ulp
     max_iter = params.max_iter
     fixed = path[max_iter - 1]
     stop_from = max(delta_bits - 1, delta_mask.bit_length())
-    _, a_inf, _, mean_converged, mean_ill = mean
+    sigma_mask, _, a_inf, s_sum, _, mean_converged, mean_ill, _ = mean
     if not zeta:
-        q_col = [row[5] for row in path[:max_iter]]
         s_col = [row[2] for row in path[:max_iter]]
         # per row, the largest |d_ag| components from it to the end, inf from a non-finite one on
         top_re, top_im = [0.0] * max_iter, [0.0] * max_iter
@@ -333,30 +336,24 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 if uv_rows is not None:
                     uv_rows.extend([uv_rows[-1]] * (max_iter - 1 - n))
                 break
+            # a zero or tiny component of s_uv has a zero quarter ulp, which no |d_ag| lies below
             if (
                 not zeta
                 and s_uv == s_in
                 and n >= stop_from
                 and finite
                 and not coinciding
-                and u
-                and s_uv.real
-                and s_uv.imag
                 and top_re[n] < ulp(s_uv.real) / 4
                 and top_im[n] < ulp(s_uv.imag) / 4
                 and s_uv not in s_col[n + 1 :]
             ):
-                # settled: as the stepped rows would, stop after a row that starts from d_uv == 0 on the fixed path
-                for n in range(n + 1, max_iter):
-                    stop = not d_uv and path[n] is fixed
-                    d_uv = q_col[n] / s_uv
-                    if stop:
-                        break
+                # settled: the last row's q over the sum that every later row repeats
+                d_uv = fixed[5] / s_uv
                 break
 
         converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * abs(a_inf))
         ill = mean_ill or not finite or degenerate or terms is None
-        yield mask, u, converged, ill, terms
+        yield sigma_mask, mask, a_inf, s_sum, u, converged, ill, terms
 
 
 def sweep_quartet(
@@ -378,9 +375,7 @@ def sweep_quartet(
         raise ValueError(f"delta_bits must lie in [0, {max_iter}]")
     path: list = [None] * (max_iter + 1)
     for mean in sweep_sigma(params, sigma_bits, path=path):
-        sigma_mask, a_inf, s_sum, _, _ = mean
-        for delta_mask, u_inf, converged, ill, terms in _sweep_delta(params, path, mean, delta_bits, zeta=zeta):
-            yield sigma_mask, delta_mask, a_inf, s_sum, u_inf, converged, ill, terms
+        yield from _sweep_delta(params, path, mean, delta_bits, zeta=zeta)
 
 
 def zeta_sum(terms: Sequence[complex] | None, gamma_mask: int) -> complex:
@@ -413,9 +408,9 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
     path: list = [None] * (params.max_iter + 1)
     (mean,) = sweep_sigma(params, 0, schedule.sigma_mask, path)
     uv_rows: list = []
-    ((_, u_inf, converged, ill, terms),) = _sweep_delta(params, path, mean, 0, schedule.delta_mask, uv_rows=uv_rows)
+    (leaf,) = _sweep_delta(params, path, mean, 0, schedule.delta_mask, uv_rows=uv_rows)
+    _, _, a_inf, s_sum, u_inf, converged, ill, terms = leaf
     rows = tuple((a, g, u, v) for (a, g, *_), (u, v) in zip(path, uv_rows))
-    _, a_inf, s_sum, _, _ = mean
     z_sum = zeta_sum(terms, schedule.gamma_mask)
     return QuartetTrace(rows, s_sum, z_sum, a_inf, u_inf, converged, ill, terms is not None)
 

@@ -179,10 +179,13 @@ def landen_check(b: float) -> tuple[float, float]:
     For ``q = (1-b)/(1+b)``, ``v = sqrt(1-q**2)`` and the second-level pair
     ``c, w`` (with ``q = 2 sqrt(c)/(1+c)`` and ``w = 2 sqrt(v)/(1+v)``) the
     products satisfy ``K(k)K(v) = 2 K(b)K(q)`` and ``K(k)K(w) = 4 K(b)K(c)``
-    exactly.  Every K is evaluated through its complementary modulus, which
-    keeps the residuals at rounding level even for b close to 1.  For b
-    at or below about ``2**-54`` q rounds to 1, where K(q) is infinite, and
-    the check raises.
+    exactly.  Every K is evaluated through its complementary modulus, so
+    the residuals stay at rounding level for b close to 1.  For small b
+    they do not: ``v = sqrt((1-q)(1+q))`` carries the rounding of q at full
+    relative size in ``1-q``, and the residuals grow to about 1.3e-07 at
+    ``b = 1e-10``, 1.3e-03 at 1e-14 and 0.92 at 1e-16 (ROADMAP item 11,
+    the exact complement ``2 sqrt(b)/(1+b)``).  For b at or below about
+    ``2**-54`` q rounds to 1, where K(q) is infinite, and the check raises.
     """
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")

@@ -282,8 +282,24 @@ class TestFlagValidation:
             main(argv + (["--out", str(out)] if to_file else []))
         assert err.value.code == 2
         assert capsys.readouterr().out == ""
-        if to_file:
-            assert out.read_text(encoding="ascii") == ""
+        assert not out.exists()
+
+    def test_unwritable_svg_keeps_an_existing_output(self, tmp_path, capsys):
+        out = tmp_path / "keep.csv"
+        out.write_bytes(b"old\n")
+        with pytest.raises(SystemExit) as err:
+            main(["fill-k", "--out", str(out), "--svg", str(tmp_path / "missing" / "x.svg")])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"old\n"
+
+    def test_unwritable_output_keeps_the_svg(self, tmp_path, capsys):
+        svg = tmp_path / "x.svg"
+        with pytest.raises(SystemExit) as err:
+            main(["fill-e", "--sigma-bits", "1", "--svg", str(svg), "--out", str(tmp_path / "missing" / "x.csv")])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+        assert svg.read_text(encoding="ascii").startswith("<svg ")
 
     @pytest.mark.parametrize(
         "argv,message",

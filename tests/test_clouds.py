@@ -109,8 +109,7 @@ def points_one_by_one(req):
     if "delta_bits" in KIND_BITS[kind]:
         leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        leaves = ((sigma, 0, a_inf, s_sum, None, converged, ill, None)
-                  for sigma, a_inf, s_sum, converged, ill in sweep_sigma(req.params, req.sigma_bits))
+        leaves = sweep_sigma(req.params, req.sigma_bits)
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values, flags, schedules = [None] * (last + 1), [None] * (last + 1), [None] * (last + 1)
     for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:

@@ -4,7 +4,7 @@ import random
 from marshal import dumps
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiagm import (
@@ -406,7 +406,7 @@ def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
         alone = reference_run_quartet(p, SignSchedule(mask), amplitude=False)
         a_inf, s_sum, _, converged, ill = leaf_fields(alone)
         # repr tells signed zeros and NaN payload positions apart, unlike ==
-        expected[mask] = repr((mask, a_inf, s_sum, converged, ill))
+        expected[mask] = repr((mask, 0, a_inf, s_sum, None, converged, ill, ()))
         other = schedules[mask % len(schedules)]
         full = reference_run_quartet(p, SignSchedule(mask, other.delta_mask, other.gamma_mask))
         assert repr((alone.a_inf, alone.s_sum)) == repr((full.a_inf, full.s_sum))
@@ -447,11 +447,31 @@ def test_sweep_sigma_rejects_fixed_bits_among_the_free_ones():
 
 def test_mean_pair_leaf_gives_the_trace_values():
     # a leaf carries the mean limit and series alone, and its values come from the trace readers' formulas
-    ((mask, a_inf, s_sum, converged, ill),) = sweep_sigma(params(sinphi=0.8), 0)
+    ((mask, delta, a_inf, s_sum, u_inf, converged, ill, terms),) = sweep_sigma(params(sinphi=0.8), 0)
     trace = run_quartet(params(sinphi=0.8))
-    assert (mask, converged, ill) == (0, True, False)
+    assert (mask, delta, u_inf, converged, ill, terms) == (0, 0, None, True, False, ())
     assert repr((a_inf, s_sum)) == repr((trace.a_inf, trace.s_sum))
     assert repr((complete_K_of(a_inf), complete_E_of(a_inf, s_sum))) == repr((complete_K(trace), complete_E(trace)))
+
+
+def test_sweeps_share_one_leaf_layout():
+    # (sigma_mask, delta_mask, a_inf, s_sum, u_inf, converged, ill, terms): a mean leaf has delta 0,
+    # no u_inf and no terms, and each amplitude leaf carries its sigma mask's mean leaf bit for bit
+    p = params(sinphi=0.8, max_iter=6)
+    means = {}
+    for leaf in sweep_sigma(p, 2):
+        sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms = leaf
+        assert (delta, u_inf, terms) == (0, None, ())
+        means[sigma] = repr((a_inf, s_sum)), converged, ill
+    for zeta in (False, True):
+        leaves = list(sweep_quartet(p, 2, 2, zeta))
+        assert len(leaves) == 16
+        for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:
+            mean_repr, mean_converged, mean_ill = means[sigma]
+            assert repr((a_inf, s_sum)) == mean_repr
+            assert isinstance(u_inf, complex)
+            assert converged <= mean_converged and ill >= mean_ill
+            assert isinstance(terms, list) if zeta else terms == ()
 
 
 def test_walk_yields_every_position_once():
@@ -559,7 +579,7 @@ def test_k_cloud_steps_each_node_once(monkeypatch):
 
 def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
     # the default F cloud steps 94 mean and 1384 amplitude nodes to their stop, 1478 steps in
-    # all; a settled leaf divides the rest of the path's q column instead of stepping
+    # all; a settled leaf takes one division instead of its remaining steps
     steps = []
 
     def counting_step(*args):
@@ -576,19 +596,29 @@ def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
     b=st.one_of(
         st.floats(0.01, 0.99),
         st.builds(complex, st.floats(-1.0, 1.5), st.floats(-1.0, 1.0)),
+        # a tiny imaginary part, which s_uv's imaginary part follows down to and below 2**-1020
+        st.builds(complex, st.floats(0.01, 0.99), st.floats(-1e-300, 1e-300)),
     ),
-    sinphi=st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    sinphi=st.one_of(st.just(1.0), st.just(1e-300), st.floats(0.0, 1.0, exclude_min=True)),
     signb=st.sampled_from((1, -1)),
     max_iter=st.integers(1, 40),
-    data=st.data(),
+    bits=st.tuples(*[st.integers(0, 4)] * 3),
 )
+# Named F leaves.  Real b and sinphi with sigma 0: s_uv has a zero imaginary part.
+@example(kind="F", b=0.25, sinphi=0.5, signb=1, max_iter=20, bits=(0, 0, 0))
+# s_uv's imaginary part stays near 2e-311, below 2**-1020.
+@example(kind="F", b=complex(0.5, 1e-310), sinphi=0.5, signb=1, max_iter=30, bits=(0, 0, 0))
+# The leaf of delta mask 0 settles on its last row, n = max_iter - 1.
+@example(kind="F", b=0.7, sinphi=0.5, signb=1, max_iter=5, bits=(0, 1, 0))
+# sinphi 1: the amplitude pair starts as an exact copy of the mean pair.
+@example(kind="F", b=0.25, sinphi=1.0, signb=1, max_iter=20, bits=(2, 2, 0))
 @settings(max_examples=60, deadline=None)
-def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, data):
-    # a settled F leaf finishes on d_uv alone; Zeta leaves step every row.  marshal writes
+def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, bits):
+    # a settled F leaf ends in one division; Zeta leaves step every row.  marshal writes
     # each double's bytes, so signed zeros and NaN payloads must match too
     p = params(b=b, sinphi=sinphi, signb=signb, max_iter=max_iter)
-    bits = {name: data.draw(st.integers(0, min(max_iter, 4)), label=name) for name in KIND_BITS[kind]}
-    req = CloudRequest(kind, p, **bits)
+    names = ("sigma_bits", "delta_bits", "gamma_bits")
+    req = CloudRequest(kind, p, **{name: min(max_iter, n) for name, n in zip(names, bits) if name in KIND_BITS[kind]})
     zeta = kind != "F"
     leaves = list(sweep_quartet(p, req.sigma_bits, req.delta_bits, zeta))
     assert len(leaves) == 2 ** (req.sigma_bits + req.delta_bits)
