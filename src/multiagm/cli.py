@@ -262,10 +262,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_magm_check(args: argparse.Namespace) -> int:
     if args.mask_bits < 0:
         raise ValueError("mask_bits must be nonnegative")
-    eq = magm_equivalence(args.b, args.rows)
-    if args.mask_bits > args.rows:
-        # mask bits at or above the row count never apply
+    if args.mask_bits > args.rows >= 0:
+        # mask bits at or above the row count never apply; a negative row count is magm's to reject
         raise ValueError("mask_bits exceeds rows")
+    eq = magm_equivalence(args.b, args.rows)
     print(f"equivalence b={args.b} rows={args.rows}:")
     print(f"  max row deviation  {eq.max_row_deviation:.3e}")
     print(f"  limit              {eq.limit:.15g}")

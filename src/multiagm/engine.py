@@ -253,20 +253,24 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     from +0 never changes by adding a signed zero.
 
     Settle.  Without ``zeta`` a node past its last flip may finish sooner.
-    Say a step leaves a finite ``s_uv`` unchanged, outside the
-    coinciding-pairs branch, and on this and every later row each component
-    of ``|d_ag|`` lies below a quarter ulp of the matching component of
-    ``s_uv``: a quarter, since the spacing below a power of two is half an
-    ulp.  Then each later ``s_uv -+ d_ag`` rounds to ``s_uv`` exactly.
-    ``ulp(x) / 4`` is 0 for every ``|x| < 2**-1020``, zero included, so
-    both components of ``s_uv`` are nonzero, and so is ``u = s_uv / 2``.
-    So the square, the root, ``u`` and ``s_uv`` repeat bit for bit, no
-    flag changes, and only ``d_uv = q / s_uv`` still moves.  The leaf reads it once,
-    after its last row, and that row's ``q`` is the path's last: a stepped
-    finish either runs to the end or stops on the fixed path, all of whose
-    rows are the last.  So one division finishes the leaf.  A later row
-    whose ``s_ag`` equals ``s_uv`` might take the coinciding branch, so
-    there the node keeps stepping.  Zeta keeps stepping too: its root reads
+    Say a step on row ``n`` leaves ``s_uv`` unchanged, and on this row and
+    every later one each component of ``d_ag`` lies below a quarter ulp of
+    the matching component of ``s_uv`` (a quarter, since the spacing below a
+    power of two is half an ulp) and ``s_ag`` differs from ``s_uv``.  Then
+    no row from ``n`` on takes the coinciding branch, which needs
+    ``s_ag == s_uv``, and each ``s_uv -+ d_ag`` rounds to ``s_uv`` exactly.
+    So every later square, root ``w``, ``u`` and ``s_uv`` repeat this row's
+    bit for bit.  ``ulp(x) / 4`` is 0 for every ``|x| < 2**-1020``, zero
+    included, so both components of ``s_uv`` are nonzero, and so is
+    ``u = s_uv / 2``: neither ``degenerate`` nor an undefined Zeta can
+    arise.  Nor can ``finite`` change, as every later row would recompute it
+    from the ``s_uv`` and ``w`` that this row's step read.  Only
+    ``d_uv = q / s_uv`` still moves, and only ``converged`` reads it, once,
+    after the last row.  That row's ``q`` is ``fixed[5]``: a stepped finish
+    either runs to the last row or stops on a row of the mean's fixed path,
+    all of which are the last.  So one division finishes the leaf.  The
+    check reads the rows only up to the mean's stop, since every row from
+    there on is the one fixed object.  Zeta keeps stepping: its root reads
     ``a`` on every row.
     """
     isfinite = cmath.isfinite
@@ -275,21 +279,6 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     fixed = path[max_iter - 1]
     stop_from = max(delta_bits - 1, delta_mask.bit_length())
     sigma_mask, _, a_inf, s_sum, _, mean_converged, mean_ill, _ = mean
-    if not zeta:
-        s_col = [row[2] for row in path[:max_iter]]
-        # per row, the largest |d_ag| components from it to the end, inf from a non-finite one on
-        top_re, top_im = [0.0] * max_iter, [0.0] * max_iter
-        re = im = 0.0
-        for n in range(max_iter - 1, -1, -1):
-            d_ag = path[n][3]
-            if isfinite(d_ag):
-                if abs(d_ag.real) > re:
-                    re = abs(d_ag.real)
-                if abs(d_ag.imag) > im:
-                    im = abs(d_ag.imag)
-            else:
-                re = im = math.inf
-            top_re[n], top_im[n] = re, im
     sp = complex(params.sinphi)
     u = 1 / sp
     # full amplitude: the second pair is an exact copy of the first
@@ -310,8 +299,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                     terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)
             if not s_uv:
                 degenerate = True
-            coinciding = s_uv == s_ag and d_uv == d_ag
-            if coinciding:
+            if s_uv == s_ag and d_uv == d_ag:
                 # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
                 # mean-pair root and keep the copy exact bit for bit
                 w = near
@@ -336,17 +324,18 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 if uv_rows is not None:
                     uv_rows.extend([uv_rows[-1]] * (max_iter - 1 - n))
                 break
-            # a zero or tiny component of s_uv has a zero quarter ulp, which no |d_ag| lies below
-            if (
-                not zeta
-                and s_uv == s_in
-                and n >= stop_from
-                and finite
-                and not coinciding
-                and top_re[n] < ulp(s_uv.real) / 4
-                and top_im[n] < ulp(s_uv.imag) / 4
-                and s_uv not in s_col[n + 1 :]
-            ):
+            if not zeta and n >= stop_from and s_uv == s_in:
+                # this row and every later one up to the mean's stop, after which each row is the fixed one
+                bound_re, bound_im = ulp(s_uv.real) / 4, ulp(s_uv.imag) / 4
+                row, later = path[n], n
+                while row[2] != s_uv and abs(row[3].real) < bound_re and abs(row[3].imag) < bound_im:
+                    if row is fixed:
+                        break
+                    later += 1
+                    row = path[later]
+                else:
+                    # a row fails: keep stepping
+                    continue
                 # settled: the last row's q over the sum that every later row repeats
                 d_uv = fixed[5] / s_uv
                 break

@@ -569,6 +569,17 @@ class TestOtherCommands:
         assert captured.out == ""
         assert captured.err == f"error: {bound}\n"
 
+    def test_magm_check_rejects_mask_bits_before_any_work(self, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("magm ran for a rejected request")
+
+        monkeypatch.setattr(multiagm.cli, "magm_equivalence", no_work)
+        monkeypatch.setattr(multiagm.cli, "magm_negative_experiment", no_work)
+        with pytest.raises(SystemExit) as err:
+            main(["magm-check", "--rows", "2", "--mask-bits", "3"])
+        assert err.value.code == 2
+        assert capsys.readouterr().err == "error: mask_bits exceeds rows\n"
+
     def test_magm_check_rows_default_is_the_library_default(self):
         assert build_parser().parse_args(["magm-check"]).rows == DEFAULT_ROWS
 

@@ -587,8 +587,12 @@ def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
         return pair_step(*args)
 
     monkeypatch.setattr(engine, "pair_step", counting_step)
-    enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
-    assert len(steps) == 938
+    # every node of this cloud stops or settles within 20 rows, so a deeper budget takes not
+    # one step more
+    for max_iter in (20, 400, MAX_ITER_LIMIT):
+        steps.clear()
+        enumerate_cloud(CloudRequest("F", params(sinphi=0.8, max_iter=max_iter), 3, 4))
+        assert len(steps) == 938, max_iter
 
 
 @given(
@@ -612,6 +616,21 @@ def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
 @example(kind="F", b=0.7, sinphi=0.5, signb=1, max_iter=5, bits=(0, 1, 0))
 # sinphi 1: the amplitude pair starts as an exact copy of the mean pair.
 @example(kind="F", b=0.25, sinphi=1.0, signb=1, max_iter=20, bits=(2, 2, 0))
+# Leaf (0, 0) meets the quarter-ulp bound on row 4, whose s_ag equals s_uv: settled there,
+# rather than taking the coinciding branch, u_inf would end in ...824303j, not ...824296j.
+@example(kind="F", b=complex(0.903463187304294, 0.03610690705924069), sinphi=1.0, signb=1, max_iter=20, bits=(1, 0, 0))
+# sinphi 1 + 2**-51 j, just off full amplitude: a later row's s_ag equals the settled s_uv and takes
+# the coinciding branch, which ends u_inf in ...18637j; settled regardless, it would end in ...186376j.
+@example(kind="F", b=complex(0.9239637249147061, 0.8545699662874637), sinphi=complex(1.0, 2.0**-51), signb=1,
+         max_iter=21, bits=(0, 0, 0))
+# Leaf (32, 1) meets the bound on row 5, but the sigma flip of that row's step makes row 6's
+# |d_ag| large again: the settle must read the later rows too.
+@example(kind="F", b=0.25, sinphi=0.8, signb=1, max_iter=8, bits=(6, 1, 0))
+# Deep budgets, real and complex b: the settle reads no row past the mean's stop.
+@example(kind="F", b=0.25, sinphi=0.8, signb=1, max_iter=400, bits=(3, 4, 0))
+@example(kind="F", b=complex(0.3, 0.2), sinphi=1.0, signb=-1, max_iter=400, bits=(2, 2, 0))
+@example(kind="F", b=0.25, sinphi=1.0, signb=1, max_iter=MAX_ITER_LIMIT, bits=(2, 2, 0))
+@example(kind="F", b=complex(0.3, 0.2), sinphi=0.8, signb=1, max_iter=MAX_ITER_LIMIT, bits=(3, 4, 0))
 @settings(max_examples=60, deadline=None)
 def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, bits):
     # a settled F leaf ends in one division; Zeta leaves step every row.  marshal writes
