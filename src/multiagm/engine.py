@@ -6,8 +6,9 @@ square root.  One converged trace yields K, F (any arcsine branch),
 E and the Jacobi Zeta value for the chosen sign schedule.
 
 Internally both pairs are carried as sums and differences and advanced by
-`roots.pair_step`, which gets the member that a subtraction would cancel
-from the exact identity ``sum' * diff' = diff**2 / 4``.  Sign flips applied
+the operations of `roots.pair_step`, inline in the sweep loops, which get
+the member that a subtraction would cancel from the exact identity
+``sum' * diff' = diff**2 / 4``.  Sign flips applied
 after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
 entirely.
@@ -34,7 +35,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from marshal import dumps
 
-from .roots import complement, pair_step, principal_sqrt, signed_root
+from .roots import complement, principal_sqrt, signed_root
 
 __all__ = [
     "SignSchedule",
@@ -179,6 +180,23 @@ def sweep_sigma(
     Past its last flip a node stops at its exact fixed point, as
     `_sweep_delta` proves.
 
+    A step calls no Python function but on a tie.  It takes the mean root as
+    `roots.signed_root` does, ``w = sqrt(a * g)`` kept or negated by the sign
+    of ``Re(w / s_ag)``, and hands the tie, where that is 0 or NaN, to
+    `signed_root` itself.  Then it updates the pair with the operations of
+    `roots.pair_step`, in its order, so every leaf is bit for bit the same.
+
+    Finite.  A node carries no finite flag: the current ``a`` and ``g`` give
+    it.  Once ``a`` or ``g`` is not finite, neither is ``a * g`` (each part
+    of a naive complex product holds a product of the infinite or NaN part
+    with a factor, which is infinite, or NaN when that factor is 0) nor its
+    root (``cmath.sqrt`` maps every non-finite value to a non-finite one),
+    so ``g`` is not finite on any later row, flipped or not.  Hence every
+    row so far was finite exactly when the current ``a`` and ``g`` are, and
+    that is what the stop test, reached only when ``d_ag == 0``, and the
+    leaf's flags read.  The amplitude pair keeps its flag: a delta flip
+    divides by the infinite sum and can bring it back to finite values.
+
     Given ``path``, ``max_iter + 1`` slots, the sweep fills it before each
     yield: ``(a, g, s_ag, d_ag, near, q)`` before each iteration, with the
     mean root and ``q = d_ag**2 / 4``, then ``(a, g)``.  From a stop on,
@@ -191,13 +209,14 @@ def sweep_sigma(
         # a fixed bit among the free ones would give two masks twice and two never
         raise ValueError(f"sigma_mask {sigma_mask:#b} sets bits below sigma_bits={sigma_bits}")
     isfinite = cmath.isfinite
+    sqrt = cmath.sqrt
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
     a = complex(1.0)
     g = params.signb * params.complement_value()
     # Pending nodes: the iteration a node resumes at, its mask, and the state.
-    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0), False, isfinite(a) and isfinite(g))]
+    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0), False)]
     while stack:
-        n, mask, a, g, s_ag, d_ag, s_sum, collapsed, finite = stack.pop()
+        n, mask, a, g, s_ag, d_ag, s_sum, collapsed = stack.pop()
         # series weight 2**(n-1); doubling a power of two is exact
         weight = math.ldexp(0.5, n)
         for n in range(n, max_iter):
@@ -206,18 +225,32 @@ def sweep_sigma(
             p_ag = a * g
             if not p_ag:
                 collapsed = True
-            near = signed_root(p_ag, s_ag, tie_positive_imag=True)
+            # roots.signed_root inline; a tie goes to it
+            near = sqrt(p_ag)
+            t = (near / s_ag).real if s_ag else 0.0
+            if not t > 0.0:
+                near = -near if t < 0.0 else signed_root(p_ag, s_ag, tie_positive_imag=True)
             q = d_ag * d_ag / 4
             if path:
                 path[n] = (a, g, s_ag, d_ag, near, q)
             # marshal writes the bytes of each double, so unlike == it tells signed zeros apart
-            before = None if d_ag or n < stop_from or not finite else dumps((a, g, s_ag, d_ag), 2)
-            a, g, s_ag, d_ag = pair_step(s_ag, q, near, mask >> n & 1)
-            if finite:
-                finite = isfinite(a) and isfinite(g)
+            before = (
+                None if d_ag or n < stop_from or not (isfinite(a) and isfinite(g)) else dumps((a, g, s_ag, d_ag), 2)
+            )
+            # roots.pair_step inline, operation for operation
+            a = s_ag / 2
+            added = a + near
+            if added:
+                divided = q / added
+            else:
+                divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
+            if mask >> n & 1:
+                g, s_ag, d_ag = -near, divided, added
+            else:
+                g, s_ag, d_ag = near, added, divided
             if n < sigma_bits:
                 # bit n is clear here, and the flipped step swaps sum and difference and negates g
-                stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed, finite))
+                stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed))
             if before and before == dumps((a, g, s_ag, d_ag), 2):
                 if path:
                     path[n + 1 : max_iter] = [path[n]] * (max_iter - 1 - n)
@@ -225,6 +258,7 @@ def sweep_sigma(
         if path:
             path[max_iter] = (a, g)
 
+        finite = isfinite(a) and isfinite(g)
         scale = abs(a)
         converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
         ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
@@ -242,7 +276,8 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     term ``2**n * d_uv * zr / u`` is finished at once.  Yields one leaf per
     delta mask in the layout of `sweep_quartet`, with ``terms`` ``()``
     without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits only,
-    collects ``(u, v)`` per row.
+    collects ``(u, v)`` per row.  The forward root and the pair update are
+    inline, as in `sweep_sigma`; the Zeta root is a `signed_root` call.
 
     Stop.  Past its last flip a node of either sweep stops after a step
     that leaves its finite state bit for bit as it was, with a zero
@@ -274,6 +309,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     ``a`` on every row.
     """
     isfinite = cmath.isfinite
+    sqrt = cmath.sqrt
     ulp = math.ulp
     max_iter = params.max_iter
     fixed = path[max_iter - 1]
@@ -304,7 +340,13 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 # mean-pair root and keep the copy exact bit for bit
                 w = near
             else:
-                w = signed_root((s_uv - d_ag) * (s_uv + d_ag), s_uv) / 2
+                # roots.signed_root inline, as in `sweep_sigma`
+                square = (s_uv - d_ag) * (s_uv + d_ag)
+                w = sqrt(square)
+                t = (w / s_uv).real if s_uv else 0.0
+                if not t > 0.0:
+                    w = -w if t < 0.0 else signed_root(square, s_uv)
+                w /= 2
             if finite:
                 # both children step to (s_uv / 2, +-w)
                 finite = isfinite(s_uv) and isfinite(w)
@@ -312,7 +354,17 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
             # zero, or NaN as this step's term already is if the Zeta root is not finite
             before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
             s_in = s_uv
-            u, v, s_uv, d_uv = pair_step(s_uv, q, w, mask >> n & 1)
+            # roots.pair_step inline, operation for operation
+            u = s_uv / 2
+            added = u + w
+            if added:
+                divided = q / added
+            else:
+                divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
+            if mask >> n & 1:
+                v, s_uv, d_uv = -w, divided, added
+            else:
+                v, s_uv, d_uv = w, added, divided
             if n < delta_bits:
                 # as in `sweep_sigma`: bit n is clear, and the flipped child swaps sum and difference
                 stack.append(

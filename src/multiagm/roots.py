@@ -1,10 +1,13 @@
 """Complex square roots with explicit branch selection, and the pair update.
 
-Every square root taken anywhere in this package goes through one of the
-selectors below, so the sign conventions live in a single audited place.
-Every AGM-style loop advances its pairs through `pair_step`, which carries
-a pair as sum and difference and gets the member that would cancel from
-the exact identity ``sum' * diff' = diff**2 / 4``.
+The sign conventions live in the selectors below.  Every square root
+outside the two sweep loops of `engine` goes through one of them; those
+loops take their mean and forward roots with `signed_root`'s operations
+inline, so that a step makes no Python call, and hand it every tie.
+`pair_step` carries a pair as sum and difference and gets the member that
+would cancel from the exact identity ``sum' * diff' = diff**2 / 4``.  The
+oracle's AGM loop calls it, and the sweeps repeat its operations inline in
+the same order, so both give the same bits.
 All functions are pure and operate on IEEE double complex scalars.
 """
 

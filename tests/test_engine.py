@@ -1,6 +1,10 @@
 import cmath
+import inspect
 import math
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
 from marshal import dumps
 
 import pytest
@@ -35,7 +39,7 @@ from multiagm.engine import (
     sweep_sigma,
     zeta_sum,
 )
-from multiagm.roots import pair_step, principal_sqrt, signed_root
+from multiagm.roots import principal_sqrt, signed_root
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -356,6 +360,12 @@ def test_cloud_walk_is_bit_identical_to_reference_per_schedule():
         ({"sinphi": 1}, 3),  # the amplitude pair is an exact copy of the mean pair
         ({"b": 1.0, "signb": -1}, 3),  # k = 0, u + v == 0: u = 0 after one step
         ({"b": 0.0}, 3),  # k = 1: the mean collapses
+        ({"b": 1e300}, 2),  # finite on rows 0 and 1, overflowing from row 2
+        ({"b": complex(1e308, 1e308)}, 3),  # a * g overflows on the second step
+        ({"b": math.nan}, 3),  # NaN from the start: no node ever stops
+        ({"b": 1e-320}, 3),  # a subnormal complement
+        ({"b": 1j}, 3),  # a purely imaginary complement
+        ({"b": -1.0}, 3),  # g = -1: a + g == 0, and a * g is a negative real, a tie
     ],
 )
 def test_cloud_walk_branches_at_every_level(kind, start, max_iter):
@@ -425,6 +435,15 @@ def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
         ({"b": math.inf}, 3),  # a non-finite start
         ({"b": 0.3 + 0.4j, "signb": -1}, 5),
         ({"signb": -1}, 1),
+        # the pair is finite on rows 0 and 1 and overflows from row 2: the non-finite g stays
+        # non-finite on every later row, flipped or not, so the current state gives the flag
+        ({"b": 1e300}, 6),
+        ({"b": 1e300}, 2),
+        ({"b": complex(1e308, 1e308)}, 4),  # a * g overflows on the second step
+        ({"b": math.nan}, 4),  # NaN from the start: no node ever stops
+        ({"b": 1e-320}, 6),  # a subnormal complement
+        ({"b": 1j}, 6),  # a purely imaginary complement
+        ({"b": -1.0}, 6),  # a + g == 0 and a * g == -1: ties from the first root on
     ],
 )
 def test_sweep_sigma_edge_cases(start, max_iter):
@@ -506,33 +525,83 @@ def test_walk_yields_every_position_once():
     assert repr(run_quartet(p, SignSchedule(1 << 5, 1 << 6, 1 << 7))) == repr(run_quartet(p))
 
 
-def counting_roots(monkeypatch):
-    """Count the roots the engine takes through its module global, as the benchmark tracer does."""
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("tie_positive_imag", False))
-        return signed_root(*args, **kwargs)
-
-    monkeypatch.setattr(engine, "signed_root", counting)
-    return calls
+def line_number(function, statement):
+    """The number of the one line of ``function`` that holds ``statement`` alone."""
+    lines, first = inspect.getsourcelines(function)
+    (number,) = [first + i for i, line in enumerate(lines) if line.strip() == statement]
+    return number
 
 
-def test_cloud_steps_each_shared_prefix_once(monkeypatch):
-    calls = counting_roots(monkeypatch)
-    enumerate_cloud(CloudRequest("K", params(), sigma_bits=12))
+SWEEPS = {engine.sweep_sigma.__code__: "mean", engine._sweep_delta.__code__: "forward"}
+
+
+@contextmanager
+def counting_roots():
+    """Count the roots the sweeps take: ``mean``, ``forward`` and ``zeta``, and the ties among the first two.
+
+    The sweeps take the mean and forward roots inline, one ``cmath.sqrt``
+    each, and call ``signed_root`` on a tie, which takes that root again,
+    and for every Zeta root.  A profiler counts the square roots and the
+    ``signed_root`` calls of the sweeps' own frames; a call from the Zeta
+    term's line is a Zeta root and any other a tie, ``mean ties`` or
+    ``forward ties``.
+    """
+    counts = Counter()
+    zeta_line = line_number(engine._sweep_delta, "terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)")
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is cmath.sqrt:
+            sweep = SWEEPS.get(frame.f_code)
+            if sweep:
+                counts[sweep] += 1
+        elif event == "call" and frame.f_code is signed_root.__code__:
+            caller = frame.f_back
+            sweep = SWEEPS.get(caller.f_code)
+            if sweep:
+                counts["zeta" if caller.f_lineno == zeta_line else sweep + " ties"] += 1
+
+    outer = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield counts
+    finally:
+        sys.setprofile(outer)
+
+
+@contextmanager
+def counting_lines(function):
+    """Count the executions of each line of ``function``, by line number."""
+    counts = Counter()
+
+    def line(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno] += 1
+        return line
+
+    outer = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: line if frame.f_code is function.__code__ else None)
+    try:
+        yield counts
+    finally:
+        sys.settrace(outer)
+
+
+def test_cloud_steps_each_shared_prefix_once():
+    with counting_roots() as roots:
+        enumerate_cloud(CloudRequest("K", params(), sigma_bits=12))
     # K walks the mean pair, one root per step: 2**12 - 1 shared steps up to
     # bit 12, then 8 steps for each of the 4096 schedules, 36863 in all
     # (110589 with the amplitude pair's two roots, 245760 when each schedule
     # runs alone).  The leaves that reach their fixed point before
-    # iteration 20 skip 333 of those steps in all.
-    assert len(calls) == 2**12 - 1 + 8 * 2**12 - 333 == 36530
-    calls.clear()
+    # iteration 20 skip 333 of those steps in all.  155 of the roots are
+    # ties, which the sweep hands to signed_root.
+    assert roots["mean"] == 2**12 - 1 + 8 * 2**12 - 333 == 36530
+    assert roots == {"mean": 36530, "mean ties": 155}
     # At 32 iterations the leaves have 20 steps each after bit 12, 86015 in
     # all; 36445 of those steps would repeat a fixed point and are skipped.
-    enumerate_cloud(CloudRequest("K", params(max_iter=32), sigma_bits=12))
-    assert len(calls) == 2**12 - 1 + 20 * 2**12 - 36445 == 49570
-    calls.clear()
+    with counting_roots() as roots:
+        enumerate_cloud(CloudRequest("K", params(max_iter=32), sigma_bits=12))
+    assert roots["mean"] == 2**12 - 1 + 20 * 2**12 - 36445 == 49570
     # F and Z walk the sigma tree for the mean roots as K does, then each
     # sigma mask's delta tree along its mean path: 2**D - 1 nodes above bit D
     # and 2**D leaves for 20 - D steps, one forward root per node and step,
@@ -541,58 +610,47 @@ def test_cloud_steps_each_shared_prefix_once(monkeypatch):
     # 1384 with it (4496 when each sigma mask stepped its own mean pair and
     # F took Zeta roots too).  A settled F leaf takes no root at all after
     # that: 540 of the 1384 fall away.
-    enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
-    assert (calls.count(True), calls.count(False)) == (143 - 49, 2168 - 784 - 540) == (94, 844)
-    calls.clear()
+    with counting_roots() as roots:
+        enumerate_cloud(CloudRequest("F", params(sinphi=0.8), 3, 4))
+    assert (roots["mean"], roots["forward"], roots["zeta"]) == (143 - 49, 2168 - 784 - 540, 0) == (94, 844, 0)
+    assert (roots["mean ties"], roots["forward ties"]) == (3, 15)
     # Z at 2x2x2: 3 + 4 * 18 = 75 mean roots and 4 * 2 * (3 + 4 * 18) = 600
-    # amplitude roots without the stop, 46 and 368 with it (680 before the
-    # stop and the shared mean prefixes); the gamma bits only sign the Zeta
-    # terms and take no root (3483 when they split the walk)
-    enumerate_cloud(CloudRequest("Z", params(), 2, 2, 2))
-    assert (calls.count(True), calls.count(False)) == (75 - 29, 600 - 232) == (46, 368)
-    calls.clear()
+    # amplitude roots, forward and Zeta, without the stop, 46 and 368 with it
+    # (680 before the stop and the shared mean prefixes); the gamma bits only
+    # sign the Zeta terms and take no root (3483 when they split the walk)
+    with counting_roots() as roots:
+        enumerate_cloud(CloudRequest("Z", params(), 2, 2, 2))
+    assert (roots["mean"], roots["forward"] + roots["zeta"]) == (75 - 29, 600 - 232) == (46, 368)
+    assert roots["forward"] == roots["zeta"] == 184
     # one schedule: both pairs reach their fixed point at iteration 9, so 10
     # mean roots and 2 * 10 amplitude roots instead of 3 * 20
-    run_quartet(params())
-    assert (calls.count(True), calls.count(False)) == (10, 2 * 10)
+    with counting_roots() as roots:
+        run_quartet(params())
+    assert roots == {"mean": 10, "forward": 10, "zeta": 10}
 
 
-def test_k_cloud_steps_each_node_once(monkeypatch):
+def test_k_cloud_steps_each_node_once():
     # the flipped child is the unflipped step with sum and difference swapped
     # and g negated, so each mean root is followed by exactly one pair step
-    calls = counting_roots(monkeypatch)
-    steps = []
-
-    def counting_step(*args):
-        steps.append(args[3])
-        return pair_step(*args)
-
-    monkeypatch.setattr(engine, "pair_step", counting_step)
+    unflipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = near, added, divided")
+    flipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = -near, divided, added")
     for max_iter, roots in ((20, 36530), (32, 49570)):
-        calls.clear()
-        steps.clear()
-        enumerate_cloud(CloudRequest("K", params(max_iter=max_iter), sigma_bits=12))
-        assert len(steps) == len(calls) == roots
+        with counting_roots() as taken, counting_lines(engine.sweep_sigma) as lines:
+            enumerate_cloud(CloudRequest("K", params(max_iter=max_iter), sigma_bits=12))
+        assert lines[unflipped] == taken["mean"] == roots
         # every step of a sweep with no fixed bits goes the unflipped way
-        assert not any(steps)
+        assert lines[flipped] == 0
 
 
-def test_settled_f_leaves_finish_on_their_difference(monkeypatch):
+def test_settled_f_leaves_finish_on_their_difference():
     # the default F cloud steps 94 mean and 1384 amplitude nodes to their stop, 1478 steps in
-    # all; a settled leaf takes one division instead of its remaining steps
-    steps = []
-
-    def counting_step(*args):
-        steps.append(args[3])
-        return pair_step(*args)
-
-    monkeypatch.setattr(engine, "pair_step", counting_step)
-    # every node of this cloud stops or settles within 20 rows, so a deeper budget takes not
-    # one step more
+    # all; a settled leaf takes one division instead of its remaining steps.  Every node of
+    # this cloud stops or settles within 20 rows, so a deeper budget takes not one step more.
+    # Each step takes one root: no step of this cloud takes the coinciding branch
     for max_iter in (20, 400, MAX_ITER_LIMIT):
-        steps.clear()
-        enumerate_cloud(CloudRequest("F", params(sinphi=0.8, max_iter=max_iter), 3, 4))
-        assert len(steps) == 938, max_iter
+        with counting_roots() as roots:
+            enumerate_cloud(CloudRequest("F", params(sinphi=0.8, max_iter=max_iter), 3, 4))
+        assert roots["mean"] + roots["forward"] == 938, max_iter
 
 
 @given(
@@ -652,13 +710,12 @@ def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi,
             assert dumps(leaf, 2) == dumps(expected, 2), (sigma, delta, gamma)
 
 
-def test_zeta_cloud_roots_do_not_depend_on_gamma_bits(monkeypatch):
-    calls = counting_roots(monkeypatch)
+def test_zeta_cloud_roots_do_not_depend_on_gamma_bits():
     counts = []
     for gamma_bits in (0, 5):
-        calls.clear()
-        enumerate_cloud(CloudRequest("Z", params(), 2, 2, gamma_bits))
-        counts.append(len(calls))
+        with counting_roots() as roots:
+            enumerate_cloud(CloudRequest("Z", params(), 2, 2, gamma_bits))
+        counts.append(roots["mean"] + roots["forward"] + roots["zeta"])
     # 46 mean and 368 amplitude roots, as test_cloud_steps_each_shared_prefix_once derives
     assert counts == [46 + 368, 46 + 368]
 
