@@ -235,20 +235,22 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     descending order, and the all-plus schedule is the last point;
     `_gamma_mask` gives Z_restricted's gamma mask.  K, E and N read the
     mean pair alone, so their leaves come from `sweep_sigma`, one per sigma
-    mask.  F, Z and Z_restricted take theirs from `sweep_quartet`, one per
-    sigma and delta mask, in the same layout.  Each leaf gives one
-    point, except on Z, whose gamma bits only sign the Zeta terms:
-    `zeta_sum` adds them once per gamma mask.  Ill-conditioned or
-    unconverged leaves yield flagged points, never omissions.  The sweep
-    writes only the value and flag columns; no trace, schedule or point is
-    built, and no duplicate is looked for until ``links`` is read.
+    mask; K reads no series, so it passes ``series=False`` and its leaves
+    carry ``s_sum`` None, while E and N keep the series.  F, Z and
+    Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
+    mask, in the same layout.  Each leaf gives one point, except on Z,
+    whose gamma bits only sign the Zeta terms: `zeta_sum` adds them once
+    per gamma mask.  Ill-conditioned or unconverged leaves yield flagged
+    points, never omissions.  The sweep writes only the value and flag
+    columns; no trace, schedule or point is built, and no duplicate is
+    looked for until ``links`` is read.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
     if "delta_bits" in KIND_BITS[kind]:
         leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
-        leaves = sweep_sigma(req.params, req.sigma_bits)
+        leaves = sweep_sigma(req.params, req.sigma_bits, series=kind != "K")
     last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
     values: list = [None] * (last + 1)
     flags: list = [None] * (last + 1)

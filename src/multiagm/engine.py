@@ -164,8 +164,8 @@ class QuartetTrace:
 
 
 def sweep_sigma(
-    params: QuartetParams, sigma_bits: int, sigma_mask: int = 0, path: list | None = None
-) -> Iterator[tuple[int, int, complex, complex, None, bool, bool, tuple]]:
+    params: QuartetParams, sigma_bits: int, sigma_mask: int = 0, path: list | None = None, series: bool = True
+) -> Iterator[tuple[int, int, complex, complex | None, None, bool, bool, tuple]]:
     """Run the mean pair ``(a, g)`` for every sigma mask below ``2**sigma_bits``.
 
     Yields one leaf per mask, in no particular order, in the layout of
@@ -180,11 +180,21 @@ def sweep_sigma(
     Past its last flip a node stops at its exact fixed point, as
     `_sweep_delta` proves.
 
+    ``series`` accumulates the E series ``s_sum``, which only E and N read.
+    Without it a step skips the series term and each leaf carries ``s_sum``
+    None; `clouds.enumerate_cloud` passes ``series=False`` for K, the one
+    kind that reads the mean limit alone, and `sweep_quartet` and
+    `run_quartet` keep the series.
+
     A step calls no Python function but on a tie.  It takes the mean root as
     `roots.signed_root` does, ``w = sqrt(a * g)`` kept or negated by the sign
     of ``Re(w / s_ag)``, and hands the tie, where that is 0 or NaN, to
     `signed_root` itself.  Then it updates the pair with the operations of
     `roots.pair_step`, in its order, so every leaf is bit for bit the same.
+    The step always takes the unflipped branch; below the highest free or
+    fixed bit a set fixed bit swaps its new sum and difference and negates
+    ``g``, which gives the flipped branch's bits, and a free bit pushes that
+    swap as the flipped child.
 
     Finite.  A node carries no finite flag: the current ``a`` and ``g`` give
     it.  Once ``a`` or ``g`` is not finite, neither is ``a * g`` (each part
@@ -193,9 +203,23 @@ def sweep_sigma(
     root (``cmath.sqrt`` maps every non-finite value to a non-finite one),
     so ``g`` is not finite on any later row, flipped or not.  Hence every
     row so far was finite exactly when the current ``a`` and ``g`` are, and
-    that is what the stop test, reached only when ``d_ag == 0``, and the
-    leaf's flags read.  The amplitude pair keeps its flag: a delta flip
-    divides by the infinite sum and can bring it back to finite values.
+    that is what the leaf's flags read.  The amplitude pair keeps its flag:
+    a delta flip divides by the infinite sum and can bring it back to
+    finite values.
+
+    Only a finite state stops.  A step that repeats ``(a, g, s_ag, d_ag)``
+    with ``d_ag == 0`` has ``g = near``, ``s_ag = a + g``, ``a = s_ag / 2``
+    and ``d_ag = q / s_ag`` with ``q == 0``.  If ``a`` or ``g`` holds a NaN,
+    ``a * g`` is NaN in both parts, and so are its root and ``s_ag``; a
+    quotient by a complex with a NaN part is NaN, not 0.  If neither does,
+    but one is not finite, then ``g`` is not finite, for the root of the
+    non-finite ``a * g`` never equals a finite ``g``.  So ``s_ag = a + g``
+    has a part that is infinite or NaN, and ``s_ag / 2``, which divides by
+    the complex ``2 + 0j``, multiplies that part by 0 into the other part of
+    ``a``: ``a`` holds a NaN, which the first case excludes.  So the stop
+    test needs no finite check.  The last step reads how CPython divides a
+    complex by an int, as by a complex; `tests/test_engine.py` asserts
+    that arithmetic, so a Python that divides part by part fails that test.
 
     Given ``path``, ``max_iter + 1`` slots, the sweep fills it before each
     yield: ``(a, g, s_ag, d_ag, near, q)`` before each iteration, with the
@@ -211,17 +235,21 @@ def sweep_sigma(
     isfinite = cmath.isfinite
     sqrt = cmath.sqrt
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
+    # from iteration top on no bit is free or fixed, and each step takes the unflipped branch alone
+    top = max(sigma_bits, sigma_mask.bit_length())
     a = complex(1.0)
     g = params.signb * params.complement_value()
     # Pending nodes: the iteration a node resumes at, its mask, and the state.
-    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0), False)]
+    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0) if series else None, False)]
     while stack:
         n, mask, a, g, s_ag, d_ag, s_sum, collapsed = stack.pop()
-        # series weight 2**(n-1); doubling a power of two is exact
-        weight = math.ldexp(0.5, n)
+        if series:
+            # series weight 2**(n-1); doubling a power of two is exact
+            weight = math.ldexp(0.5, n)
         for n in range(n, max_iter):
-            s_sum += weight * (s_ag * d_ag)
-            weight *= 2.0
+            if series:
+                s_sum += weight * (s_ag * d_ag)
+                weight *= 2.0
             p_ag = a * g
             if not p_ag:
                 collapsed = True
@@ -234,9 +262,7 @@ def sweep_sigma(
             if path:
                 path[n] = (a, g, s_ag, d_ag, near, q)
             # marshal writes the bytes of each double, so unlike == it tells signed zeros apart
-            before = (
-                None if d_ag or n < stop_from or not (isfinite(a) and isfinite(g)) else dumps((a, g, s_ag, d_ag), 2)
-            )
+            before = None if d_ag or n < stop_from else dumps((a, g, s_ag, d_ag), 2)
             # roots.pair_step inline, operation for operation
             a = s_ag / 2
             added = a + near
@@ -244,13 +270,14 @@ def sweep_sigma(
                 divided = q / added
             else:
                 divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
-            if mask >> n & 1:
-                g, s_ag, d_ag = -near, divided, added
-            else:
-                g, s_ag, d_ag = near, added, divided
-            if n < sigma_bits:
-                # bit n is clear here, and the flipped step swaps sum and difference and negates g
-                stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed))
+            g, s_ag, d_ag = near, added, divided
+            if n < top:
+                # the flipped step swaps sum and difference and negates g
+                if n < sigma_bits:
+                    # bit n is free, and clear here: the flipped child waits on the stack
+                    stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed))
+                elif mask >> n & 1:
+                    g, s_ag, d_ag = -g, d_ag, s_ag
             if before and before == dumps((a, g, s_ag, d_ag), 2):
                 if path:
                     path[n + 1 : max_iter] = [path[n]] * (max_iter - 1 - n)
@@ -281,8 +308,9 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
 
     Stop.  Past its last flip a node of either sweep stops after a step
     that leaves its finite state bit for bit as it was, with a zero
-    difference: ``(a, g, s_ag, d_ag)`` on the mean pair, and ``(u, s_uv)``
-    on the amplitude pair once its path is fixed.  Every later step would
+    difference: ``(a, g, s_ag, d_ag)`` on the mean pair, which
+    `sweep_sigma` shows to be finite, and ``(u, s_uv)`` on the amplitude
+    pair once its path is fixed.  Every later step would
     repeat the state and add a signed zero to each series, or, for a Zeta
     root that is not finite, the NaN that the series already holds; a sum
     from +0 never changes by adding a signed zero.
@@ -314,6 +342,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     max_iter = params.max_iter
     fixed = path[max_iter - 1]
     stop_from = max(delta_bits - 1, delta_mask.bit_length())
+    top = max(delta_bits, delta_mask.bit_length())
     sigma_mask, _, a_inf, s_sum, _, mean_converged, mean_ill, _ = mean
     sp = complex(params.sinphi)
     u = 1 / sp
@@ -361,15 +390,15 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 divided = q / added
             else:
                 divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
-            if mask >> n & 1:
-                v, s_uv, d_uv = -w, divided, added
-            else:
-                v, s_uv, d_uv = w, added, divided
-            if n < delta_bits:
-                # as in `sweep_sigma`: bit n is clear, and the flipped child swaps sum and difference
-                stack.append(
-                    (n + 1, mask | 1 << n, u, d_uv, s_uv, degenerate, finite, None if terms is None else terms[:])
-                )
+            v, s_uv, d_uv = w, added, divided
+            if n < top:
+                # as in `sweep_sigma`: the flipped step swaps sum and difference and negates v
+                if n < delta_bits:
+                    stack.append(
+                        (n + 1, mask | 1 << n, u, d_uv, s_uv, degenerate, finite, None if terms is None else terms[:])
+                    )
+                elif mask >> n & 1:
+                    v, s_uv, d_uv = -v, d_uv, s_uv
             if uv_rows is not None:
                 uv_rows.append((u, v))
             if before and before == dumps((u, s_uv), 2):

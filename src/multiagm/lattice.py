@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .clouds import Cloud, ColumnView
@@ -163,38 +163,52 @@ def predict_locus(kind: str, refs: ReferenceSet, phi: float | None = None) -> La
     raise ValueError(f"no predicted locus for kind {kind!r}")
 
 
-def _locus_fit(spec: LatticeSpec | CircleSpec) -> Callable[[complex], tuple[int, int, int, float]]:
-    """The fit of one value to ``spec``, ``(m, n, coset, residual)``, chosen once per cloud."""
+def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> tuple[list, list, list, list]:
+    """Each value's fit to ``spec`` as four columns, ``m``, ``n``, ``coset`` and ``residual``.
+
+    A value takes the lattice point, over every coset, with the least
+    residual; a circle gives zeros for the integer columns.  A residual
+    that is not finite counts as infinite.
+    """
+    inf = math.inf
     if isinstance(spec, CircleSpec):
         center, radius = spec.center, spec.radius
-        return lambda value: (0, 0, 0, abs(abs(value - center) - radius))
+        zeros = [0] * len(values)
+        residual = [abs(abs(value - center) - radius) for value in values]
+        return zeros, zeros, zeros, [r if r < inf else inf for r in residual]
     origin, gen1, gen2 = spec.origin, spec.gen1, spec.gen2
     cosets = tuple(enumerate(spec.cosets))
-    det = gen1.real * gen2.imag - gen2.real * gen1.imag
-
-    def fit(value: complex) -> tuple[int, int, int, float]:
+    g1_re, g1_im, g2_re, g2_im = gen1.real, gen1.imag, gen2.real, gen2.imag
+    det = g1_re * g2_im - g2_re * g1_im
+    line = gen2 == 0
+    isfinite = cmath.isfinite
+    m_col, n_col, coset_col, residual_col = [], [], [], []
+    for value in values:
+        best_m = best_n = best_coset = 0
+        best = None
         # a non-finite value, or a finite one whose coordinates overflow, has no lattice cell to round to
-        if not cmath.isfinite(value):
-            return 0, 0, 0, math.inf
-        best: tuple[int, int, int, float] | None = None
-        for ci, coset in cosets:
-            d = value - origin - coset
-            try:
-                if gen2 == 0:
-                    m = round((d / gen1).real)
-                    n = 0
-                else:
-                    m = round((d.real * gen2.imag - gen2.real * d.imag) / det)
-                    n = round((gen1.real * d.imag - d.real * gen1.imag) / det)
-            except (OverflowError, ValueError):
-                # round() of an infinite or NaN coordinate
-                continue
-            residual = abs(d - m * gen1 - n * gen2)
-            if best is None or residual < best[3]:
-                best = (m, n, ci, residual)
-        return best or (0, 0, 0, math.inf)
-
-    return fit
+        if isfinite(value):
+            for ci, coset in cosets:
+                d = value - origin - coset
+                try:
+                    if line:
+                        m = round((d / gen1).real)
+                        n = 0
+                    else:
+                        d_re, d_im = d.real, d.imag
+                        m = round((d_re * g2_im - g2_re * d_im) / det)
+                        n = round((g1_re * d_im - d_re * g1_im) / det)
+                except (OverflowError, ValueError):
+                    # round() of an infinite or NaN coordinate
+                    continue
+                residual = abs(d - m * gen1 - n * gen2)
+                if best is None or residual < best:
+                    best_m, best_n, best_coset, best = m, n, ci, residual
+        m_col.append(best_m)
+        n_col.append(best_n)
+        coset_col.append(best_coset)
+        residual_col.append(best if best is not None and best < inf else inf)
+    return m_col, n_col, coset_col, residual_col
 
 
 def fit_cloud(
@@ -221,15 +235,7 @@ def fit_cloud(
         for point in cloud:
             values.append(complex(getattr(point, "value", point)))
             flags.append(bool(getattr(point, "ill_conditioned", False)))
-    fit = _locus_fit(spec)
-    m, n, coset, residual = [], [], [], []
-    for value in values:
-        mi, ni, ci, r = fit(value)
-        m.append(mi)
-        n.append(ni)
-        coset.append(ci)
-        # non-finite residuals count as infinite
-        residual.append(r if r < math.inf else math.inf)
+    m, n, coset, residual = _fit_columns(spec, values)
     kept = [i for i, excluded in enumerate(flags) if not excluded]
     worst = max(kept, key=residual.__getitem__, default=None)
     max_residual = 0.0 if worst is None else residual[worst]

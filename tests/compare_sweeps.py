@@ -2,9 +2,13 @@
 
 Loads ``multiagm`` twice, from ``PARENT_ROOT/src`` and from this tree, under
 two module names, draws seeded requests and compares every leaf of
-`sweep_sigma` and of `sweep_quartet` (Zeta off and on) by
+`sweep_sigma` (with and without the series, and with fixed sigma bits
+above the free ones), of `sweep_quartet` (Zeta off and on) and the trace
+of `run_quartet` on a schedule of fixed sigma, delta and gamma bits, by
 ``marshal.dumps(leaf, 2)``, which writes each double's bytes: signed zeros
-and NaN payloads must match too.  Prints the first mismatch and the count
+and NaN payloads must match too.  Where the other checkout's `sweep_sigma`
+takes no ``series`` argument, its leaves stand for the series-free ones
+with ``s_sum`` set to None.  Prints the first mismatch and the count
 compared, and exits 1 on any mismatch.  Unpack the other commit with
 ``git archive`` and run from anywhere:
 
@@ -19,6 +23,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import importlib.util
+import inspect
 import math
 import random
 import sys
@@ -54,14 +59,31 @@ def draw(rng: random.Random) -> dict:
                          rng.choice((1e-300, 1e200, complex(1.0, 2.0**-51)))))
     roll = rng.random()
     max_iter = 1024 if roll < 0.02 else 400 if roll < 0.05 else rng.randint(1, 64)
+    sigma_bits = rng.randint(0, min(max_iter, 6))
     return {
         "b": complex(b),
         "sinphi": sinphi,
         "signb": rng.choice((1, -1)),
         "max_iter": max_iter,
-        "sigma_bits": rng.randint(0, min(max_iter, 6)),
+        "sigma_bits": sigma_bits,
+        # fixed bits above the free ones, at most a few past max_iter, which never apply
+        "sigma_mask": fixed_bits(rng, sigma_bits, max_iter),
         "quartet_bits": (rng.randint(0, min(max_iter, 4)), rng.randint(0, min(max_iter, 4))),
+        "schedule": tuple(fixed_bits(rng, 0, max_iter) for _ in range(3)),
     }
+
+
+def fixed_bits(rng: random.Random, low: int, max_iter: int) -> int:
+    """A mask of bits from ``low`` up to a little past ``max_iter``: none, one, or a random run of them."""
+    top = min(max_iter, 70) + 2
+    if low >= top:
+        return 0
+    roll = rng.random()
+    if roll < 0.25:
+        return 0
+    if roll < 0.5:
+        return 1 << rng.randrange(low, top)
+    return rng.getrandbits(rng.randint(low, top)) >> low << low
 
 
 def leaves(package, req: dict) -> list[tuple[str, bytes]]:
@@ -70,10 +92,23 @@ def leaves(package, req: dict) -> list[tuple[str, bytes]]:
     params = package.QuartetParams(k=cmath.sqrt((1 - b) * (1 + b)), sinphi=req["sinphi"], signb=req["signb"],
                                    max_iter=req["max_iter"], complement=b)
     engine = package.engine
-    out = [(f"sigma {leaf[0]}", dumps(leaf, 2)) for leaf in engine.sweep_sigma(params, req["sigma_bits"])]
+    sweep = engine.sweep_sigma
+    out = []
+    for sigma_mask in dict.fromkeys((0, req["sigma_mask"])):
+        for leaf in sweep(params, req["sigma_bits"], sigma_mask):
+            out.append((f"sigma {leaf[0]}", dumps(leaf, 2)))
+        if "series" in inspect.signature(sweep).parameters:
+            free = sweep(params, req["sigma_bits"], sigma_mask, series=False)
+        else:
+            free = ((*leaf[:3], None, *leaf[4:]) for leaf in sweep(params, req["sigma_bits"], sigma_mask))
+        out += [(f"sigma series=False {leaf[0]}", dumps(leaf, 2)) for leaf in free]
     for zeta in (False, True):
         for leaf in engine.sweep_quartet(params, *req["quartet_bits"], zeta):
             out.append((f"quartet zeta={zeta} {leaf[:2]}", dumps(leaf, 2)))
+    trace = engine.run_quartet(params, engine.SignSchedule(*req["schedule"]))
+    fields = (trace.rows, trace.s_sum, trace.z_sum, trace.a_inf, trace.u_inf, trace.converged,
+              trace.ill_conditioned, trace.zeta_defined)
+    out.append((f"run_quartet {req['schedule']}", dumps(fields, 2)))
     return sorted(out)
 
 

@@ -631,15 +631,101 @@ def test_cloud_steps_each_shared_prefix_once():
 
 def test_k_cloud_steps_each_node_once():
     # the flipped child is the unflipped step with sum and difference swapped
-    # and g negated, so each mean root is followed by exactly one pair step
+    # and g negated, so each mean root is followed by exactly one pair step;
+    # a fixed bit swaps the unflipped step's result in place
     unflipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = near, added, divided")
-    flipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = -near, divided, added")
+    flipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = -g, d_ag, s_ag")
     for max_iter, roots in ((20, 36530), (32, 49570)):
         with counting_roots() as taken, counting_lines(engine.sweep_sigma) as lines:
             enumerate_cloud(CloudRequest("K", params(max_iter=max_iter), sigma_bits=12))
         assert lines[unflipped] == taken["mean"] == roots
         # every step of a sweep with no fixed bits goes the unflipped way
         assert lines[flipped] == 0
+
+
+def trace_bytes(trace):
+    """Every field of a trace, as bytes that tell signed zeros and NaN payloads apart."""
+    return dumps((trace.rows, trace.s_sum, trace.z_sum, trace.a_inf, trace.u_inf, trace.converged,
+                  trace.ill_conditioned, trace.zeta_defined), 2)
+
+
+@pytest.mark.parametrize(
+    "start,max_iter",
+    [({}, 20), ({"sinphi": 0.8, "b": 0.7}, 8), ({"sinphi": 1}, 20), ({"b": 0.3 + 0.4j, "signb": -1}, 32)],
+)
+def test_fixed_bits_above_the_free_ones_flip_in_place(start, max_iter):
+    # a fixed bit swaps the unflipped step's sum and difference and negates g (or v) in place,
+    # which must give the flipped branch's bits; the free bits below it still branch
+    p = params(**start, max_iter=max_iter)
+    flipped = line_number(engine.sweep_sigma, "g, s_ag, d_ag = -g, d_ag, s_ag")
+    for sigma_mask in (0b10100, 0b1100, 1 << (max_iter - 1), (1 << max_iter) - 4):
+        with counting_lines(engine.sweep_sigma) as lines:
+            swept = list(sweep_sigma(p, 2, sigma_mask=sigma_mask))
+        assert sorted(leaf[0] for leaf in swept) == [sigma_mask | free for free in range(4)]
+        # each of the four leaves flips in place once per fixed bit
+        assert lines[flipped] == 4 * sigma_mask.bit_count()
+        for leaf in swept:
+            a_inf, s_sum, _, converged, ill = leaf_fields(reference_run_quartet(p, SignSchedule(leaf[0]), amplitude=False))
+            assert dumps(leaf, 2) == dumps((leaf[0], 0, a_inf, s_sum, None, converged, ill, ()), 2)
+    # run_quartet fixes every bit: delta bits above its zero free ones, with sigma and gamma bits
+    for schedule in (SignSchedule(0b10100, 0b1011010, 0b101), SignSchedule(0, 1 << (max_iter - 1)),
+                     SignSchedule(1 << (max_iter - 1), (1 << max_iter) - 1, 1)):
+        assert trace_bytes(run_quartet(p, schedule)) == trace_bytes(reference_run_quartet(p, schedule))
+    # the amplitude loop with free delta bits below fixed ones, along one fixed sigma mask's path
+    path = [None] * (max_iter + 1)
+    (mean,) = sweep_sigma(p, 0, 0b110, path)
+    for delta_mask in (0b10100, 1 << (max_iter - 1)):
+        leaves = list(engine._sweep_delta(p, path, mean, 2, delta_mask))
+        assert sorted(leaf[1] for leaf in leaves) == [delta_mask | free for free in range(4)]
+        for sigma, delta, *fields, terms in leaves:
+            alone = reference_run_quartet(p, SignSchedule(sigma, delta))
+            expected = (*leaf_fields(alone), alone.zeta_defined, repr(alone.z_sum))
+            assert dumps((*fields, terms is not None, repr(zeta_sum(terms, 0))), 2) == dumps(expected, 2)
+
+
+@pytest.mark.parametrize("kind", ["K", "E", "N"])
+@pytest.mark.parametrize("b", [0.25, 0.7])
+@pytest.mark.parametrize("signb", [1, -1])
+def test_sweep_without_the_series_keeps_every_other_field(kind, b, signb):
+    # K reads no series: its sweep skips the series term, and every other field of a leaf stays
+    p = params(b=b, signb=signb)
+    bits = 8
+    with_series = {leaf[0]: leaf for leaf in sweep_sigma(p, bits)}
+    without = list(sweep_sigma(p, bits, series=False))
+    assert len(without) == len(with_series) == 2**bits
+    for mask, delta, a_inf, s_sum, *rest in without:
+        assert s_sum is None
+        _, _, old_a_inf, _, *old_rest = with_series[mask]
+        assert dumps((mask, delta, a_inf, *rest), 2) == dumps((mask, 0, old_a_inf, *old_rest), 2)
+    # the cloud of each kind passes series=False for K alone
+    series_line = line_number(engine.sweep_sigma, "s_sum += weight * (s_ag * d_ag)")
+    with counting_lines(engine.sweep_sigma) as lines:
+        enumerate_cloud(CloudRequest(kind, p, bits))
+    assert (lines[series_line] == 0) == (kind == "K")
+
+
+def test_mean_stop_proof_reads_this_arithmetic():
+    # sweep_sigma's stop test has no finite check: its docstring proves that no state with
+    # d_ag == 0 and a non-finite a or g repeats, from these facts of the complex arithmetic
+    parts = (0.0, -0.0, 1.0, -2.5, 1e308, math.inf, -math.inf, math.nan)
+    values = [complex(x, y) for x in parts for y in parts]
+    root = cmath.sqrt(complex(math.nan, math.nan))
+    assert math.isnan(root.real) and math.isnan(root.imag)
+    for z in values:
+        if math.isnan(z.real) or math.isnan(z.imag):
+            # a NaN part makes a product, and a quotient by it, NaN in both parts
+            for w in values:
+                product = z * w
+                assert math.isnan(product.real) and math.isnan(product.imag), (z, w)
+            for zero in (0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)):
+                quotient = zero / z
+                assert math.isnan(quotient.real) and math.isnan(quotient.imag), z
+        # halving divides by 2 + 0j: a part that is not finite makes the other part NaN
+        half = z / 2
+        if not math.isfinite(z.real):
+            assert math.isnan(half.imag), z
+        if not math.isfinite(z.imag):
+            assert math.isnan(half.real), z
 
 
 def test_settled_f_leaves_finish_on_their_difference():
