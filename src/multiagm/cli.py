@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 
 from .clouds import KIND_BITS, Cloud, CloudRequest, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
-from .lattice import DEFAULT_FIT_TOL, CircleSpec, PointFit, fit_cloud, predict_locus
+from .lattice import DEFAULT_FIT_TOL, CircleSpec, PointFits, fit_cloud, predict_locus
 from .magm import DEFAULT_ROWS, magm_equivalence, magm_negative_experiment
 from .oracle import landen_check, reference_set
 
@@ -66,8 +66,8 @@ BOTH_SIGNS = (1, -1)
 
 VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
 
-# the keys of each point of verify's JSON, in the order a `PointFit` lists them
-POINT_FIT_KEYS = tuple(field.name for field in fields(PointFit))
+# the keys of each point of verify's JSON: its position, then the fit's columns in order
+POINT_FIT_KEYS = ("index", *(field.name for field in fields(PointFits)))
 
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25

@@ -3,9 +3,10 @@
 One cloud fixes the recursion parameters and sweeps the free sign bits its
 function reads in descending mask order, evaluating the function for every
 schedule.  Near-coincident values are cross-referenced instead of
-dropped.  A cloud keeps its values and flags as columns by position,
-finds its duplicate links the first time they are read, and builds a
-point only when one is read.
+dropped.  A cloud keeps its values and flags as columns by position and
+finds its duplicate links the first time they are read.  Nothing in the
+package reads a cloud by point; a point is built only when one is read by
+position or iteration.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .engine import (
 
 __all__ = [
     "KIND_BITS",
-    "ColumnView",
     "MultivaluePoint",
     "CloudRequest",
     "Cloud",
@@ -95,31 +95,8 @@ class CloudRequest:
                 raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
 
 
-class ColumnView(Sequence):
-    """A read-only sequence over columns kept by position, building each item on access.
-
-    A subclass gives ``__len__`` and ``_item(i)``, which builds the item at
-    position ``i``; indexing, slicing and iteration call it, and ``repr``
-    is that of the list of items.
-    """
-
-    __slots__ = ()
-
-    def __getitem__(self, index):
-        positions = range(len(self))[index]
-        if isinstance(index, slice):
-            return list(map(self._item, positions))
-        return self._item(positions)
-
-    def __iter__(self):
-        return map(self._item, range(len(self)))
-
-    def __repr__(self) -> str:
-        return repr(list(self))
-
-
 @dataclass(frozen=True, slots=True, repr=False, eq=False)
-class Cloud(ColumnView):
+class Cloud(Sequence):
     """The points of one cloud, kept as columns by position beside the request that made them.
 
     ``values`` and ``flags`` hold each position's value and
@@ -128,8 +105,7 @@ class Cloud(ColumnView):
     is read, and its result is kept.  Position ``i`` carries the schedule
     `schedule` decodes from ``last - i`` and the request's bit counts.
     Indexing, slicing and iteration build `MultivaluePoint` objects on
-    access; ``repr`` is that of the list of points, and ``+`` joins the
-    points into a list.
+    access, and ``repr`` is that of the list of points.
     """
 
     request: CloudRequest
@@ -146,9 +122,6 @@ class Cloud(ColumnView):
     def __len__(self) -> int:
         return len(self.values)
 
-    def __add__(self, other) -> list[MultivaluePoint]:
-        return list(self) + list(other)
-
     def schedule(self, i: int) -> SignSchedule:
         """The schedule of position ``i``, which may count from the end, decoded from ``last - i``."""
         req = self.request
@@ -161,6 +134,18 @@ class Cloud(ColumnView):
     def _item(self, i: int) -> MultivaluePoint:
         signb = self.request.params.signb
         return MultivaluePoint(self.values[i], self.schedule(i), signb, self.flags[i], self.links[i])
+
+    def __getitem__(self, index):
+        positions = range(len(self))[index]
+        if isinstance(index, slice):
+            return list(map(self._item, positions))
+        return self._item(positions)
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 def _extract(kind: str, a_inf: complex, s_sum: complex, u_inf: complex) -> complex:

@@ -5,7 +5,8 @@ spanned by quarter-period combinations; the incomplete first-kind cloud
 adds a second coset per cell; the second-kind cloud is the same lattice
 under anisotropic scaling; the ratio cloud collapses onto a circle; the
 restricted Zeta cloud is one-dimensional.  `fit_cloud` measures how far a
-computed cloud strays from the predicted locus.
+computed cloud strays from the predicted locus, and reports each
+position's fit as columns by position, as a cloud keeps its values.
 """
 
 from __future__ import annotations
@@ -15,13 +16,12 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .clouds import Cloud, ColumnView
+from .clouds import Cloud
 from .oracle import ReferenceSet, quad_E_inc, quad_F
 
 __all__ = [
     "LatticeSpec",
     "CircleSpec",
-    "PointFit",
     "PointFits",
     "FitReport",
     "predict_locus",
@@ -71,47 +71,23 @@ class CircleSpec:
         return abs(self.x2 - self.x1) / 2.0
 
 
-@dataclass(frozen=True, slots=True)
-class PointFit:
-    """Best lattice/circle assignment of one cloud point."""
+@dataclass(frozen=True)
+class PointFits:
+    """Each fitted position's ``m``, ``n``, ``coset``, ``residual`` and ``excluded``, as columns by position."""
 
-    index: int
-    m: int
-    n: int
-    coset: int
-    residual: float
-    excluded: bool
-
-
-class PointFits(ColumnView):
-    """The `PointFit` of every fitted position, kept as columns and built on access.
-
-    ``m``, ``n``, ``coset``, ``residual`` and ``excluded`` hold each
-    position's fields.
-    """
-
-    __slots__ = ("m", "n", "coset", "residual", "excluded")
-
-    def __init__(self, m: Sequence[int], n: Sequence[int], coset: Sequence[int], residual: Sequence[float],
-                 excluded: Sequence[bool]) -> None:
-        self.m, self.n, self.coset = tuple(m), tuple(n), tuple(coset)
-        self.residual, self.excluded = tuple(residual), tuple(excluded)
+    m: tuple[int, ...]
+    n: tuple[int, ...]
+    coset: tuple[int, ...]
+    residual: tuple[float, ...]
+    excluded: tuple[bool, ...]
 
     def __len__(self) -> int:
         return len(self.m)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointFits):
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
-
-    def _item(self, i: int) -> PointFit:
-        return PointFit(i, self.m[i], self.n[i], self.coset[i], self.residual[i], self.excluded[i])
-
 
 @dataclass(frozen=True)
 class FitReport:
-    """Fit of a whole cloud; ``points`` holds each position's `PointFit`, built on access."""
+    """Fit of a whole cloud; ``points`` holds each position's fit as columns."""
 
     tol: float
     passed: bool
@@ -216,31 +192,26 @@ def fit_cloud(
 ) -> FitReport:
     """Assign every cloud point to the locus and report residuals.
 
-    Accepts a `Cloud`, whose columns are read as they are; bare complex
-    values with their ``flags``; or a sequence of `MultivaluePoint`
-    instances or bare complex values, unflagged.  Flagged
-    (ill-conditioned) points are listed but excluded from the maximum and
-    from the pass verdict; non-finite residuals count as infinite.  A cloud
-    with no unexcluded point does not pass.  The report keeps each
-    position's fit as columns; ``points`` builds a `PointFit` when one is read.
+    Accepts a `Cloud`, whose columns are read as they are, or bare complex
+    values with their ``flags``, none flagged when ``flags`` is omitted.
+    Flagged (ill-conditioned) points are listed but excluded from the
+    maximum and from the pass verdict; non-finite residuals count as
+    infinite.  A cloud with no unexcluded point does not pass.  The report
+    keeps each position's fit as the columns of ``points``.
     """
-    if flags is not None:
-        values = cloud
-        if len(flags) != len(values):
-            raise ValueError(f"{len(values)} values but {len(flags)} flags")
-    elif isinstance(cloud, Cloud):
+    if flags is None and isinstance(cloud, Cloud):
         values, flags = cloud.values, cloud.flags
     else:
-        values, flags = [], []
-        for point in cloud:
-            values.append(complex(getattr(point, "value", point)))
-            flags.append(bool(getattr(point, "ill_conditioned", False)))
+        values = cloud
+        flags = (False,) * len(values) if flags is None else tuple(flags)
+        if len(flags) != len(values):
+            raise ValueError(f"{len(values)} values but {len(flags)} flags")
     m, n, coset, residual = _fit_columns(spec, values)
     kept = [i for i, excluded in enumerate(flags) if not excluded]
     worst = max(kept, key=residual.__getitem__, default=None)
     max_residual = 0.0 if worst is None else residual[worst]
     return FitReport(
-        points=PointFits(m, n, coset, residual, flags),
+        points=PointFits(tuple(m), tuple(n), tuple(coset), tuple(residual), flags),
         max_residual=max_residual,
         worst_point=worst,
         flagged_excluded=len(flags) - len(kept),

@@ -163,4 +163,4 @@ def magm_negative_experiment(b: float, sign_mask: int, rows: int = DEFAULT_ROWS)
     refs = reference_set(b=b)
     spec = predict_locus("E", refs)
     report = fit_cloud([last.x * refs.K_k], spec, tol=math.inf)
-    return MagmOutcome(True, last.x, report.points[0].residual)
+    return MagmOutcome(True, last.x, report.points.residual[0])

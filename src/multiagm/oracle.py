@@ -53,7 +53,7 @@ def agm_series(b: complex) -> Iterator[tuple[complex, complex, complex]]:
         total += 2.0 ** (n - 1) * (s * d)
         yield a, d, total
         near = signed_root(a * g, s, tie_positive_imag=True)
-        a, g, s, d = pair_step(s, d * d / 4, near, False)
+        a, g, s, d = pair_step(s, d * d / 4, near)
 
 
 def complete_from_complement(b: complex) -> tuple[complex, complex]:

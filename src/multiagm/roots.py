@@ -4,10 +4,11 @@ The sign conventions live in the selectors below.  Every square root
 outside the two sweep loops of `engine` goes through one of them; those
 loops take their mean and forward roots with `signed_root`'s operations
 inline, so that a step makes no Python call, and hand it every tie.
-`pair_step` carries a pair as sum and difference and gets the member that
-would cancel from the exact identity ``sum' * diff' = diff**2 / 4``.  The
-oracle's AGM loop calls it, and the sweeps repeat its operations inline in
-the same order, so both give the same bits.
+`pair_step` carries a pair as sum and difference and gets the difference,
+which would cancel, from the exact identity ``sum' * diff' = diff**2 / 4``.
+The oracle's AGM loop calls it, and the sweeps repeat its operations inline
+in the same order, so both give the same bits; a sweep's sign flip swaps
+the new sum and difference and negates the root in place.
 All functions are pure and operate on IEEE double complex scalars.
 """
 
@@ -65,15 +66,14 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
     return w
 
 
-def pair_step(s: complex, q: complex, root: complex, flip: int) -> tuple[complex, complex, complex, complex]:
-    """Advance a pair carried as its sum ``s`` to ``(s/2, +-root)``.
+def pair_step(s: complex, q: complex, root: complex) -> tuple[complex, complex, complex, complex]:
+    """Advance a pair carried as its sum ``s`` to ``(s/2, root)``.
 
-    ``root`` is the chosen root of the new pair; a nonzero ``flip`` negates it.
-    ``q`` must equal ``diff**2 / 4`` for the pair's current difference.
-    Of the new sum and difference, the one that adds ``s/2`` and ``root``
-    is computed directly; the other, which a subtraction would cancel, is
-    ``q`` divided by it.  A zero divisor gives 0 when ``q == 0`` and NaN
-    otherwise.  Returns ``(mean, other, sum', diff')``.
+    ``root`` is the chosen root of the new pair, and ``q`` must equal
+    ``diff**2 / 4`` for the pair's current difference.  The new sum adds
+    ``s/2`` and ``root``; the new difference, which a subtraction would
+    cancel, is ``q`` divided by that sum.  A zero divisor gives 0 when
+    ``q == 0`` and NaN otherwise.  Returns ``(mean, root, sum', diff')``.
     """
     mean = s / 2
     added = mean + root
@@ -81,6 +81,4 @@ def pair_step(s: complex, q: complex, root: complex, flip: int) -> tuple[complex
         divided = q / added
     else:
         divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
-    if flip:
-        return mean, -root, divided, added
     return mean, root, added, divided

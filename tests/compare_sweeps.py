@@ -1,4 +1,4 @@
-"""Compare every sweep leaf of this tree's engine with another checkout's.
+"""Compare every sweep leaf and cloud fit of this tree with another checkout's.
 
 Loads ``multiagm`` twice, from ``PARENT_ROOT/src`` and from this tree, under
 two module names, draws seeded requests and compares every leaf of
@@ -8,8 +8,14 @@ of `run_quartet` on a schedule of fixed sigma, delta and gamma bits, by
 ``marshal.dumps(leaf, 2)``, which writes each double's bytes: signed zeros
 and NaN payloads must match too.  Where the other checkout's `sweep_sigma`
 takes no ``series`` argument, its leaves stand for the series-free ones
-with ``s_sum`` set to None.  Prints the first mismatch and the count
-compared, and exits 1 on any mismatch.  Unpack the other commit with
+with ``s_sum`` set to None.  Each request also enumerates one cloud of a
+seeded kind at its bits and fits it, at a seeded tolerance, against a
+seeded one-generator and a seeded two-generator `LatticeSpec`, each with
+one or two cosets, and a seeded `CircleSpec`; the comparison covers the
+report's ``passed``, ``max_residual``, ``worst_point`` and
+``flagged_excluded`` and the five ``points`` columns, read by name.
+Prints the first mismatch and the count compared, and exits 1 on any
+mismatch.  Unpack the other commit with
 ``git archive`` and run from anywhere:
 
     mkdir -p ../parent && git archive HEAD~1 | tar -x -C ../parent
@@ -112,6 +118,62 @@ def leaves(package, req: dict) -> list[tuple[str, bytes]]:
     return sorted(out)
 
 
+KINDS = ("K", "F", "E", "N", "Z", "Z_restricted")
+
+
+def draw_fit(rng: random.Random, req: dict) -> dict:
+    """One cloud to fit, at the request's bits, and its seeded loci: two lattices and a circle."""
+    sigma_bits, (quartet_sigma, delta_bits) = req["sigma_bits"], req["quartet_bits"]
+    kind = rng.choice(KINDS)
+    bits = {
+        "K": {"sigma_bits": sigma_bits},
+        "E": {"sigma_bits": sigma_bits},
+        "N": {"sigma_bits": sigma_bits},
+        "F": {"sigma_bits": quartet_sigma, "delta_bits": delta_bits},
+        "Z": {"sigma_bits": quartet_sigma, "delta_bits": delta_bits,
+              "gamma_bits": rng.randint(0, min(req["max_iter"], 2))},
+        "Z_restricted": {"delta_bits": delta_bits},
+    }[kind]
+
+    def point(scale: float) -> complex:
+        return complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale))
+
+    lattices = []
+    for generators in (1, 2):
+        scale = rng.choice((1e-3, 0.5, 4.0, 1e3))
+        gen1 = point(scale) or scale
+        # a second generator off gen1's line: gen1 times a factor with a nonzero imaginary part
+        turn = complex(rng.uniform(-2.0, 2.0), rng.choice((-1, 1)) * rng.uniform(0.1, 2.0))
+        gen2 = 0j if generators == 1 else gen1 * turn
+        cosets = (0j,) if rng.random() < 0.5 else (0j, point(scale))
+        lattices.append((point(4.0), gen1, gen2, cosets))
+    x1 = rng.uniform(-3.0, 3.0)
+    circle = (x1, x1 + rng.choice((-1, 1)) * rng.uniform(0.1, 4.0))
+    return {"kind": kind, "bits": bits, "lattices": lattices, "circle": circle,
+            "tol": rng.choice((1e-6, 0.5, 10.0, math.inf))}
+
+
+def fits(package, req: dict, fit: dict) -> list[tuple[str, bytes]]:
+    """The fit of the request's cloud to each of its loci, keyed by locus; an error is kept as its text."""
+    b = req["b"]
+    params = package.QuartetParams(k=cmath.sqrt((1 - b) * (1 + b)), sinphi=req["sinphi"], signb=req["signb"],
+                                   max_iter=req["max_iter"], complement=b)
+    lattice = package.lattice
+    specs = [lattice.LatticeSpec(*spec) for spec in fit["lattices"]] + [lattice.CircleSpec(*fit["circle"])]
+    out = []
+    try:
+        cloud = package.enumerate_cloud(package.CloudRequest(kind=fit["kind"], params=params, **fit["bits"]))
+    except (ValueError, ArithmeticError) as error:
+        return [(f"{fit['kind']} cloud", dumps(f"{type(error).__name__}: {error}", 2))]
+    for spec in specs:
+        report = lattice.fit_cloud(cloud, spec, fit["tol"])
+        points = report.points
+        fields = (report.passed, report.max_residual, report.worst_point, report.flagged_excluded,
+                  points.m, points.n, points.coset, points.residual, points.excluded)
+        out.append((f"{fit['kind']} fit {spec}", dumps(fields, 2)))
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_root", type=Path, help="root of the other checkout, holding src/multiagm")
@@ -121,21 +183,24 @@ def main() -> int:
     parent = load("multiagm_parent", args.parent_root / "src")
     change = load("multiagm_change", ROOT / "src")
     rng = random.Random(args.seed)
+    # the fits draw from their own stream, so the sweeps' requests do not depend on them
+    fit_rng = random.Random(f"fits {args.seed}")
     compared = 0
     for i in range(args.requests):
         req = draw(rng)
-        old, new = leaves(parent, req), leaves(change, req)
+        fit = draw_fit(fit_rng, req)
+        old, new = leaves(parent, req) + fits(parent, req, fit), leaves(change, req) + fits(change, req, fit)
         if [key for key, _ in old] != [key for key, _ in new]:
-            print(f"request {i} {req}: the sweeps yield different masks")
+            print(f"request {i} {req} {fit}: the sweeps or fits yield different keys")
             return 1
         for (key, old_bytes), (_, new_bytes) in zip(old, new):
             if old_bytes != new_bytes:
-                print(f"request {i} {req}: {key} differs")
+                print(f"request {i} {req} {fit}: {key} differs")
                 print(f"  parent: {loads(old_bytes)!r}\n  change: {loads(new_bytes)!r}")
-                print(f"{compared} leaves compared before the first mismatch")
+                print(f"{compared} leaves and fits compared before the first mismatch")
                 return 1
             compared += 1
-    print(f"{args.requests} requests, {compared} leaves compared, 0 mismatches")
+    print(f"{args.requests} requests, {compared} leaves and fits compared, 0 mismatches")
     return 0
 
 

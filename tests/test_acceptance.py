@@ -121,8 +121,10 @@ def test_criterion_05_k_lattice_membership():
     report = fit_cloud(cloud, predict_locus("K", refs), tol=1e-6)
     ok = report.passed and report.flagged_excluded <= 1
     detail = f"max {report.max_residual:.2e}, flagged {report.flagged_excluded}"
-    both = cloud + enumerate_cloud(CloudRequest(kind="K", params=_params(signb=-1), sigma_bits=5))
-    report_both = fit_cloud(both, predict_locus("K_both", refs), tol=1e-6)
+    # the two start signs fitted as one cloud, by their joined columns, as `verify --kind k-both` does
+    black = enumerate_cloud(CloudRequest(kind="K", params=_params(signb=-1), sigma_bits=5))
+    report_both = fit_cloud(cloud.values + black.values, predict_locus("K_both", refs), tol=1e-6,
+                            flags=cloud.flags + black.flags)
     ok = ok and report_both.passed
     _check(5, "32-point K cloud on (4K, 4iK(b)); combined signs on (4K, 2iK(b))", ok,
            detail + f"; both {report_both.max_residual:.2e}")
@@ -143,7 +145,7 @@ def test_criterion_07_e_lattice_and_shape():
     e_cloud = enumerate_cloud(CloudRequest(kind="E", params=_params(), sigma_bits=5))
     k_report = fit_cloud(k_cloud, predict_locus("K", refs), tol=1e-6)
     e_report = fit_cloud(e_cloud, predict_locus("E", refs), tol=1e-6)
-    same_shape = sorted((p.m, p.n) for p in k_report.points) == sorted((p.m, p.n) for p in e_report.points)
+    same_shape = sorted(zip(k_report.points.m, k_report.points.n)) == sorted(zip(e_report.points.m, e_report.points.n))
     ok = e_report.passed and same_shape
     _check(7, "32-point E cloud on (4E, 4i(K(b)-E(b))) with K-cloud shape", ok,
            f"max {e_report.max_residual:.2e}, shapes equal: {same_shape}")

@@ -20,7 +20,6 @@ from multiagm import (
     engine,
     enumerate_cloud,
     fit_cloud,
-    lattice,
 )
 from multiagm.cli import main
 from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _extract, _mark_duplicates
@@ -141,9 +140,12 @@ def test_cloud_reads_as_its_points(kind, signb, data):
     for index in (n, -n - 1):
         with pytest.raises(IndexError):
             cloud[index]
-    assert repr(cloud + cloud) == repr(cloud + expected) == repr(expected + expected)
+    with pytest.raises(TypeError):
+        cloud + cloud
+    # a cloud fits by its columns as the values and flags of its points do
+    point_values, point_flags = [p.value for p in expected], [p.ill_conditioned for p in expected]
     for spec in (LatticeSpec(origin=0.5j, gen1=1.0, gen2=0.5 + 1j, cosets=(0j, 0.25)), CircleSpec(x1=-1.0, x2=2.0)):
-        assert asdict(fit_cloud(cloud, spec)) == asdict(fit_cloud(list(cloud), spec))
+        assert asdict(fit_cloud(cloud, spec)) == asdict(fit_cloud(point_values, spec, flags=point_flags))
 
 
 def test_cloud_is_read_only():
@@ -173,17 +175,13 @@ def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
     schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
-    fits = counting_builds(monkeypatch, lattice, "PointFit")
     cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=10))
     report = fit_cloud(cloud, LatticeSpec(origin=1.0, gen1=4.0, gen2=4j))
-    assert (len(points), len(schedules), len(scans), len(fits)) == (0, 0, 0, 0)
+    assert (len(points), len(schedules), len(scans)) == (0, 0, 0)
     assert len(report.points) == len(cloud) == 1024
     # reading a point builds it and its schedule, and runs the one scan of the cloud
     assert cloud[-1].schedule.sigma_mask == 0
     assert (len(points), len(schedules), len(scans)) == (1, 1, 1)
-    # reading a point fit builds it alone
-    assert report.points[-1].index == 1023
-    assert len(fits) == 1
 
 
 @pytest.mark.parametrize("kind", tuple(KIND_BITS))

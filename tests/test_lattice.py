@@ -2,8 +2,7 @@ import cmath
 import math
 import random
 import re
-from collections.abc import Sequence
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields
 
 import pytest
 
@@ -11,15 +10,13 @@ from multiagm import (
     CircleSpec,
     CloudRequest,
     QuartetParams,
-    SignSchedule,
     enumerate_cloud,
     fit_cloud,
     predict_locus,
     quad_F,
     reference_set,
 )
-from multiagm.clouds import MultivaluePoint
-from multiagm.lattice import LatticeSpec, PointFit
+from multiagm.lattice import LatticeSpec, PointFits
 
 K_SQRT09375 = math.sqrt(0.9375)
 
@@ -131,27 +128,28 @@ class TestFitCloud:
         report = fit_cloud(values, spec, tol=1e-9)
         assert report.passed
         assert report.max_residual < 1e-12
-        for pf, (m, n, ci) in zip(report.points, expect):
-            assert (pf.m, pf.n) == (m, n)
+        points = report.points
+        for fit_m, fit_n, fit_coset, residual, (m, n, ci) in zip(points.m, points.n, points.coset, points.residual,
+                                                                  expect):
+            assert (fit_m, fit_n) == (m, n)
             # coset ambiguity is allowed only when both assignments are exact
-            if pf.coset != ci:
-                assert pf.residual < 1e-12
+            if fit_coset != ci:
+                assert residual < 1e-12
 
     def test_one_dimensional_lattice(self):
         spec = LatticeSpec(origin=1.5, gen1=2j)
         report = fit_cloud([1.5 + 6j, 1.5 - 4j, 1.5], spec, tol=1e-9)
-        assert [p.m for p in report.points] == [3, -2, 0]
+        assert report.points.m == (3, -2, 0)
         assert report.max_residual < 1e-15
 
     def test_flagged_points_excluded_from_verdict(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        garbage = MultivaluePoint(value=0.5 + 0.5j, schedule=SignSchedule(), signb=1, ill_conditioned=True)
-        good = MultivaluePoint(value=1 + 2j, schedule=SignSchedule(), signb=1, ill_conditioned=False)
-        report = fit_cloud([garbage, good], spec, tol=1e-6)
+        # a flagged garbage value and a good one
+        report = fit_cloud([0.5 + 0.5j, 1 + 2j], spec, tol=1e-6, flags=[True, False])
         assert report.passed
         assert report.flagged_excluded == 1
-        assert report.points[0].excluded
-        assert report.points[0].residual > 0.5  # still listed with its residual
+        assert report.points.excluded == (True, False)
+        assert report.points.residual[0] > 0.5  # still listed with its residual
         assert report.worst_point == 1
 
     def test_non_finite_values_fit_nowhere(self):
@@ -159,15 +157,16 @@ class TestFitCloud:
         b, sinphi = 0.5, 0.6
         p = QuartetParams(k=math.sqrt((1 - b) * (1 + b)), sinphi=sinphi, complement=b)
         cloud = enumerate_cloud(CloudRequest(kind="Z_restricted", params=p, delta_bits=10))
-        nonfinite = [i for i, point in enumerate(cloud) if not cmath.isfinite(point.value)]
+        nonfinite = [i for i, value in enumerate(cloud.values) if not cmath.isfinite(value)]
         assert len(nonfinite) == 768
-        assert all(cloud[i].ill_conditioned for i in nonfinite)
+        assert all(cloud.flags[i] for i in nonfinite)
         report = fit_cloud(cloud, predict_locus("Z_restricted", reference_set(b=b), phi=math.asin(sinphi)))
         assert report.flagged_excluded == 768
         assert math.isfinite(report.max_residual)
+        points = report.points
         for i in nonfinite:
-            pf = report.points[i]
-            assert (pf.m, pf.n, pf.coset, pf.residual, pf.excluded) == (0, 0, 0, math.inf, True)
+            assert (points.m[i], points.n[i], points.coset[i], points.residual[i], points.excluded[i]) == (
+                0, 0, 0, math.inf, True)
 
     def test_unflagged_non_finite_value_fails(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
@@ -184,58 +183,60 @@ class TestFitCloud:
     def test_finite_value_whose_coordinate_overflows_fits_nowhere(self, gen2):
         spec = LatticeSpec(origin=0j, gen1=1e-3, gen2=gen2)
         report = fit_cloud([1 + 2j, 1e308 + 1e308j], spec)
-        assert report.points[1] == PointFit(1, 0, 0, 0, math.inf, False)
+        points = report.points
+        assert (points.m[1], points.n[1], points.coset[1], points.residual[1], points.excluded[1]) == (
+            0, 0, 0, math.inf, False)
         assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
 
     def test_finite_value_whose_coordinate_overflows_fits_nowhere_on_a_line(self):
         # one generator: the coordinate is (d / gen1).real alone
         spec = LatticeSpec(origin=0j, gen1=1e-3, gen2=0j, cosets=(0j, 1.0))
         report = fit_cloud([2.0, 1e308 + 0j], spec)
-        assert list(report.points) == [PointFit(0, 2000, 0, 0, 0.0, False), PointFit(1, 0, 0, 0, math.inf, False)]
+        assert report.points == PointFits(m=(2000, 0), n=(0, 0), coset=(0, 0), residual=(0.0, math.inf),
+                                          excluded=(False, False))
         assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
 
     def test_no_fitted_point_does_not_pass(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        flagged = MultivaluePoint(value=0j, schedule=SignSchedule(), signb=1, ill_conditioned=True)
-        for cloud in ([], [flagged, flagged]):
-            report = fit_cloud(cloud, spec)
+        for values, flags in (([], None), ([0j, 0j], [True, True])):
+            report = fit_cloud(values, spec, flags=flags)
             assert (report.passed, report.worst_point, report.max_residual) == (False, None, 0.0)
-        assert fit_cloud([flagged, 1j], spec).passed
+        assert fit_cloud([0j, 1j], spec, flags=[True, False]).passed
 
     def test_points_read_as_point_fits(self):
-        # the report keeps columns; its points are built on access and read as a tuple of them did
+        # the report's points are five columns by position, and nothing more
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
         values = [2 + 3j, 0.25 - 1j, complex(math.nan, math.nan)]
         flags = [False, False, True]
-        expected = [
-            PointFit(0, 2, 3, 0, 0.0, False),
-            PointFit(1, 0, -1, 0, 0.25, False),
-            PointFit(2, 0, 0, 0, math.inf, True),
-        ]
         report = fit_cloud(values, spec, flags=flags)
         points = report.points
-        assert isinstance(points, Sequence) and len(points) == 3
-        assert list(points) == expected and repr(points) == repr(expected)
-        assert points[-1] == expected[-1] and points[1:] == expected[1:] and points[::-1] == expected[::-1]
-        first, second, third = points
-        assert (first, second, third) == tuple(expected)
-        with pytest.raises(IndexError):
-            points[3]
-        assert (points.m, points.residual, points.excluded) == ((2, 0, 0), (0.0, 0.25, math.inf), (False, False, True))
+        assert [field.name for field in fields(PointFits)] == ["m", "n", "coset", "residual", "excluded"]
+        assert points == PointFits(m=(2, 0, 0), n=(3, -1, 0), coset=(0, 0, 0), residual=(0.0, 0.25, math.inf),
+                                   excluded=(False, False, True))
+        assert len(points) == 3
+        with pytest.raises(TypeError):
+            points[0]
+        with pytest.raises(FrozenInstanceError):
+            points.m = ()
         assert (report.worst_point, report.max_residual, report.flagged_excluded) == (1, 0.25, 1)
-        # bare values with their flags fit as the points carrying them do
-        marked = [
-            MultivaluePoint(value=v, schedule=SignSchedule(), signb=1, ill_conditioned=f) for v, f in zip(values, flags)
-        ]
-        assert fit_cloud(marked, spec) == report
+        # omitted flags flag nothing
+        assert fit_cloud(values[:2], spec) == fit_cloud(values[:2], spec, flags=flags[:2])
         with pytest.raises(ValueError, match="3 values but 2 flags"):
             fit_cloud(values, spec, flags=flags[:2])
+
+    def test_integer_columns_beyond_int64_stay_exact(self):
+        # a lattice coordinate past 2**63 is an exact Python int, which a typed 'q' column could not hold
+        report = fit_cloud([3e19 + 0j, 1e300 + 0j], LatticeSpec(origin=0j, gen1=1.0, gen2=1j))
+        assert report.points.m == (30000000000000000000, int(1e300))
+        assert report.points.n == (0, 0)
+        assert (report.passed, report.max_residual) == (True, 0.0)
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
         payload = asdict(fit_cloud([0j, 1j], spec))
         assert payload["passed"] is True
-        assert len(payload["points"]) == 2
+        assert payload["points"] == {"m": (0, 0), "n": (0, 1), "coset": (0, 0), "residual": (0.0, 0.0),
+                                     "excluded": (False, False)}
 
     def test_circle_fit(self):
         spec = CircleSpec(x1=0.2, x2=1.0)
@@ -269,17 +270,19 @@ class TestCloudFits:
     def test_sigma0_flip_index(self, refs):
         cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=1))
         report = fit_cloud(cloud, predict_locus("K", refs))
-        flipped, base = report.points
-        assert (flipped.m, abs(flipped.n)) == (0, 1)
-        assert (base.m, base.n) == (0, 0)
-        assert base.residual < 1e-12
+        points = report.points
+        # position 0 flips the first root; position 1 is the all-plus schedule
+        assert (points.m[0], abs(points.n[0])) == (0, 1)
+        assert (points.m[1], points.n[1]) == (0, 0)
+        assert points.residual[1] < 1e-12
 
     def test_generation_extent_bound(self, refs):
         cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=5))
         report = fit_cloud(cloud, predict_locus("K", refs))
-        for point, pf in zip(cloud, report.points):
-            bound = 2 ** (point.schedule.generation() - 1) if point.schedule.generation() else 0
-            assert max(abs(pf.m), abs(pf.n)) <= bound
+        for i, (m, n) in enumerate(zip(report.points.m, report.points.n)):
+            generation = cloud.schedule(i).generation()
+            bound = 2 ** (generation - 1) if generation else 0
+            assert max(abs(m), abs(n)) <= bound
 
     def test_e_indices_match_k_indices(self, refs):
         k_cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=5))
@@ -287,6 +290,6 @@ class TestCloudFits:
         k_report = fit_cloud(k_cloud, predict_locus("K", refs))
         e_report = fit_cloud(e_cloud, predict_locus("E", refs))
         assert e_report.passed
-        k_idx = sorted((p.m, p.n) for p in k_report.points)
-        e_idx = sorted((p.m, p.n) for p in e_report.points)
+        k_idx = sorted(zip(k_report.points.m, k_report.points.n))
+        e_idx = sorted(zip(e_report.points.m, e_report.points.n))
         assert k_idx == e_idx

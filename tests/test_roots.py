@@ -207,41 +207,33 @@ class TestZetaRoot:
 
 class TestPairStep:
     def test_no_flip_adds_into_the_sum(self):
-        mean, other, s, d = pair_step(1.25, 0.140625, 0.5, False)
+        mean, other, s, d = pair_step(1.25, 0.140625, 0.5)
         assert (mean, other, s) == (0.625, 0.5, 1.125)
         assert d == 0.140625 / 1.125
 
-    def test_flip_adds_into_the_difference(self):
-        mean, other, s, d = pair_step(1.25, 0.140625, 0.5, True)
-        assert (mean, other, d) == (0.625, -0.5, 1.125)
-        assert s == 0.140625 / 1.125
-
-    @given(s=finite_complex, d=finite_complex, flip=st.booleans())
+    @given(s=finite_complex, d=finite_complex)
     @settings(max_examples=200)
-    def test_product_identity(self, s, d, flip):
+    def test_product_identity(self, s, d):
         # the root of the new pair's product, as every loop takes it
         a, g = (s + d) / 2, (s - d) / 2
         root = near_root(a, g)
         q = d * d / 4
-        mean, other, s_new, d_new = pair_step(s, q, root, flip)
+        mean, other, s_new, d_new = pair_step(s, q, root)
         assert mean == s / 2
-        assert other == (-root if flip else root)
+        assert other == root
         assert s_new * d_new == pytest.approx(q, rel=8 * EPS, abs=0)
-        # one member adds mean and root; the other is the difference
-        # mean - root, obtained without subtracting
-        added, divided = (d_new, s_new) if flip else (s_new, d_new)
-        assert added == mean + root
-        assert abs(divided - (mean - root)) <= 16 * EPS * (abs(s) + abs(d))
+        # the sum adds mean and root; the difference is mean - root,
+        # obtained without subtracting
+        assert s_new == mean + root
+        assert abs(d_new - (mean - root)) <= 16 * EPS * (abs(s) + abs(d))
 
-    @pytest.mark.parametrize("flip", [False, True])
-    def test_zero_divisor(self, flip):
-        # the added member is 0: the other is 0 when q == 0, NaN otherwise
-        _, _, s, d = pair_step(2, 0, -1, flip)
+    def test_zero_divisor(self):
+        # the new sum is 0: the difference is 0 when q == 0, NaN otherwise
+        _, _, s, d = pair_step(2, 0, -1)
         assert (s, d) == (0, 0)
-        _, _, s, d = pair_step(2, 1, -1, flip)
-        divided = s if flip else d
-        assert (d if flip else s) == 0
-        assert cmath.isnan(divided.real) and cmath.isnan(divided.imag)
+        _, _, s, d = pair_step(2, 1, -1)
+        assert s == 0
+        assert cmath.isnan(d.real) and cmath.isnan(d.imag)
 
 
 class TestSignedRoot:
