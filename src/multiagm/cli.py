@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
 
 from .clouds import KIND_BITS, Cloud, CloudRequest, enumerate_cloud
 from .engine import DEFAULT_MAX_ITER, QuartetParams
@@ -67,7 +66,7 @@ BOTH_SIGNS = (1, -1)
 VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both", "F", "E", "N", "Z_restricted")}
 
 # the keys of each point of verify's JSON: its position, then the fit's columns in order
-POINT_FIT_KEYS = ("index", *(field.name for field in fields(PointFits)))
+POINT_FIT_KEYS = ("index", *PointFits.__slots__)
 
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25
@@ -228,10 +227,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     columns = (fits.m, fits.n, fits.coset, fits.residual, fits.excluded)
 
     if args.format == "json":
-        payload = {field.name: getattr(report, field.name) for field in fields(report)}
+        payload = report._asdict()
         payload["points"] = [dict(zip(POINT_FIT_KEYS, row)) for row in zip(range(len(values)), *columns)]
         payload["kind"] = args.kind
-        payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = asdict(spec)
+        payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = spec._asdict()
         print(json.dumps(_strict_json(payload), indent=2, allow_nan=False))
     else:
         if isinstance(spec, CircleSpec):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import (
     QuartetParams,
@@ -55,8 +55,7 @@ def _gamma_mask(kind: str, delta: int, gamma: int) -> int:
     return delta << 1 if kind == "Z_restricted" else gamma
 
 
-@dataclass(frozen=True, slots=True)
-class MultivaluePoint:
+class MultivaluePoint(NamedTuple):
     """One computed multivalue with its provenance.
 
     ``duplicate_of`` points at the earliest unflagged point of the same
@@ -71,17 +70,21 @@ class MultivaluePoint:
     duplicate_of: int | None = None
 
 
-@dataclass(frozen=True)
-class CloudRequest:
-    """A sweep request: which function, which parameters, how many free bits of each sort its kind reads."""
-
+class _CloudRequest(NamedTuple):
     kind: str
     params: QuartetParams
     sigma_bits: int = 0
     delta_bits: int = 0
     gamma_bits: int = 0
 
-    def __post_init__(self) -> None:
+
+class CloudRequest(_CloudRequest):
+    """A sweep request: which function, which parameters, how many free bits of each sort its kind reads."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         reads = KIND_BITS.get(self.kind)
         if reads is None:
             raise ValueError(f"unknown cloud kind {self.kind!r}")
@@ -93,9 +96,12 @@ class CloudRequest:
                 raise ValueError(f"{name} exceeds max_iter")
             if bits and name not in reads:
                 raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
+        return self
+
+    # `_replace` builds through `_make`, so a replaced request is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True, slots=True, repr=False, eq=False)
 class Cloud(Sequence):
     """The points of one cloud, kept as columns by position beside the request that made them.
 
@@ -105,13 +111,26 @@ class Cloud(Sequence):
     is read, and its result is kept.  Position ``i`` carries the schedule
     `schedule` decodes from ``last - i`` and the request's bit counts.
     Indexing, slicing and iteration build `MultivaluePoint` objects on
-    access, and ``repr`` is that of the list of points.
+    access, and ``repr`` is that of the list of points.  A cloud is read
+    only, and equal only to itself.
     """
 
-    request: CloudRequest
-    values: tuple[complex, ...]
-    flags: tuple[bool, ...]
-    _links: tuple[int | None, ...] | None = field(default=None, init=False)
+    __slots__ = ("request", "values", "flags", "_links")
+
+    def __init__(self, request: CloudRequest, values: tuple[complex, ...], flags: tuple[bool, ...]) -> None:
+        object.__setattr__(self, "request", request)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "flags", flags)
+        object.__setattr__(self, "_links", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a cloud is read only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a cloud is read only")
+
+    def __reduce__(self):
+        return Cloud, (self.request, self.values, self.flags)
 
     @property
     def links(self) -> tuple[int | None, ...]:

@@ -32,8 +32,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from marshal import dumps
+from typing import NamedTuple
 
 from .roots import complement, principal_sqrt, signed_root
 
@@ -72,8 +72,7 @@ ILL_CONDITION_RATIO = 1e-6
 Quartet = tuple[complex, complex, complex, complex]
 
 
-@dataclass(frozen=True, slots=True)
-class SignSchedule:
+class SignSchedule(NamedTuple):
     """Per-iteration branch choices; bit ``n`` set means ``-1`` at iteration ``n``.
 
     ``sigma_mask`` drives the geometric-mean root, ``delta_mask`` the
@@ -96,8 +95,15 @@ class SignSchedule:
         )
 
 
-@dataclass(frozen=True)
-class QuartetParams:
+class _QuartetParams(NamedTuple):
+    k: complex | None
+    sinphi: complex
+    signb: int = 1
+    max_iter: int = DEFAULT_MAX_ITER
+    complement: complex | None = None
+
+
+class QuartetParams(_QuartetParams):
     """Inputs of the recursion.
 
     ``k`` is the modulus and ``sinphi`` the sine of the amplitude, both
@@ -108,13 +114,10 @@ class QuartetParams:
     may be None; one of the two must be given.
     """
 
-    k: complex | None
-    sinphi: complex
-    signb: int = 1
-    max_iter: int = DEFAULT_MAX_ITER
-    complement: complex | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.k is None and self.complement is None:
             raise ValueError("give the modulus k or its complement")
         if self.sinphi == 0:
@@ -125,6 +128,10 @@ class QuartetParams:
             raise ValueError("max_iter must be at least 1")
         if self.max_iter > MAX_ITER_LIMIT:
             raise ValueError(f"max_iter must be at most {MAX_ITER_LIMIT}")
+        return self
+
+    # `_replace` builds through `_make`, so a replaced record is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def complement_value(self) -> complex:
         if self.complement is not None:
@@ -138,8 +145,7 @@ class QuartetParams:
         return complex(self.k) * complex(self.k)
 
 
-@dataclass(frozen=True, slots=True)
-class QuartetTrace:
+class QuartetTrace(NamedTuple):
     """One full run of the recursion on one schedule, as `run_quartet` gives it.
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the

@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .clouds import Cloud
 from .oracle import ReferenceSet, quad_E_inc, quad_F
@@ -33,34 +33,50 @@ __all__ = [
 DEFAULT_FIT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class LatticeSpec:
-    """Origin plus one or two generating vectors and optional coset offsets."""
-
+class _LatticeSpec(NamedTuple):
     origin: complex
     gen1: complex
     gen2: complex = 0j
     cosets: tuple[complex, ...] = (0j,)
 
-    def __post_init__(self) -> None:
+
+class LatticeSpec(_LatticeSpec):
+    """Origin plus one or two generating vectors and optional coset offsets."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gen1 == 0:
             raise ValueError("gen1 must be nonzero")
         if self.gen2 != 0 and (self.gen2 / self.gen1).imag == 0:
             raise ValueError("gen2 must not be parallel to gen1")
         if not self.cosets:
             raise ValueError("cosets must be nonempty")
+        return self
+
+    # `_replace` builds through `_make`, so a replaced spec is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class CircleSpec:
-    """Circle centred on the real axis through the crossings ``x1`` and ``x2``."""
-
+class _CircleSpec(NamedTuple):
     x1: float
     x2: float
 
-    def __post_init__(self) -> None:
+
+class CircleSpec(_CircleSpec):
+    """Circle centred on the real axis through the crossings ``x1`` and ``x2``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.x1 == self.x2:
             raise ValueError("crossings must be distinct")
+        return self
+
+    # `_replace` builds through `_make`, so a replaced spec is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def center(self) -> complex:
@@ -71,22 +87,54 @@ class CircleSpec:
         return abs(self.x2 - self.x1) / 2.0
 
 
-@dataclass(frozen=True)
 class PointFits:
-    """Each fitted position's ``m``, ``n``, ``coset``, ``residual`` and ``excluded``, as columns by position."""
+    """Each fitted position's ``m``, ``n``, ``coset``, ``residual`` and ``excluded``, as columns by position.
 
-    m: tuple[int, ...]
-    n: tuple[int, ...]
-    coset: tuple[int, ...]
-    residual: tuple[float, ...]
-    excluded: tuple[bool, ...]
+    Read only; ``len`` counts positions, and there is no item access.
+    """
+
+    __slots__ = ("m", "n", "coset", "residual", "excluded")
+
+    def __init__(
+        self,
+        m: tuple[int, ...],
+        n: tuple[int, ...],
+        coset: tuple[int, ...],
+        residual: tuple[float, ...],
+        excluded: tuple[bool, ...],
+    ) -> None:
+        for name, column in zip(self.__slots__, (m, n, coset, residual, excluded)):
+            object.__setattr__(self, name, column)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a fit is read only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a fit is read only")
+
+    def _columns(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):
+        return PointFits, self._columns()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._columns() == other._columns()
+
+    def __hash__(self) -> int:
+        return hash(self._columns())
+
+    def __repr__(self) -> str:
+        columns = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"PointFits({columns})"
 
     def __len__(self) -> int:
         return len(self.m)
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(NamedTuple):
     """Fit of a whole cloud; ``points`` holds each position's fit as columns."""
 
     tol: float
@@ -193,19 +241,21 @@ def fit_cloud(
     """Assign every cloud point to the locus and report residuals.
 
     Accepts a `Cloud`, whose columns are read as they are, or bare complex
-    values with their ``flags``, none flagged when ``flags`` is omitted.
+    values.  ``flags``, one per value, replaces a cloud's own flags; bare
+    values have none flagged when it is omitted.
     Flagged (ill-conditioned) points are listed but excluded from the
     maximum and from the pass verdict; non-finite residuals count as
     infinite.  A cloud with no unexcluded point does not pass.  The report
     keeps each position's fit as the columns of ``points``.
     """
-    if flags is None and isinstance(cloud, Cloud):
-        values, flags = cloud.values, cloud.flags
+    if isinstance(cloud, Cloud):
+        values = cloud.values
+        flags = cloud.flags if flags is None else tuple(flags)
     else:
         values = cloud
         flags = (False,) * len(values) if flags is None else tuple(flags)
-        if len(flags) != len(values):
-            raise ValueError(f"{len(values)} values but {len(flags)} flags")
+    if len(flags) != len(values):
+        raise ValueError(f"{len(values)} values but {len(flags)} flags")
     m, n, coset, residual = _fit_columns(spec, values)
     kept = [i for i, excluded in enumerate(flags) if not excluded]
     worst = max(kept, key=residual.__getitem__, default=None)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .lattice import fit_cloud, predict_locus
 from .oracle import agm_series, complete_from_complement, reference_set
@@ -44,8 +44,7 @@ MAX_EQUIVALENCE_ROWS = 1023
 _EXPERIMENT_CONV_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MagmTriplet:
+class MagmTriplet(NamedTuple):
     x: complex
     y: complex
     z: complex
@@ -112,8 +111,7 @@ def gauss_series_rows(b: float, rows: int) -> list[complex]:
     return out
 
 
-@dataclass(frozen=True)
-class MagmEquivalence:
+class MagmEquivalence(NamedTuple):
     max_row_deviation: float
     limit: complex
     limit_deviation: float
@@ -133,8 +131,7 @@ def magm_equivalence(b: float, rows: int = DEFAULT_ROWS) -> MagmEquivalence:
     return MagmEquivalence(max_row_deviation=max_dev, limit=limit, limit_deviation=abs(limit - E_k / K_k))
 
 
-@dataclass(frozen=True)
-class MagmOutcome:
+class MagmOutcome(NamedTuple):
     """Recorded result of one signed run: no claims, just what happened."""
 
     converged: bool

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import count, islice
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .roots import complement, pair_step, signed_root
 
@@ -75,8 +74,7 @@ def complete_from_complement(b: complex) -> tuple[complex, complex]:
     return big_k, big_k * (1 - total)
 
 
-@dataclass(frozen=True)
-class ReferenceSet:
+class ReferenceSet(NamedTuple):
     """Complete-integral values at a modulus and its complement.
 
     ``N_b2`` is the ratio E(k)/K(k) and ``N_k2`` the ratio E(b)/K(b);

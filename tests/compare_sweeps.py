@@ -9,7 +9,8 @@ of `run_quartet` on a schedule of fixed sigma, delta and gamma bits, by
 and NaN payloads must match too.  Where the other checkout's `sweep_sigma`
 takes no ``series`` argument, its leaves stand for the series-free ones
 with ``s_sum`` set to None.  Each request also enumerates one cloud of a
-seeded kind at its bits and fits it, at a seeded tolerance, against a
+seeded kind at its bits, compares its ``values`` and ``flags`` columns by
+``marshal.dumps`` as well, and fits it, at a seeded tolerance, against a
 seeded one-generator and a seeded two-generator `LatticeSpec`, each with
 one or two cosets, and a seeded `CircleSpec`; the comparison covers the
 report's ``passed``, ``max_residual``, ``worst_point`` and
@@ -154,7 +155,7 @@ def draw_fit(rng: random.Random, req: dict) -> dict:
 
 
 def fits(package, req: dict, fit: dict) -> list[tuple[str, bytes]]:
-    """The fit of the request's cloud to each of its loci, keyed by locus; an error is kept as its text."""
+    """The request's cloud columns and its fit to each of its loci, keyed by locus; an error is kept as its text."""
     b = req["b"]
     params = package.QuartetParams(k=cmath.sqrt((1 - b) * (1 + b)), sinphi=req["sinphi"], signb=req["signb"],
                                    max_iter=req["max_iter"], complement=b)
@@ -165,6 +166,8 @@ def fits(package, req: dict, fit: dict) -> list[tuple[str, bytes]]:
         cloud = package.enumerate_cloud(package.CloudRequest(kind=fit["kind"], params=params, **fit["bits"]))
     except (ValueError, ArithmeticError) as error:
         return [(f"{fit['kind']} cloud", dumps(f"{type(error).__name__}: {error}", 2))]
+    # the columns themselves, so that a signed zero or a NaN payload that no fit reads is seen too
+    out.append((f"{fit['kind']} cloud columns", dumps((cloud.values, cloud.flags), 2)))
     for spec in specs:
         report = lattice.fit_cloud(cloud, spec, fit["tol"])
         points = report.points

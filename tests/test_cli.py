@@ -201,7 +201,7 @@ def test_deep_path_bytes(command, capsys):
 
 
 # stdout SHA-256 of `verify --kind KIND --format json`; the report's key
-# order is the field order of `FitReport`, which `asdict` follows
+# order is the field order of `FitReport`, which `_asdict` follows
 VERIFY_JSON_DIGESTS = {
     "e": "a2fbc126f0c6f32db43e1f7fb7a74211f03a17f33dc1022f494bd7f42b2cf983",
     "f": "03e93a313ca270dbe06ed27476b1323b235574677379f8f80dcacc4a587e5a3f",

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import FrozenInstanceError, asdict, fields, replace
 from itertools import repeat
 
 import pytest
@@ -74,7 +73,7 @@ def test_complement_alone_gives_the_cloud_of_its_modulus(kind, b):
     bits = dict.fromkeys(KIND_BITS[kind], 2)
     by_pair = QuartetParams(k=principal_sqrt((1 - b) * (1 + b)), sinphi=0.8, complement=b)
     clouds = [
-        enumerate_cloud(CloudRequest(kind=kind, params=replace(by_pair, k=k), **bits)) for k in (by_pair.k, None)
+        enumerate_cloud(CloudRequest(kind=kind, params=by_pair._replace(k=k), **bits)) for k in (by_pair.k, None)
     ]
     assert repr(clouds[1]) == repr(clouds[0])
 
@@ -145,14 +144,14 @@ def test_cloud_reads_as_its_points(kind, signb, data):
     # a cloud fits by its columns as the values and flags of its points do
     point_values, point_flags = [p.value for p in expected], [p.ill_conditioned for p in expected]
     for spec in (LatticeSpec(origin=0.5j, gen1=1.0, gen2=0.5 + 1j, cosets=(0j, 0.25)), CircleSpec(x1=-1.0, x2=2.0)):
-        assert asdict(fit_cloud(cloud, spec)) == asdict(fit_cloud(point_values, spec, flags=point_flags))
+        assert fit_cloud(cloud, spec) == fit_cloud(point_values, spec, flags=point_flags)
 
 
 def test_cloud_is_read_only():
     cloud = k_cloud(sigma_bits=2)
     with pytest.raises(TypeError):
         cloud[0] = cloud[1]
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cloud.values = ()
     assert isinstance(cloud.values, tuple) and isinstance(cloud.flags, tuple) and isinstance(cloud.links, tuple)
 
@@ -229,7 +228,7 @@ def test_cloud_holds_its_request():
     # kind, start sign and bit counts are read from the request, never copied beside it
     req = CloudRequest(kind="F", params=params(sinphi=0.8, signb=-1), sigma_bits=1, delta_bits=2)
     assert enumerate_cloud(req).request is req
-    assert [f.name for f in fields(clouds.Cloud)] == ["request", "values", "flags", "_links"]
+    assert clouds.Cloud.__slots__ == ("request", "values", "flags", "_links")
 
 
 def restricted_schedules(delta_bits):
@@ -297,9 +296,7 @@ class TestKCloud:
 
     def test_generation_is_read_from_the_schedule(self):
         # a stored copy could disagree with the schedule that fixes it
-        assert [f.name for f in fields(MultivaluePoint)] == [
-            "value", "schedule", "signb", "ill_conditioned", "duplicate_of"
-        ]
+        assert MultivaluePoint._fields == ("value", "schedule", "signb", "ill_conditioned", "duplicate_of")
         point = MultivaluePoint(0j, SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2), 1, False)
         assert point.schedule.generation() == 3
 
@@ -313,9 +310,9 @@ class TestKCloud:
         point = k_cloud(sigma_bits=2)[0]
         for obj in (point, point.schedule):
             assert not hasattr(obj, "__dict__")
-        moved = replace(point, duplicate_of=3)
+        moved = point._replace(duplicate_of=3)
         assert (moved.value, moved.schedule, moved.duplicate_of) == (point.value, point.schedule, 3)
-        assert repr(replace(moved, duplicate_of=None)) == repr(point)
+        assert repr(moved._replace(duplicate_of=None)) == repr(point)
 
     def test_finite_values(self):
         assert all(cmath.isfinite(p.value) for p in k_cloud())
@@ -394,7 +391,7 @@ def reference_mark_duplicates(points):
                 if abs(point.value - other.value) < threshold:
                     dup = j if other.duplicate_of is None else other.duplicate_of
                     break
-        out.append(replace(point, duplicate_of=dup))
+        out.append(point._replace(duplicate_of=dup))
     return out
 
 

@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import re
-from dataclasses import FrozenInstanceError, asdict, fields
 
 import pytest
 
@@ -210,13 +209,13 @@ class TestFitCloud:
         flags = [False, False, True]
         report = fit_cloud(values, spec, flags=flags)
         points = report.points
-        assert [field.name for field in fields(PointFits)] == ["m", "n", "coset", "residual", "excluded"]
+        assert PointFits.__slots__ == ("m", "n", "coset", "residual", "excluded")
         assert points == PointFits(m=(2, 0, 0), n=(3, -1, 0), coset=(0, 0, 0), residual=(0.0, 0.25, math.inf),
                                    excluded=(False, False, True))
         assert len(points) == 3
         with pytest.raises(TypeError):
             points[0]
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             points.m = ()
         assert (report.worst_point, report.max_residual, report.flagged_excluded) == (1, 0.25, 1)
         # omitted flags flag nothing
@@ -233,10 +232,24 @@ class TestFitCloud:
 
     def test_report_serializes(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
-        payload = asdict(fit_cloud([0j, 1j], spec))
+        payload = fit_cloud([0j, 1j], spec)._asdict()
+        assert list(payload) == ["tol", "passed", "max_residual", "worst_point", "flagged_excluded", "points"]
         assert payload["passed"] is True
-        assert payload["points"] == {"m": (0, 0), "n": (0, 1), "coset": (0, 0), "residual": (0.0, 0.0),
-                                     "excluded": (False, False)}
+        # `_asdict` is shallow: the columns are read from the points by their slot names
+        assert {name: getattr(payload["points"], name) for name in PointFits.__slots__} == {
+            "m": (0, 0), "n": (0, 1), "coset": (0, 0), "residual": (0.0, 0.0), "excluded": (False, False)
+        }
+
+    def test_cloud_with_explicit_flags(self):
+        # given flags replace a cloud's own, with the length check of bare values
+        cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=2))
+        spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
+        assert fit_cloud(cloud, spec, flags=cloud.flags) == fit_cloud(cloud, spec)
+        flags = (True, False, True, False)
+        assert fit_cloud(cloud, spec, flags=list(flags)) == fit_cloud(cloud.values, spec, flags=flags)
+        assert fit_cloud(cloud, spec, flags=flags).points.excluded == flags
+        with pytest.raises(ValueError, match="4 values but 3 flags"):
+            fit_cloud(cloud, spec, flags=cloud.flags[:3])
 
     def test_circle_fit(self):
         spec = CircleSpec(x1=0.2, x2=1.0)

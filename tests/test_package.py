@@ -1,14 +1,30 @@
-"""Package hygiene: standard-library imports only, and exports that resolve."""
+"""Package hygiene: standard-library imports only, exports that resolve, read-only records and a light import."""
 
 import ast
 import importlib
+import pickle
 import re
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import multiagm
+from multiagm import (
+    CircleSpec,
+    CloudRequest,
+    MagmTriplet,
+    QuartetParams,
+    SignSchedule,
+    enumerate_cloud,
+    fit_cloud,
+    magm_equivalence,
+    magm_negative_experiment,
+    reference_set,
+    run_quartet,
+)
+from multiagm.lattice import LatticeSpec
 
 SOURCES = sorted(Path(multiagm.__file__).parent.glob("*.py"))
 MODULES = ["multiagm"] + [f"multiagm.{path.stem}" for path in SOURCES if path.stem != "__init__"]
@@ -80,3 +96,73 @@ def test_readme_library_example_runs(capsys):
     code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1].startswith("True ")
+
+
+def _records():
+    """One instance of each record class that the package defines."""
+    params = QuartetParams(k=None, sinphi=0.8, complement=0.25)
+    request = CloudRequest("F", params, sigma_bits=1, delta_bits=1)
+    cloud = enumerate_cloud(request)
+    spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
+    report = fit_cloud(cloud, spec)
+    return (
+        SignSchedule(1), params, run_quartet(params), cloud[0], request, cloud, spec, CircleSpec(x1=0.2, x2=1.0),
+        report.points, report, reference_set(b=0.25), MagmTriplet(1.0, 0.5, 0.25), magm_equivalence(0.25, rows=4),
+        magm_negative_experiment(0.25, 0, rows=4),
+    )
+
+
+RECORDS = _records()
+
+
+def test_records_cover_every_public_class():
+    defined = {
+        node.name
+        for path in SOURCES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    }
+    assert {type(record).__name__ for record in RECORDS} == defined
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_records_are_read_only(record):
+    # on every interpreter: a field and any other name both refuse assignment, and a record pickles
+    field = (getattr(record, "_fields", None) or type(record).__slots__)[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 3
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    assert not hasattr(record, "__dict__")
+    assert repr(pickle.loads(pickle.dumps(record))) == repr(record)
+
+
+@pytest.mark.parametrize(
+    "record, change",
+    [
+        (QuartetParams(k=0.5, sinphi=0.8), {"signb": 2}),
+        (CloudRequest("K", QuartetParams(k=0.5, sinphi=0.8), sigma_bits=1), {"delta_bits": 1}),
+        (LatticeSpec(origin=0j, gen1=1.0, gen2=1j), {"gen2": 2.0}),
+        (CircleSpec(x1=0.2, x2=1.0), {"x2": 0.2}),
+    ],
+    ids=["QuartetParams", "CloudRequest", "LatticeSpec", "CircleSpec"],
+)
+def test_replace_checks_as_construction_does(record, change):
+    with pytest.raises(ValueError):
+        record._replace(**change)
+    with pytest.raises(ValueError):
+        type(record)(**{**record._asdict(), **change})
+
+
+def test_import_loads_no_dataclass_machinery():
+    # a fresh interpreter pays for every module the package imports before its first square root;
+    # -S keeps an environment's site hooks out, so only the package's own imports count
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import multiagm, multiagm.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    )
+    src = str(Path(multiagm.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
