@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
@@ -113,6 +112,8 @@ def _write_csv(stream, series_list: list[tuple[str, Cloud]]) -> None:
 
 
 def _write_json(stream, series_list: list[tuple[str, Cloud]]) -> None:
+    import json  # only JSON output pays for the import
+
     records = [dict(zip(CSV_HEADER, row)) for row in _series_rows(series_list)]
     json.dump(records, stream, indent=2)
     stream.write("\n")
@@ -227,6 +228,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     columns = (fits.m, fits.n, fits.coset, fits.residual, fits.excluded)
 
     if args.format == "json":
+        import json
+
         payload = report._asdict()
         payload["points"] = [dict(zip(POINT_FIT_KEYS, row)) for row in zip(range(len(values)), *columns)]
         payload["kind"] = args.kind
@@ -330,30 +333,19 @@ def _add_common(sub: argparse.ArgumentParser, defaults: dict[str, float | int | 
     )
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once and shared: commands fill unset flags on their namespace, never on it."""
-    # a flag answers to its full name only, so that no flag's prefix can stand for another
-    new_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
-    parser = new_parser(
-        prog="multiagm",
-        description="Multivalued AGM point clouds of elliptic integrals and their locus checks.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True, parser_class=new_parser)
+def _add_fill(kind: str, sub: argparse.ArgumentParser) -> None:
+    _add_common(sub, KIND_DEFAULTS[kind][1])
+    if kind == "K":
+        sub.add_argument("--signb", choices=("both", "+1", "-1", "1"), default="both")
+    else:
+        sub.add_argument("--signb", choices=("+1", "-1", "1"), default="+1")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out", default="-", help="output path, '-' for stdout")
+    sub.add_argument("--svg", default=None, help="also write an SVG scatter to this path")
+    sub.set_defaults(run=functools.partial(_cmd_fill, kind))
 
-    for kind, (_, defaults) in KIND_DEFAULTS.items():
-        sub = commands.add_parser("fill-" + kind.lower().replace("_", "-"), help=f"emit the {kind} point cloud")
-        _add_common(sub, defaults)
-        if kind == "K":
-            sub.add_argument("--signb", choices=("both", "+1", "-1", "1"), default="both")
-        else:
-            sub.add_argument("--signb", choices=("+1", "-1", "1"), default="+1")
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
-        sub.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sub.add_argument("--svg", default=None, help="also write an SVG scatter to this path")
-        sub.set_defaults(run=functools.partial(_cmd_fill, kind))
 
-    sub = commands.add_parser("verify", help="fit a cloud against its predicted locus")
+def _add_verify(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--kind", choices=sorted(VERIFY_KINDS), required=True)
     _add_common(sub, dict.fromkeys(SHAPE_FLAGS))
     sub.add_argument(
@@ -362,22 +354,72 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.set_defaults(run=_cmd_verify)
 
-    sub = commands.add_parser("magm-check", help="triplet-iteration equivalence and sign experiments")
+
+def _add_magm_check(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--b", type=float, default=DEFAULT_B, help=f"complementary modulus (default {DEFAULT_B})")
     sub.add_argument("--rows", type=int, default=DEFAULT_ROWS)
     sub.add_argument("--mask-bits", type=int, default=4)
     sub.set_defaults(run=_cmd_magm_check)
 
-    sub = commands.add_parser("ref", help="print the reference values and identity residuals")
+
+def _add_ref(sub: argparse.ArgumentParser) -> None:
     _add_moduli(sub)
     sub.set_defaults(run=_cmd_ref)
 
+
+# Each command's help line and the function that adds its arguments and its `run`, in the order help lists them.
+COMMANDS = {
+    **{
+        "fill-" + kind.lower().replace("_", "-"): (f"emit the {kind} point cloud", functools.partial(_add_fill, kind))
+        for kind in KIND_DEFAULTS
+    },
+    "verify": ("fit a cloud against its predicted locus", _add_verify),
+    "magm-check": ("triplet-iteration equivalence and sign experiments", _add_magm_check),
+    "ref": ("print the reference values and identity residuals", _add_ref),
+}
+
+# a flag answers to its full name only, so that no flag's prefix can stand for another
+_new_parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once and shared: commands fill unset flags on their namespace, never on it.
+
+    `main` asks it only for help, for no or an unknown command, and to report arguments that its command's own
+    parser leaves over.
+    """
+    parser = _new_parser(
+        prog="multiagm",
+        description="Multivalued AGM point clouds of elliptic integrals and their locus checks.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_new_parser)
+    for name, (help_line, add_arguments) in COMMANDS.items():
+        add_arguments(commands.add_parser(name, help=help_line))
+    return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of the one command ``name``, as `build_parser` builds it for that command, built once and shared."""
+    parser = _new_parser(prog=f"multiagm {name}")
+    COMMANDS[name][1](parser)
+    parser.set_defaults(command=name)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # a run builds only its command's parser; what that parser leaves over, the full parser reports under its
+    # own usage, as it reports no or an unknown command
+    args = rest = None
+    if argv and argv[0] in COMMANDS:
+        parser = _command_parser(argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+    if args is None or rest:
+        parser = build_parser()
+        args = parser.parse_args(argv)
     try:
         return args.run(args)
     except BrokenPipeError:

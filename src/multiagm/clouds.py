@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .engine import (
     QuartetParams,
@@ -55,7 +55,9 @@ def _gamma_mask(kind: str, delta: int, gamma: int) -> int:
     return delta << 1 if kind == "Z_restricted" else gamma
 
 
-class MultivaluePoint(NamedTuple):
+class MultivaluePoint(
+    namedtuple("MultivaluePoint", "value schedule signb ill_conditioned duplicate_of", defaults=(None,))
+):
     """One computed multivalue with its provenance.
 
     ``duplicate_of`` points at the earliest unflagged point of the same
@@ -63,25 +65,23 @@ class MultivaluePoint(NamedTuple):
     when the trace was flagged or failed to converge.
     """
 
+    __slots__ = ()
     value: complex
     schedule: SignSchedule
     signb: int
     ill_conditioned: bool
-    duplicate_of: int | None = None
+    duplicate_of: int | None
 
 
-class _CloudRequest(NamedTuple):
-    kind: str
-    params: QuartetParams
-    sigma_bits: int = 0
-    delta_bits: int = 0
-    gamma_bits: int = 0
-
-
-class CloudRequest(_CloudRequest):
+class CloudRequest(namedtuple("CloudRequest", "kind params sigma_bits delta_bits gamma_bits", defaults=(0, 0, 0))):
     """A sweep request: which function, which parameters, how many free bits of each sort its kind reads."""
 
     __slots__ = ()
+    kind: str
+    params: QuartetParams
+    sigma_bits: int
+    delta_bits: int
+    gamma_bits: int
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)

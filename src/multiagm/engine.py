@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from marshal import dumps
-from typing import NamedTuple
 
 from .roots import complement, principal_sqrt, signed_root
 
@@ -72,7 +72,7 @@ ILL_CONDITION_RATIO = 1e-6
 Quartet = tuple[complex, complex, complex, complex]
 
 
-class SignSchedule(NamedTuple):
+class SignSchedule(namedtuple("SignSchedule", "sigma_mask delta_mask gamma_mask", defaults=(0, 0, 0))):
     """Per-iteration branch choices; bit ``n`` set means ``-1`` at iteration ``n``.
 
     ``sigma_mask`` drives the geometric-mean root, ``delta_mask`` the
@@ -82,9 +82,10 @@ class SignSchedule(NamedTuple):
     reproduce the plain convergent iteration.
     """
 
-    sigma_mask: int = 0
-    delta_mask: int = 0
-    gamma_mask: int = 0
+    __slots__ = ()
+    sigma_mask: int
+    delta_mask: int
+    gamma_mask: int
 
     def generation(self) -> int:
         """1 + index of the last iteration carrying a nontrivial sign (0 if none)."""
@@ -95,15 +96,9 @@ class SignSchedule(NamedTuple):
         )
 
 
-class _QuartetParams(NamedTuple):
-    k: complex | None
-    sinphi: complex
-    signb: int = 1
-    max_iter: int = DEFAULT_MAX_ITER
-    complement: complex | None = None
-
-
-class QuartetParams(_QuartetParams):
+class QuartetParams(
+    namedtuple("QuartetParams", "k sinphi signb max_iter complement", defaults=(1, DEFAULT_MAX_ITER, None))
+):
     """Inputs of the recursion.
 
     ``k`` is the modulus and ``sinphi`` the sine of the amplitude, both
@@ -115,6 +110,11 @@ class QuartetParams(_QuartetParams):
     """
 
     __slots__ = ()
+    k: complex | None
+    sinphi: complex
+    signb: int
+    max_iter: int
+    complement: complex | None
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -145,7 +145,9 @@ class QuartetParams(_QuartetParams):
         return complex(self.k) * complex(self.k)
 
 
-class QuartetTrace(NamedTuple):
+class QuartetTrace(
+    namedtuple("QuartetTrace", "rows s_sum z_sum a_inf u_inf converged ill_conditioned zeta_defined", defaults=(True,))
+):
     """One full run of the recursion on one schedule, as `run_quartet` gives it.
 
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
@@ -159,6 +161,7 @@ class QuartetTrace(NamedTuple):
     values through `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
     """
 
+    __slots__ = ()
     rows: tuple[Quartet, ...]
     s_sum: complex
     z_sum: complex
@@ -166,7 +169,7 @@ class QuartetTrace(NamedTuple):
     u_inf: complex
     converged: bool
     ill_conditioned: bool
-    zeta_defined: bool = True
+    zeta_defined: bool
 
 
 def sweep_sigma(

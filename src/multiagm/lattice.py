@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from typing import NamedTuple
 
 from .clouds import Cloud
 from .oracle import ReferenceSet, quad_E_inc, quad_F
@@ -33,17 +33,14 @@ __all__ = [
 DEFAULT_FIT_TOL = 1e-6
 
 
-class _LatticeSpec(NamedTuple):
-    origin: complex
-    gen1: complex
-    gen2: complex = 0j
-    cosets: tuple[complex, ...] = (0j,)
-
-
-class LatticeSpec(_LatticeSpec):
+class LatticeSpec(namedtuple("LatticeSpec", "origin gen1 gen2 cosets", defaults=(0j, (0j,)))):
     """Origin plus one or two generating vectors and optional coset offsets."""
 
     __slots__ = ()
+    origin: complex
+    gen1: complex
+    gen2: complex
+    cosets: tuple[complex, ...]
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -59,15 +56,12 @@ class LatticeSpec(_LatticeSpec):
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class _CircleSpec(NamedTuple):
-    x1: float
-    x2: float
-
-
-class CircleSpec(_CircleSpec):
+class CircleSpec(namedtuple("CircleSpec", "x1 x2")):
     """Circle centred on the real axis through the crossings ``x1`` and ``x2``."""
 
     __slots__ = ()
+    x1: float
+    x2: float
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -134,9 +128,10 @@ class PointFits:
         return len(self.m)
 
 
-class FitReport(NamedTuple):
+class FitReport(namedtuple("FitReport", "tol passed max_residual worst_point flagged_excluded points")):
     """Fit of a whole cloud; ``points`` holds each position's fit as columns."""
 
+    __slots__ = ()
     tol: float
     passed: bool
     max_residual: float

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from itertools import islice
-from typing import NamedTuple
 
 from .lattice import fit_cloud, predict_locus
 from .oracle import agm_series, complete_from_complement, reference_set
@@ -44,7 +44,10 @@ MAX_EQUIVALENCE_ROWS = 1023
 _EXPERIMENT_CONV_TOL = 1e-9
 
 
-class MagmTriplet(NamedTuple):
+class MagmTriplet(namedtuple("MagmTriplet", "x y z")):
+    """One row of the triplet iteration."""
+
+    __slots__ = ()
     x: complex
     y: complex
     z: complex
@@ -111,7 +114,10 @@ def gauss_series_rows(b: float, rows: int) -> list[complex]:
     return out
 
 
-class MagmEquivalence(NamedTuple):
+class MagmEquivalence(namedtuple("MagmEquivalence", "max_row_deviation limit limit_deviation")):
+    """Worst row deviation from the Gauss series, the triplet limit, and its deviation from E/K."""
+
+    __slots__ = ()
     max_row_deviation: float
     limit: complex
     limit_deviation: float
@@ -131,9 +137,10 @@ def magm_equivalence(b: float, rows: int = DEFAULT_ROWS) -> MagmEquivalence:
     return MagmEquivalence(max_row_deviation=max_dev, limit=limit, limit_deviation=abs(limit - E_k / K_k))
 
 
-class MagmOutcome(NamedTuple):
+class MagmOutcome(namedtuple("MagmOutcome", "converged limit lattice_distance")):
     """Recorded result of one signed run: no claims, just what happened."""
 
+    __slots__ = ()
     converged: bool
     limit: complex | None
     lattice_distance: float | None

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 from itertools import count, islice
-from typing import Callable, Iterator, NamedTuple
 
 from .roots import complement, pair_step, signed_root
 
@@ -74,13 +75,14 @@ def complete_from_complement(b: complex) -> tuple[complex, complex]:
     return big_k, big_k * (1 - total)
 
 
-class ReferenceSet(NamedTuple):
+class ReferenceSet(namedtuple("ReferenceSet", "b k K_k K_b E_k E_b N_b2 N_k2 qZ")):
     """Complete-integral values at a modulus and its complement.
 
     ``N_b2`` is the ratio E(k)/K(k) and ``N_k2`` the ratio E(b)/K(b);
     ``qZ`` is the one-dimensional Zeta lattice generator ``2*pi*i/K(k)``.
     """
 
+    __slots__ = ()
     b: complex
     k: complex
     K_k: complex

@@ -11,7 +11,7 @@ import pytest
 
 import multiagm
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
-from multiagm.cli import KIND_DEFAULTS, build_parser, console_main, main
+from multiagm.cli import COMMANDS, KIND_DEFAULTS, build_parser, console_main, main
 from multiagm.clouds import KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
 from multiagm.lattice import DEFAULT_FIT_TOL
@@ -75,6 +75,7 @@ class TestFillCommands:
         assert code == 0
         text = svg.read_text()
         assert text.startswith("<svg")
+        assert "<title>fill-k</title>" in text
         assert "<circle" in text
 
     def test_svg_without_finite_values_draws_no_point(self, tmp_path):
@@ -645,9 +646,53 @@ def _fresh_process(argv: list[str]) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
+def _full_parser_run(argv: list[str], capsys) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``argv`` parsed by the parser of every command, then run."""
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.run(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestSharedParser:
     def test_built_once(self):
         assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[name] for name in COMMANDS]
+        + [[name, "--help"] for name in COMMANDS]
+        + [
+            ["fill-k", "--bogus"],
+            ["fill-k", "extra"],
+            ["fill-k", "--b", "x"],
+            ["ref", "--b", "0.5", "--k", "0.5"],
+            ["fill-k", "--sig", "3"],
+            ["verify", "--kind", "q"],
+            ["fill-k", "--b=-0.5"],
+            ["fill-k", "--", "--b"],
+            ["bogus"],
+            [],
+            ["-h"],
+        ],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_command_parser_answers_as_the_full_parser(self, argv, capsys):
+        # main parses with its command's parser alone; output, errors and help must not show it
+        assert _in_process(argv, capsys) == _full_parser_run(argv, capsys)
+
+    def test_cold_ref_builds_one_parser_and_loads_no_json(self):
+        code = (
+            "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from multiagm import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()): cli.main(['ref'])\n"
+            "print('json' in sys.modules, cli.build_parser.cache_info().currsize)"
+        )
+        src = str(Path(multiagm.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "0"]
 
     def test_a_call_carries_nothing_to_the_next(self, capsys):
         # each command follows one that set flags it leaves unset, or one that failed

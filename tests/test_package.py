@@ -156,12 +156,12 @@ def test_replace_checks_as_construction_does(record, change):
         type(record)(**{**record._asdict(), **change})
 
 
-def test_import_loads_no_dataclass_machinery():
+def test_import_loads_no_dataclass_typing_or_json_machinery():
     # a fresh interpreter pays for every module the package imports before its first square root;
     # -S keeps an environment's site hooks out, so only the package's own imports count
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import multiagm, multiagm.cli; "
-        "print(*sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+        "print(*sorted({'dataclasses', 'inspect', 'ast', 'typing', 'json'} & set(sys.modules)))"
     )
     src = str(Path(multiagm.__file__).parents[1])
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
