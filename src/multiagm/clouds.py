@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
@@ -96,6 +97,10 @@ class CloudRequest(namedtuple("CloudRequest", "kind params sigma_bits delta_bits
                 raise ValueError(f"{name} exceeds max_iter")
             if bits and name not in reads:
                 raise ValueError(f"{self.kind} reads {' and '.join(reads)} only; {name} must be 0")
+        total = self.sigma_bits + self.delta_bits + self.gamma_bits
+        if 2**total > sys.maxsize:
+            # the value and flag columns are lists of one slot per point
+            raise ValueError(f"a cloud of 2**{total} points cannot be indexed (at most {sys.maxsize})")
         return self
 
     # `_replace` builds through `_make`, so a replaced request is checked too

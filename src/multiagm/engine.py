@@ -216,6 +216,20 @@ def sweep_sigma(
     a delta flip divides by the infinite sum and can bring it back to
     finite values.
 
+    Collapse.  Nor does a node carry a collapse flag, set by a zero product
+    ``a * g`` on some step: in a finite leaf the final ``g`` gives it.  A
+    zero product has root 0, on a tie too (``principal_sqrt(0)``), and that
+    root is the next ``g``, which the in-place flip and the pushed child
+    only negate.  From a zero ``g`` and a finite ``a``, every later product
+    is a signed zero, so ``g`` stays zero down to the leaf; a finite leaf had
+    a finite ``a`` on every row, as above.  A nonzero product has a nonzero
+    root, ``|sqrt(z)| >= sqrt(5e-324)``, about ``2.2e-162``, so a leaf
+    whose products were never zero ends with ``g != 0``.  A leaf's ``g`` is
+    always the last root taken or its negation: a stopped node repeats its
+    ``g``, and a child pushed at ``max_iter - 1`` runs no step and ends on
+    the negated last root.  So a finite leaf collapsed exactly when its
+    ``g`` is zero, and a leaf that is not finite is flagged either way.
+
     Only a finite state stops.  A step that repeats ``(a, g, s_ag, d_ag)``
     with ``d_ag == 0`` has ``g = near``, ``s_ag = a + g``, ``a = s_ag / 2``
     and ``d_ag = q / s_ag`` with ``q == 0``.  If ``a`` or ``g`` holds a NaN,
@@ -238,9 +252,10 @@ def sweep_sigma(
     max_iter = params.max_iter
     if not 0 <= sigma_bits <= max_iter:
         raise ValueError(f"sigma_bits must lie in [0, {max_iter}]")
-    if sigma_mask >> sigma_bits << sigma_bits != sigma_mask:
-        # a fixed bit among the free ones would give two masks twice and two never
-        raise ValueError(f"sigma_mask {sigma_mask:#b} sets bits below sigma_bits={sigma_bits}")
+    if sigma_mask < 0 or sigma_mask >> sigma_bits << sigma_bits != sigma_mask:
+        # a negative mask has no highest bit to stop flipping at, and a fixed bit among
+        # the free ones would give two masks twice and two never
+        raise ValueError(f"sigma_mask {sigma_mask:#b} is negative or sets bits below sigma_bits={sigma_bits}")
     isfinite = cmath.isfinite
     sqrt = cmath.sqrt
     stop_from = max(sigma_bits - 1, sigma_mask.bit_length())
@@ -249,9 +264,9 @@ def sweep_sigma(
     a = complex(1.0)
     g = params.signb * params.complement_value()
     # Pending nodes: the iteration a node resumes at, its mask, and the state.
-    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0) if series else None, False)]
+    stack = [(0, sigma_mask, a, g, a + g, a - g, complex(0.0) if series else None)]
     while stack:
-        n, mask, a, g, s_ag, d_ag, s_sum, collapsed = stack.pop()
+        n, mask, a, g, s_ag, d_ag, s_sum = stack.pop()
         if series:
             # series weight 2**(n-1); doubling a power of two is exact
             weight = math.ldexp(0.5, n)
@@ -260,8 +275,6 @@ def sweep_sigma(
                 s_sum += weight * (s_ag * d_ag)
                 weight *= 2.0
             p_ag = a * g
-            if not p_ag:
-                collapsed = True
             # roots.signed_root inline; a tie goes to it
             near = sqrt(p_ag)
             t = (near / s_ag).real if s_ag else 0.0
@@ -284,7 +297,7 @@ def sweep_sigma(
                 # the flipped step swaps sum and difference and negates g
                 if n < sigma_bits:
                     # bit n is free, and clear here: the flipped child waits on the stack
-                    stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum, collapsed))
+                    stack.append((n + 1, mask | 1 << n, a, -g, d_ag, s_ag, s_sum))
                 elif mask >> n & 1:
                     g, s_ag, d_ag = -g, d_ag, s_ag
             if before and before == dumps((a, g, s_ag, d_ag), 2):
@@ -297,7 +310,8 @@ def sweep_sigma(
         finite = isfinite(a) and isfinite(g)
         scale = abs(a)
         converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
-        ill = not finite or collapsed or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+        # a finite g is zero exactly after a collapse, as the docstring proves
+        ill = not finite or not g or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
         yield mask, 0, a, s_sum, None, converged, ill, ()
 
 
@@ -482,8 +496,11 @@ def run_quartet(params: QuartetParams, schedule: SignSchedule | None = None) -> 
     This is the one-schedule case of `sweep_quartet`, with its rows
     recorded and its Zeta terms signed by the gamma mask (all plus when
     ``schedule`` is omitted).  Rows after a stop repeat the fixed row.
+    A negative mask, whose bits never end, raises ValueError.
     """
     schedule = schedule or SignSchedule()
+    if min(schedule) < 0:
+        raise ValueError(f"sign masks must be nonnegative: {schedule}")
     path: list = [None] * (params.max_iter + 1)
     (mean,) = sweep_sigma(params, 0, schedule.sigma_mask, path)
     uv_rows: list = []

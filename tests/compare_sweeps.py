@@ -6,9 +6,7 @@ two module names, draws seeded requests and compares every leaf of
 above the free ones), of `sweep_quartet` (Zeta off and on) and the trace
 of `run_quartet` on a schedule of fixed sigma, delta and gamma bits, by
 ``marshal.dumps(leaf, 2)``, which writes each double's bytes: signed zeros
-and NaN payloads must match too.  Where the other checkout's `sweep_sigma`
-takes no ``series`` argument, its leaves stand for the series-free ones
-with ``s_sum`` set to None.  Each request also enumerates one cloud of a
+and NaN payloads must match too.  Each request also enumerates one cloud of a
 seeded kind at its bits, compares its ``values`` and ``flags`` columns by
 ``marshal.dumps`` as well, and fits it, at a seeded tolerance, against a
 seeded one-generator and a seeded two-generator `LatticeSpec`, each with
@@ -30,7 +28,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import importlib.util
-import inspect
 import math
 import random
 import sys
@@ -104,10 +101,7 @@ def leaves(package, req: dict) -> list[tuple[str, bytes]]:
     for sigma_mask in dict.fromkeys((0, req["sigma_mask"])):
         for leaf in sweep(params, req["sigma_bits"], sigma_mask):
             out.append((f"sigma {leaf[0]}", dumps(leaf, 2)))
-        if "series" in inspect.signature(sweep).parameters:
-            free = sweep(params, req["sigma_bits"], sigma_mask, series=False)
-        else:
-            free = ((*leaf[:3], None, *leaf[4:]) for leaf in sweep(params, req["sigma_bits"], sigma_mask))
+        free = sweep(params, req["sigma_bits"], sigma_mask, series=False)
         out += [(f"sigma series=False {leaf[0]}", dumps(leaf, 2)) for leaf in free]
     for zeta in (False, True):
         for leaf in engine.sweep_quartet(params, *req["quartet_bits"], zeta):

@@ -253,6 +253,20 @@ class TestFlagValidation:
         assert err.value.code == 2
         assert capsys.readouterr().err == "error: sigma_bits exceeds max_iter\n"
 
+    @pytest.mark.parametrize(
+        "argv,bits",
+        [
+            (["fill-k", "--sigma-bits", "64", "--max-iter", "64"], 64),
+            (["verify", "--kind", "k", "--sigma-bits", "70", "--max-iter", "80"], 70),
+            (["fill-z", "--sigma-bits", "20", "--delta-bits", "20", "--gamma-bits", "25", "--max-iter", "30"], 65),
+        ],
+    )
+    def test_cloud_too_large_to_index_exits_2(self, argv, bits, capsys):
+        # a list of 2**bits slots overflows an index: rejected with the request, before any sweep
+        code, out, err = _in_process(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: a cloud of 2**{bits} points cannot be indexed (at most {sys.maxsize})\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main(["bogus"])

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import random
+import sys
 from collections.abc import Sequence
 from itertools import repeat
 
@@ -49,6 +50,17 @@ class TestRequestValidation:
     def test_negative_bits(self):
         with pytest.raises(ValueError, match="nonnegative"):
             CloudRequest(kind="K", params=params(), delta_bits=-1)
+
+    def test_rejects_a_cloud_too_large_to_index(self):
+        # one value and one flag slot per point: the point count must fit an index
+        deep = params(max_iter=80)
+        bits = sys.maxsize.bit_length()
+        with pytest.raises(ValueError, match=rf"^a cloud of 2\*\*{bits} points cannot be indexed"):
+            CloudRequest(kind="K", params=deep, sigma_bits=bits)
+        with pytest.raises(ValueError, match=rf"^a cloud of 2\*\*{bits + 2} points cannot be indexed"):
+            CloudRequest(kind="Z", params=deep, sigma_bits=bits - 20, delta_bits=20, gamma_bits=2)
+        # one bit fewer is a valid request, though no machine holds its columns
+        assert CloudRequest(kind="K", params=deep, sigma_bits=bits - 1).sigma_bits == bits - 1
 
     @pytest.mark.parametrize(
         "kind,name",

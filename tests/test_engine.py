@@ -408,23 +408,43 @@ def leaf_fields(trace):
 def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
     """Every sweep of 0..top_bits sigma bits yields each mask once, as the reference loop runs it.
 
-    The full reference, with the delta and gamma masks of ``schedules``
-    added, must agree on ``a_inf`` and ``s_sum``: they read the mean pair alone.
+    The sweeps run with the series, as E and N take them, and without, as
+    K does, with ``s_sum`` None.  The full reference, with the delta and
+    gamma masks of ``schedules`` added, must agree on ``a_inf`` and
+    ``s_sum``: they read the mean pair alone.  Returns the mean-pair
+    reference trace of each mask below ``2**top_bits``.
     """
-    expected = {}
+    references = []
     for mask in range(2**top_bits):
         alone = reference_run_quartet(p, SignSchedule(mask), amplitude=False)
-        a_inf, s_sum, _, converged, ill = leaf_fields(alone)
-        # repr tells signed zeros and NaN payload positions apart, unlike ==
-        expected[mask] = repr((mask, 0, a_inf, s_sum, None, converged, ill, ()))
+        references.append(alone)
         other = schedules[mask % len(schedules)]
         full = reference_run_quartet(p, SignSchedule(mask, other.delta_mask, other.gamma_mask))
         assert repr((alone.a_inf, alone.s_sum)) == repr((full.a_inf, full.s_sum))
     for sigma_bits in range(top_bits + 1):
-        swept = list(sweep_sigma(p, sigma_bits))
-        assert sorted(leaf[0] for leaf in swept) == list(range(2**sigma_bits))
-        for leaf in swept:
-            assert repr(leaf) == expected[leaf[0]]
+        for series in (True, False):
+            swept = list(sweep_sigma(p, sigma_bits, series=series))
+            assert sorted(leaf[0] for leaf in swept) == list(range(2**sigma_bits))
+            for leaf in swept:
+                a_inf, s_sum, _, converged, ill = leaf_fields(references[leaf[0]])
+                # repr tells signed zeros and NaN payload positions apart, unlike ==
+                assert repr(leaf) == repr((leaf[0], 0, a_inf, s_sum if series else None, None, converged, ill, ()))
+    return references
+
+
+def test_leaves_flagged_by_collapse_alone_match_the_reference():
+    # the reference carries a collapse flag, a zero a * g on some step; the sweep reads a finite
+    # leaf's g instead.  A collapse zeroes g, and each later step halves a, so a late one leaves
+    # |a_inf| above ILL_CONDITION_RATIO: at 20 iterations and 10 free bits, 4 finite leaves of
+    # these sweeps are flagged for collapse alone (none at 64 iterations, where a has halved too often)
+    collapse_only = 0
+    for b in (0.01, 0.1):
+        for signb in (1, -1):
+            for alone in assert_sweep_matches_reference(params(b=b, signb=signb, max_iter=20), 10):
+                finite = all(cmath.isfinite(x) for a, g, _, _ in alone.rows for x in (a, g))
+                if alone.ill_conditioned and finite and abs(alone.a_inf) >= ILL_CONDITION_RATIO:
+                    collapse_only += 1
+    assert collapse_only == 4
 
 
 @pytest.mark.parametrize(
@@ -462,6 +482,17 @@ def test_sweep_sigma_rejects_fixed_bits_among_the_free_ones():
         with pytest.raises(ValueError, match="sigma_mask .* sets bits below sigma_bits=2"):
             next(sweep_sigma(params(), 2, sigma_mask=sigma_mask))
     assert sorted(leaf[0] for leaf in sweep_sigma(params(), 2, sigma_mask=0b100)) == [4, 5, 6, 7]
+
+
+def test_negative_masks_are_rejected():
+    # a negative mask sets every bit from some point on, but its bit_length is that of its
+    # complement ((-1).bit_length() == 1), so a sweep would stop flipping early and drop the rest
+    p = QuartetParams(k=None, sinphi=0.5, complement=0.25, max_iter=8)
+    for schedule in (SignSchedule(-1), SignSchedule(0, -1), SignSchedule(0, 0, -1), SignSchedule(-4, 3, 1)):
+        with pytest.raises(ValueError, match=r"^sign masks must be nonnegative: SignSchedule\("):
+            run_quartet(p, schedule)
+    with pytest.raises(ValueError, match="^sigma_mask -0b100 is negative or sets bits below sigma_bits=2$"):
+        next(sweep_sigma(p, 2, -4))
 
 
 def test_mean_pair_leaf_gives_the_trace_values():
