@@ -63,7 +63,8 @@ class MultivaluePoint(
 
     ``duplicate_of`` points at the earliest unflagged point of the same
     cloud carrying the same value, if any.  ``ill_conditioned`` is set
-    when the trace was flagged or failed to converge.
+    when the trace was flagged or failed to converge, or the value is not
+    finite.
     """
 
     __slots__ = ()
@@ -249,25 +250,32 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
     mask, in the same layout.  Each leaf gives one point, except on Z,
     whose gamma bits only sign the Zeta terms: `zeta_sum` adds them once
-    per gamma mask.  Ill-conditioned or unconverged leaves yield flagged
-    points, never omissions.  The sweep writes only the value and flag
-    columns; no trace, schedule or point is built, and no duplicate is
-    looked for until ``links`` is read.
+    per gamma mask.  Ill-conditioned or unconverged leaves, and values that
+    are not finite, yield flagged points, never omissions.  The sweep
+    writes only the value and flag columns; no trace, schedule or point is
+    built, and no duplicate is looked for until ``links`` is read.  Columns
+    too large to allocate raise ValueError before any sweep.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
+    bits = req.sigma_bits + delta_bits + gamma_bits
+    last = 2**bits - 1
+    try:
+        values: list = [None] * (last + 1)
+        flags: list = [None] * (last + 1)
+    except MemoryError:
+        raise ValueError(f"a cloud of 2**{bits} points cannot be allocated") from None
     if "delta_bits" in KIND_BITS[kind]:
         leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
         leaves = sweep_sigma(req.params, req.sigma_bits, series=kind != "K")
-    last = 2 ** (req.sigma_bits + delta_bits + gamma_bits) - 1
-    values: list = [None] * (last + 1)
-    flags: list = [None] * (last + 1)
+    isfinite = cmath.isfinite
     for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:
-        value = None if zeta else _extract(kind, a_inf, s_sum, u_inf)
         flag = ill or not converged
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
+        # only Z reads gamma bits, so every other kind takes this loop once
         for gamma in range(2**gamma_bits):
-            values[head - gamma] = zeta_sum(terms, _gamma_mask(kind, delta, gamma)) if zeta else value
-            flags[head - gamma] = flag
+            value = zeta_sum(terms, _gamma_mask(kind, delta, gamma)) if zeta else _extract(kind, a_inf, s_sum, u_inf)
+            values[head - gamma] = value
+            flags[head - gamma] = flag or not isfinite(value)
     return Cloud(req, tuple(values), tuple(flags))

@@ -153,9 +153,11 @@ class QuartetTrace(
     ``rows`` holds the quartets ``(a_n, g_n, u_n, v_n)`` including the
     initial row, the fixed row repeated after a stop.  ``s_sum`` is the
     weighted sum of ``a**2 - g**2`` terms, ``z_sum`` the Zeta series.
-    ``ill_conditioned`` is set on root collapse, a degenerate forward root,
-    a non-finite intermediate, a Zeta term at ``u == 0``, or a limit tiny
-    compared to the start.
+    ``ill_conditioned`` is set on root collapse (``a * g == 0``), a
+    non-finite intermediate, an amplitude ``u`` that reaches zero (a zero
+    sum ``u + v`` gives that one row later, the limit included), or a mean
+    limit tiny compared to the start.  A cloud also flags a point whose
+    value is not finite.
 
     Only `run_quartet` builds one; a trace and a sweep leaf give their
     values through `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
@@ -347,9 +349,10 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     ``s_ag == s_uv``, and each ``s_uv -+ d_ag`` rounds to ``s_uv`` exactly.
     So every later square, root ``w``, ``u`` and ``s_uv`` repeat this row's
     bit for bit.  ``ulp(x) / 4`` is 0 for every ``|x| < 2**-1020``, zero
-    included, so both components of ``s_uv`` are nonzero, and so is
-    ``u = s_uv / 2``: neither ``degenerate`` nor an undefined Zeta can
-    arise.  Nor can ``finite`` change, as every later row would recompute it
+    included, so both components of ``s_uv`` are at least ``2**-1020`` in
+    size, and ``u = s_uv / 2`` is nonzero: no later row has a zero sum or a
+    zero ``u``, and the leaf's ``not u`` reads as a stepped leaf's would.
+    Nor can ``finite`` change, as every later row would recompute it
     from the ``s_uv`` and ``w`` that this row's step read.  Only
     ``d_uv = q / s_uv`` still moves, and only ``converged`` reads it, once,
     after the last row.  That row's ``q`` is ``fixed[5]``: a stepped finish
@@ -358,6 +361,20 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     check reads the rows only up to the mean's stop, since every row from
     there on is the one fixed object.  Zeta keeps stepping: its root reads
     ``a`` on every row.
+
+    Zero sum.  A node carries no flag for a zero sum ``s_uv`` on some row:
+    the leaf's ``terms is None or not u`` gives it.  Say row ``n`` starts
+    from a zero sum.  Its step makes ``u = s_uv / 2`` a signed zero, which
+    the in-place swap and the pushed child keep.  If the node runs row
+    ``n + 1``, that row's ``not u`` test sets ``terms`` None; without
+    ``zeta`` too, as ``()`` is not None.  A stop on row ``n`` needs a step
+    that leaves ``u`` as it was, so ``u`` was zero when row ``n`` began, and
+    ``terms`` is None already.  No settle follows a zero sum: it needs
+    ``s_uv == s_in``, zero again, whose bound ``ulp(0) / 4`` is 0.
+    Otherwise the leaf ends right after row ``n``, on a zero ``u``.  The
+    other way, ``not u`` adds only the leaves whose last sum is nonzero but
+    halves to zero, with components of about ``5e-324``: their amplitude
+    limit is 0, where F's arcsine of ``a_inf / u_inf`` is undefined.
     """
     isfinite = cmath.isfinite
     sqrt = cmath.sqrt
@@ -375,9 +392,9 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
         uv_rows.append((u, v))
     # Pending nodes: the iteration a node resumes at, its mask, and the state;
     # ``terms`` turns None once Zeta is undefined.
-    stack = [(0, delta_mask, u, u + v, u - v, False, isfinite(u) and isfinite(v), [] if zeta else ())]
+    stack = [(0, delta_mask, u, u + v, u - v, isfinite(u) and isfinite(v), [] if zeta else ())]
     while stack:
-        n, mask, u, s_uv, d_uv, degenerate, finite, terms = stack.pop()
+        n, mask, u, s_uv, d_uv, finite, terms = stack.pop()
         for n in range(n, max_iter):
             a, _, s_ag, d_ag, near, q = path[n]
             if terms is not None:
@@ -385,8 +402,6 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                     terms = None
                 elif zeta:
                     terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)
-            if not s_uv:
-                degenerate = True
             if s_uv == s_ag and d_uv == d_ag:
                 # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
                 # mean-pair root and keep the copy exact bit for bit
@@ -417,9 +432,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
             if n < top:
                 # as in `sweep_sigma`: the flipped step swaps sum and difference and negates v
                 if n < delta_bits:
-                    stack.append(
-                        (n + 1, mask | 1 << n, u, d_uv, s_uv, degenerate, finite, None if terms is None else terms[:])
-                    )
+                    stack.append((n + 1, mask | 1 << n, u, d_uv, s_uv, finite, None if terms is None else terms[:]))
                 elif mask >> n & 1:
                     v, s_uv, d_uv = -v, d_uv, s_uv
             if uv_rows is not None:
@@ -445,7 +458,8 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 break
 
         converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * abs(a_inf))
-        ill = mean_ill or not finite or degenerate or terms is None
+        # a zero sum on some row leaves terms None or the last u zero, as the docstring proves
+        ill = mean_ill or not finite or terms is None or not u
         yield sigma_mask, mask, a_inf, s_sum, u, converged, ill, terms
 
 

@@ -267,6 +267,19 @@ class TestFlagValidation:
         assert (code, out) == (2, "")
         assert err == f"error: a cloud of 2**{bits} points cannot be indexed (at most {sys.maxsize})\n"
 
+    @pytest.mark.parametrize(
+        "argv,bits",
+        [
+            (["fill-k", "--sigma-bits", "62", "--max-iter", "64"], 62),
+            (["verify", "--kind", "k", "--sigma-bits", "60", "--max-iter", "64"], 60),
+        ],
+    )
+    def test_cloud_too_large_to_allocate_exits_2(self, argv, bits, capsys):
+        # a list of 2**60 or more slots fails its size check at once, before any sweep or allocation
+        code, out, err = _in_process(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: a cloud of 2**{bits} points cannot be allocated\n"
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as err:
             main(["bogus"])

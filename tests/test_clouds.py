@@ -7,7 +7,7 @@ from collections.abc import Sequence
 from itertools import repeat
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiagm import (
@@ -61,6 +61,22 @@ class TestRequestValidation:
             CloudRequest(kind="Z", params=deep, sigma_bits=bits - 20, delta_bits=20, gamma_bits=2)
         # one bit fewer is a valid request, though no machine holds its columns
         assert CloudRequest(kind="K", params=deep, sigma_bits=bits - 1).sigma_bits == bits - 1
+
+    @pytest.mark.parametrize(
+        "kind,bits",
+        [
+            ("K", {"sigma_bits": 60}),
+            ("K", {"sigma_bits": 62}),
+            ("Z", {"sigma_bits": 20, "delta_bits": 20, "gamma_bits": 20}),
+        ],
+    )
+    def test_rejects_a_cloud_too_large_to_allocate(self, kind, bits):
+        # from 2**60 slots up a list's size check fails before any allocation is tried;
+        # a smaller count might allocate, so none is tested
+        req = CloudRequest(kind=kind, params=params(max_iter=64), **bits)
+        total = sum(bits.values())
+        with pytest.raises(ValueError, match=rf"^a cloud of 2\*\*{total} points cannot be allocated$"):
+            enumerate_cloud(req)
 
     @pytest.mark.parametrize(
         "kind,name",
@@ -127,7 +143,7 @@ def points_one_by_one(req):
         for gamma in range(2**gamma_bits):
             schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
             values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else _extract(kind, a_inf, s_sum, u_inf)
-            flags[head - gamma] = ill or not converged
+            flags[head - gamma] = ill or not converged or not cmath.isfinite(values[head - gamma])
             schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
     return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
@@ -157,6 +173,30 @@ def test_cloud_reads_as_its_points(kind, signb, data):
     point_values, point_flags = [p.value for p in expected], [p.ill_conditioned for p in expected]
     for spec in (LatticeSpec(origin=0.5j, gen1=1.0, gen2=0.5 + 1j, cosets=(0j, 0.25)), CircleSpec(x1=-1.0, x2=2.0)):
         assert fit_cloud(cloud, spec) == fit_cloud(point_values, spec, flags=point_flags)
+
+
+@given(
+    kind=st.sampled_from(tuple(KIND_BITS)),
+    b=st.one_of(
+        st.floats(-1.5, 1.5),
+        st.builds(complex, st.floats(-1.5, 1.5), st.floats(-1.0, 1.0)),
+        st.sampled_from((0.0, 1.0, -1.0, 5e-324, 1e-300, 1e300, 1j)),
+    ),
+    sinphi=st.one_of(st.just(1.0), st.just(1e-300), st.floats(0.0, 1.0, exclude_min=True)),
+    signb=st.sampled_from((1, -1)),
+    max_iter=st.integers(1, 24),
+    bits=st.tuples(*[st.integers(0, 4)] * 3),
+)
+# `fill-f --b 0.0045 --sigma-bits 0 --delta-bits 10 --max-iter 11`: 47 values are not finite, 46 of
+# them from a subnormal u_inf whose a_inf / u_inf overflows inside asin
+@example(kind="F", b=0.0045, sinphi=0.8, signb=1, max_iter=11, bits=(0, 10, 0))
+@settings(max_examples=60, deadline=None)
+def test_every_value_that_is_not_finite_is_flagged(kind, b, sinphi, signb, max_iter, bits):
+    names = ("sigma_bits", "delta_bits", "gamma_bits")
+    shape = {name: min(max_iter, n) for name, n in zip(names, bits) if name in KIND_BITS[kind]}
+    p = QuartetParams(k=None, sinphi=sinphi, signb=signb, max_iter=max_iter, complement=b)
+    cloud = enumerate_cloud(CloudRequest(kind, p, **shape))
+    assert all(flag or cmath.isfinite(value) for value, flag in zip(cloud.values, cloud.flags))
 
 
 def test_cloud_is_read_only():

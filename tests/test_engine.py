@@ -253,7 +253,15 @@ def reference_run_quartet(params, schedule, *, amplitude=True):
         rows = [(a, g, nan, nan) for a, g, _, _ in rows]
         return QuartetTrace(tuple(rows), s_sum, nan, a, nan, converged, ill, False)
     converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
-    ill = not finite or collapsed or degenerate or not zeta_defined or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+    # a sum that halves to a zero u on the last row flags the leaf as a zero sum does
+    ill = (
+        not finite
+        or collapsed
+        or degenerate
+        or not zeta_defined
+        or u == 0
+        or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+    )
     return QuartetTrace(tuple(rows), s_sum, z_sum, a, u, converged, ill, zeta_defined)
 
 
@@ -806,6 +814,14 @@ def test_settled_f_leaves_finish_on_their_difference():
 @example(kind="F", b=complex(0.3, 0.2), sinphi=1.0, signb=-1, max_iter=400, bits=(2, 2, 0))
 @example(kind="F", b=0.25, sinphi=1.0, signb=1, max_iter=MAX_ITER_LIMIT, bits=(2, 2, 0))
 @example(kind="F", b=complex(0.3, 0.2), sinphi=0.8, signb=1, max_iter=MAX_ITER_LIMIT, bits=(3, 4, 0))
+# Delta mask 512's last sum is nonzero but halves to u_inf == 0: flagged by its zero u alone
+# (`fill-f` and `fill-z-restricted --b 0.0045 --sinphi 0.8 --delta-bits 10 --max-iter 11`).
+@example(kind="F", b=0.0045, sinphi=0.8, signb=1, max_iter=11, bits=(0, 10, 0))
+@example(kind="Z_restricted", b=0.0045, sinphi=0.8, signb=1, max_iter=11, bits=(0, 10, 0))
+# k = 0 fixes the mean pair with d_ag == 0, so a delta flip on row 0 leaves row 1, the last, a
+# zero sum: flagged by the zero u that its step makes, with terms still defined.
+@example(kind="F", b=1.0, sinphi=0.5, signb=1, max_iter=2, bits=(0, 1, 0))
+@example(kind="Z", b=1.0, sinphi=0.5, signb=1, max_iter=2, bits=(0, 1, 1))
 @settings(max_examples=60, deadline=None)
 def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, bits):
     # a settled F leaf ends in one division; Zeta leaves step every row.  marshal writes

@@ -213,6 +213,10 @@ class TestFitCloud:
         assert points == PointFits(m=(2, 0, 0), n=(3, -1, 0), coset=(0, 0, 0), residual=(0.0, 0.25, math.inf),
                                    excluded=(False, False, True))
         assert len(points) == 3
+        # a fit equals a fit of the same columns, never the tuple of them, and equal fits hash alike
+        columns = tuple(getattr(points, name) for name in PointFits.__slots__)
+        assert points != columns and columns != points
+        assert hash(points) == hash(PointFits(*columns))
         with pytest.raises(TypeError):
             points[0]
         with pytest.raises(AttributeError):
