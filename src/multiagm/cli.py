@@ -4,7 +4,9 @@ Every ``fill-*`` subcommand reproduces one of the standard point clouds as
 CSV (or JSON) with a fixed 17-significant-digit format, so repeated runs
 with the same flags are byte-identical.  ``verify`` fits a cloud against
 its predicted locus and exits nonzero when the residual exceeds the
-tolerance.
+tolerance.  Each row, and each of ``verify``'s point lines, is formatted in
+one step from its cloud's columns and the masks and generation shifted out
+of its position, so no schedule or point is built per row.
 
 The front end restates nothing the library decides: each kind's defaults
 come from one table, the sign bits a kind reads from `KIND_BITS`, and the
@@ -67,14 +69,15 @@ VERIFY_KINDS = {kind.lower().replace("_", "-"): kind for kind in ("K", "K_both",
 # the keys of each point of verify's JSON: its position, then the fit's columns in order
 POINT_FIT_KEYS = ("index", *PointFits.__slots__)
 
+# A CSV row and a verify point line, each formatted in one step: the columns of `CSV_HEADER`, and a position's
+# index, masks, start sign and fit.  ``%.17g`` and ``%.3e`` print a float as the format specs ``.17g`` and ``.3e`` do.
+CSV_ROW = "%s,%d,%d,%d,%d,%d,%.17g,%.17g,%d,%s\n"
+POINT_LINE = "  point %3d masks(%d,%d,%d) signb=%+d (m,n)=(%d,%d) coset=%d residual=%.3e%s\n"
+
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25
 
 _SVG_COLORS = ("#d62728", "#000000", "#1f77b4", "#2ca02c", "#9467bd", "#8c564b")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _finite(name: str, value: float) -> float:
@@ -90,31 +93,34 @@ def _moduli(args: argparse.Namespace) -> tuple[complex | None, complex | None]:
     return None, complex(_finite("b", args.b))
 
 
-def _series_rows(series_list: list[tuple[str, Cloud]]) -> list[tuple]:
-    rows = []
+def _csv_lines(series_list: list[tuple[str, Cloud]]) -> list[str]:
+    """One CSV line per position, each formatted in one step, with its duplicate's row counted over every series."""
+    lines = []
     offset = 0
     for label, cloud in series_list:
-        signb = str(cloud.request.params.signb)
-        for i, (value, flag, link) in enumerate(zip(cloud.values, cloud.flags, cloud.links)):
-            sched = cloud.schedule(i)
-            dup = "" if link is None else str(link + offset)
-            ints = map(str, (sched.sigma_mask, sched.delta_mask, sched.gamma_mask))
-            rows.append((label, *ints, signb, str(sched.generation()), _fmt(value.real), _fmt(value.imag),
-                         str(int(flag)), dup))
+        signb = cloud.request.params.signb
+        lines += [
+            CSV_ROW % (label, sigma, delta, gamma, signb, generation, value.real, value.imag, flag,
+                       "" if link is None else link + offset)
+            for (sigma, delta, gamma, generation), value, flag, link in zip(
+                cloud.schedule_rows(), cloud.values, cloud.flags, cloud.links
+            )
+        ]
         offset += len(cloud)
-    return rows
+    return lines
 
 
 def _write_csv(stream, series_list: list[tuple[str, Cloud]]) -> None:
     stream.write(",".join(CSV_HEADER) + "\n")
-    for row in _series_rows(series_list):
-        stream.write(",".join(row) + "\n")
+    # line by line: a reader that closes the pipe early must fail a later write
+    stream.writelines(_csv_lines(series_list))
 
 
 def _write_json(stream, series_list: list[tuple[str, Cloud]]) -> None:
     import json  # only JSON output pays for the import
 
-    records = [dict(zip(CSV_HEADER, row)) for row in _series_rows(series_list)]
+    # the same fields as the CSV rows, none of which holds a comma
+    records = [dict(zip(CSV_HEADER, line[:-1].split(","))) for line in _csv_lines(series_list)]
     json.dump(records, stream, indent=2)
     stream.write("\n")
 
@@ -133,9 +139,9 @@ def _strict_json(obj):
 def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> None:
     pts = []
     for si, (_, cloud) in enumerate(series_list):
-        for i, v in enumerate(cloud.values):
+        for v, (*_, generation) in zip(cloud.values, cloud.schedule_rows()):
             if math.isfinite(v.real) and math.isfinite(v.imag):
-                pts.append((v.real, v.imag, si, cloud.schedule(i).generation()))
+                pts.append((v.real, v.imag, si, generation))
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     # with no finite value the frame stays and no point is drawn
@@ -237,22 +243,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(json.dumps(_strict_json(payload), indent=2, allow_nan=False))
     else:
         if isinstance(spec, CircleSpec):
-            print(f"circle locus: crossings {_fmt(spec.x1)}, {_fmt(spec.x2)}")
+            print(f"circle locus: crossings {spec.x1:.17g}, {spec.x2:.17g}")
         else:
             print(f"lattice locus: origin {spec.origin:.12g}")
             print(f"  gen1 {spec.gen1:.12g}")
             print(f"  gen2 {spec.gen2:.12g}")
             if len(spec.cosets) > 1:
                 print(f"  cosets {[format(c, '.12g') for c in spec.cosets]}")
-        # each position's schedule is decoded from its cloud; no point is built
-        schedules = ((cloud.request.params.signb, cloud.schedule(i)) for cloud in clouds for i in range(len(cloud)))
-        for index, ((signb, sched), m, n, coset, residual, excluded) in enumerate(zip(schedules, *columns)):
-            tag = " excluded" if excluded else ""
-            print(
-                f"  point {index:3d} masks({sched.sigma_mask},{sched.delta_mask},{sched.gamma_mask})"
-                f" signb={signb:+d} (m,n)=({m},{n}) coset={coset}"
-                f" residual={residual:.3e}{tag}"
+        # each position's masks are decoded from its cloud and its line formatted in one step; no point is built.
+        # zip reads a cloud's positions first, so it stops at the cloud's end without taking the next cloud's fit
+        fits = enumerate(zip(*columns))
+        lines = [
+            POINT_LINE % (index, sigma, delta, gamma, cloud.request.params.signb, m, n, coset, residual,
+                          " excluded" if excluded else "")
+            for cloud in clouds
+            for (sigma, delta, gamma, _), (index, (m, n, coset, residual, excluded)) in zip(
+                cloud.schedule_rows(), fits
             )
+        ]
+        # line by line, as the rows of a fill
+        sys.stdout.writelines(lines)
         verdict = "PASS" if report.passed else "FAIL"
         print(
             f"{verdict} kind={args.kind} max_residual={report.max_residual:.3e}"

@@ -4,9 +4,10 @@ One cloud fixes the recursion parameters and sweeps the free sign bits its
 function reads in descending mask order, evaluating the function for every
 schedule.  Near-coincident values are cross-referenced instead of
 dropped.  A cloud keeps its values and flags as columns by position and
-finds its duplicate links the first time they are read.  Nothing in the
-package reads a cloud by point; a point is built only when one is read by
-position or iteration.
+finds its duplicate links the first time they are read.  The values are
+taken from the sweep's leaves in one loop per kind, with no call per
+point except Zeta's sum.  Nothing in the package reads a cloud by point; a
+point is built only when one is read by position or iteration.
 """
 
 from __future__ import annotations
@@ -17,16 +18,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .engine import (
-    QuartetParams,
-    SignSchedule,
-    complete_E_of,
-    complete_K_of,
-    incomplete_F_of,
-    sweep_quartet,
-    sweep_sigma,
-    zeta_sum,
-)
+from .engine import QuartetParams, SignSchedule, sweep_quartet, sweep_sigma, zeta_sum
 
 __all__ = [
     "KIND_BITS",
@@ -115,7 +107,9 @@ class Cloud(Sequence):
     ``ill_conditioned``.  ``links`` holds each position's
     ``duplicate_of``: the duplicate scan runs the first time it or a point
     is read, and its result is kept.  Position ``i`` carries the schedule
-    `schedule` decodes from ``last - i`` and the request's bit counts.
+    `schedule` decodes from ``last - i`` and the request's bit counts;
+    `schedule_rows` gives every position's masks and generation without
+    building one.
     Indexing, slicing and iteration build `MultivaluePoint` objects on
     access, and ``repr`` is that of the list of points.  A cloud is read
     only, and equal only to itself.
@@ -156,6 +150,24 @@ class Cloud(Sequence):
         delta = number & ((1 << req.delta_bits) - 1)
         return SignSchedule(number >> req.delta_bits, delta, _gamma_mask(req.kind, delta, gamma))
 
+    def schedule_rows(self):
+        """Each position's ``(sigma_mask, delta_mask, gamma_mask, generation)``, in order, as `schedule` gives it.
+
+        The masks are shifted out of ``last - i`` and the generation taken
+        from their bit lengths, so no schedule is built.
+        """
+        req = self.request
+        delta_bits, gamma_bits = req.delta_bits, req.gamma_bits
+        delta_low, gamma_low = (1 << delta_bits) - 1, (1 << gamma_bits) - 1
+        sigma_shift = delta_bits + gamma_bits
+        restricted = req.kind == "Z_restricted"
+        for number in range(len(self.values) - 1, -1, -1):
+            sigma = number >> sigma_shift
+            delta = number >> gamma_bits & delta_low
+            # `_gamma_mask`, inline
+            gamma = delta << 1 if restricted else number & gamma_low
+            yield sigma, delta, gamma, max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
+
     def _item(self, i: int) -> MultivaluePoint:
         signb = self.request.params.signb
         return MultivaluePoint(self.values[i], self.schedule(i), signb, self.flags[i], self.links[i])
@@ -171,21 +183,6 @@ class Cloud(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
-
-
-def _extract(kind: str, a_inf: complex, s_sum: complex, u_inf: complex) -> complex:
-    """The value of a K, E, N or F leaf, by the formulas that `complete_K`, `complete_E` and `incomplete_F` apply."""
-    if kind == "K":
-        return complete_K_of(a_inf)
-    if kind == "E":
-        return complete_E_of(a_inf, s_sum)
-    if kind == "N":
-        k_val = complete_K_of(a_inf)
-        if k_val == 0 or not cmath.isfinite(k_val):
-            return complex(math.nan, math.nan)
-        return complete_E_of(a_inf, s_sum) / k_val
-    # F; Zeta values are signed per schedule by `zeta_sum`
-    return complex(math.nan, math.nan) if u_inf == 0 else incomplete_F_of(a_inf, u_inf, 0)
 
 
 # The 3x3 block of grid cells around a cell, as steps of its key.  A cell is keyed by one complex
@@ -251,10 +248,13 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     mask, in the same layout.  Each leaf gives one point, except on Z,
     whose gamma bits only sign the Zeta terms: `zeta_sum` adds them once
     per gamma mask.  Ill-conditioned or unconverged leaves, and values that
-    are not finite, yield flagged points, never omissions.  The sweep
-    writes only the value and flag columns; no trace, schedule or point is
-    built, and no duplicate is looked for until ``links`` is read.  Columns
-    too large to allocate raise ValueError before any sweep.
+    are not finite, yield flagged points, never omissions.  The value
+    formula is chosen once per cloud: one loop per kind writes each leaf's
+    value and flag, by the operations of `complete_K_of`, `complete_E_of`
+    or `incomplete_F_of` in their order, so a value is bit for bit the
+    function's.  No trace, schedule or point is built, and no duplicate is
+    looked for until ``links`` is read.  Columns too large to allocate
+    raise ValueError before any sweep.
     """
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
@@ -269,13 +269,46 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
         leaves = sweep_quartet(req.params, req.sigma_bits, delta_bits, zeta)
     else:
         leaves = sweep_sigma(req.params, req.sigma_bits, series=kind != "K")
-    isfinite = cmath.isfinite
-    for sigma, delta, a_inf, s_sum, u_inf, converged, ill, terms in leaves:
-        flag = ill or not converged
-        head = last - ((sigma << delta_bits | delta) << gamma_bits)
-        # only Z reads gamma bits, so every other kind takes this loop once
-        for gamma in range(2**gamma_bits):
-            value = zeta_sum(terms, _gamma_mask(kind, delta, gamma)) if zeta else _extract(kind, a_inf, s_sum, u_inf)
-            values[head - gamma] = value
-            flags[head - gamma] = flag or not isfinite(value)
+    isfinite, asin = cmath.isfinite, cmath.asin
+    nan = complex(math.nan, math.nan)
+    # `complete_K_of`'s numerator; each kind's loop repeats the operations of its value's function in `engine`
+    half_pi = math.pi / 2
+    if kind == "Z":
+        # the gamma bits only sign the Zeta terms: one sum per gamma mask
+        for sigma, delta, _, _, _, converged, ill, terms in leaves:
+            head = last - ((sigma << delta_bits | delta) << gamma_bits)
+            for gamma in range(2**gamma_bits):
+                value = values[head - gamma] = zeta_sum(terms, gamma)
+                flags[head - gamma] = ill or not converged or not isfinite(value)
+    elif kind == "Z_restricted":
+        for sigma, delta, _, _, _, converged, ill, terms in leaves:
+            i = last - (sigma << delta_bits | delta)
+            # `_gamma_mask`: the zeta signs repeat the forward signs one iteration later
+            value = values[i] = zeta_sum(terms, delta << 1)
+            flags[i] = ill or not converged or not isfinite(value)
+    elif kind == "F":
+        for sigma, delta, a_inf, _, u_inf, converged, ill, _ in leaves:
+            i = last - (sigma << delta_bits | delta)
+            # `incomplete_F_of` on branch 0, NaN at a zero amplitude limit; the 0.0 added is its `0 * math.pi`,
+            # which turns a -0.0 into +0.0
+            value = values[i] = (asin(a_inf / u_inf) + 0.0) / a_inf if u_inf and a_inf else nan
+            flags[i] = ill or not converged or not isfinite(value)
+    elif kind == "K":
+        for sigma, delta, a_inf, _, _, converged, ill, _ in leaves:
+            i = last - (sigma << delta_bits | delta)
+            value = values[i] = half_pi / a_inf if a_inf else nan
+            flags[i] = ill or not converged or not isfinite(value)
+    elif kind == "E":
+        for sigma, delta, a_inf, s_sum, _, converged, ill, _ in leaves:
+            i = last - (sigma << delta_bits | delta)
+            # `complete_E_of`: `complete_K_of` times one less the series
+            value = values[i] = (half_pi / a_inf if a_inf else nan) * (1 - s_sum)
+            flags[i] = ill or not converged or not isfinite(value)
+    else:
+        for sigma, delta, a_inf, s_sum, _, converged, ill, _ in leaves:
+            i = last - (sigma << delta_bits | delta)
+            # N: E/K, NaN where K is zero or not finite
+            k_val = half_pi / a_inf if a_inf else nan
+            value = values[i] = k_val * (1 - s_sum) / k_val if k_val and isfinite(k_val) else nan
+            flags[i] = ill or not converged or not isfinite(value)
     return Cloud(req, tuple(values), tuple(flags))

@@ -186,8 +186,9 @@ def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> t
     """Each value's fit to ``spec`` as four columns, ``m``, ``n``, ``coset`` and ``residual``.
 
     A value takes the lattice point, over every coset, with the least
-    residual; a circle gives zeros for the integer columns.  A residual
-    that is not finite counts as infinite.
+    residual; a plane lattice of one coset, as K, K_both and E predict,
+    takes one rounding per value.  A circle gives zeros for the integer
+    columns.  A residual that is not finite counts as infinite.
     """
     inf = math.inf
     if isinstance(spec, CircleSpec):
@@ -202,6 +203,26 @@ def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> t
     line = gen2 == 0
     isfinite = cmath.isfinite
     m_col, n_col, coset_col, residual_col = [], [], [], []
+    if len(cosets) == 1 and not line:
+        # one coset of a plane lattice: one rounding per value and nothing to compare, by the same operations
+        (coset,) = spec.cosets
+        for value in values:
+            m = n = 0
+            residual = inf
+            if isfinite(value):
+                d = value - origin - coset
+                d_re, d_im = d.real, d.imag
+                try:
+                    m = round((d_re * g2_im - g2_re * d_im) / det)
+                    n = round((g1_re * d_im - d_re * g1_im) / det)
+                except (OverflowError, ValueError):
+                    m = n = 0
+                else:
+                    residual = abs(d - m * gen1 - n * gen2)
+            m_col.append(m)
+            n_col.append(n)
+            residual_col.append(residual if residual < inf else inf)
+        return m_col, n_col, [0] * len(values), residual_col
     for value in values:
         best_m = best_n = best_coset = 0
         best = None

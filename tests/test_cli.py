@@ -11,7 +11,15 @@ import pytest
 
 import multiagm
 from multiagm import CloudRequest, QuartetParams, enumerate_cloud, fit_cloud, predict_locus, reference_set
-from multiagm.cli import COMMANDS, KIND_DEFAULTS, build_parser, console_main, main
+from multiagm.cli import (
+    COMMANDS,
+    CSV_ROW,
+    KIND_DEFAULTS,
+    POINT_LINE,
+    build_parser,
+    console_main,
+    main,
+)
 from multiagm.clouds import KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
 from multiagm.lattice import DEFAULT_FIT_TOL
@@ -191,6 +199,25 @@ DEEP_PATH_DIGESTS = {
         1,
         "832d732851a2d97143c28371cf667b882b0bb92cf025a798b4292233afd13178",
     ),
+    # recorded before the rows and point lines were formatted in one step from the decoded masks: verify's
+    # text at deep shapes (two clouds joined; excluded points with infinite residuals; two cosets), and a Z
+    # fill's JSON, whose gamma masks the decoder shifts out
+    "verify --kind k-both --sigma-bits 10 --max-iter 32": (
+        0,
+        "72f14bd7b7651ecf499521e110f22c28fb78f39edcfb8a84d4f4d641c26480ee",
+    ),
+    "verify --kind z-restricted --delta-bits 9": (
+        1,
+        "2c700c6a03cfac1abe9d03805d745d44d3699d3ce83f883246b612db5cbfd910",
+    ),
+    "verify --kind f --sigma-bits 4 --delta-bits 6": (
+        1,
+        "a9613f3a72bf5e2efa87447f6b99348fb7efbd45ba1e7972d97603550b75d69d",
+    ),
+    "fill-z --sigma-bits 3 --delta-bits 3 --gamma-bits 3 --format json": (
+        0,
+        "f8647677eea093ccf25cb8e63974a6fb827afa8ebfacef4319a718c1bb9004f1",
+    ),
 }
 
 
@@ -199,6 +226,27 @@ def test_deep_path_bytes(command, capsys):
     code, digest = DEEP_PATH_DIGESTS[command]
     assert main(command.split()) == code
     assert hashlib.sha256(capsys.readouterr().out.encode("ascii")).hexdigest() == digest
+
+
+# SHA-256 of the SVG file and of stdout, recorded before the SVG read each generation from the decoded masks
+SVG_DIGESTS = {
+    "fill-k --sigma-bits 8": (
+        "d06726d3c239dccda5a49d245d996bcd70db59a8064a751a0e2b209f944197b6",
+        "fe653fb57a082285a20f771565cbbeb6e3da689308f118c705a1b23a0ac43454",
+    ),
+    "fill-f --sigma-bits 3 --delta-bits 5": (
+        "4f4b8dd2719ddc5ba56e08e19fe92543e68060236552a022a7ac11c78c89c305",
+        "e71a8def22be3e233b6282f1b330b1f902245bbba60eb152161034cc21bd790c",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(SVG_DIGESTS))
+def test_svg_bytes(command, tmp_path, capsys):
+    svg = tmp_path / "cloud.svg"
+    assert main([*command.split(), "--svg", str(svg)]) == 0
+    stdout = capsys.readouterr().out.encode("ascii")
+    assert (hashlib.sha256(svg.read_bytes()).hexdigest(), hashlib.sha256(stdout).hexdigest()) == SVG_DIGESTS[command]
 
 
 # stdout SHA-256 of `verify --kind KIND --format json`; the report's key
@@ -637,10 +685,10 @@ def _fresh_env() -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(Path(multiagm.__file__).resolve().parents[1])}
 
 
-def test_closed_stdout_pipe_exits_1_quietly():
-    # about 800 kB of CSV, far above a pipe buffer, so a write after the reader has gone fails
+def _closed_pipe_run(argv: list[str]) -> tuple[int, bytes, list[bytes]]:
+    """Exit code, stderr and first two stdout lines of a command in a new interpreter whose reader leaves after them."""
     proc = subprocess.Popen(
-        [sys.executable, "-m", "multiagm.cli", "fill-k", "--sigma-bits", "12"],
+        [sys.executable, "-m", "multiagm.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=_fresh_env(),
@@ -649,9 +697,38 @@ def test_closed_stdout_pipe_exits_1_quietly():
     proc.stdout.close()
     with proc.stderr:
         err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    return proc.wait(timeout=60), err, lines
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    # about 800 kB of CSV, far above a pipe buffer, so a write after the reader has gone fails
+    code, err, lines = _closed_pipe_run(["fill-k", "--sigma-bits", "12"])
+    assert code == 1
     assert err == b""
     assert lines[0].startswith(b"series,") and lines[1].startswith(b"K+,")
+
+
+def test_closed_stdout_pipe_ends_verify_text_quietly():
+    # 8192 point lines, about 800 kB written in bulk after the locus lines, must fail as the rows do
+    code, err, lines = _closed_pipe_run(["verify", "--kind", "k-both", "--sigma-bits", "12"])
+    assert code == 1
+    assert err == b""
+    assert lines[0].startswith(b"lattice locus: origin") and lines[1].startswith(b"  gen1 ")
+
+
+EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+    -0.1, 2.5, -1e-300, 123456.78901234567,
+)
+
+
+@pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
+def test_row_and_point_line_print_floats_as_the_format_specs(x):
+    assert CSV_ROW % ("K+", 5, 2, 4, -1, 3, x, -x, True, "") == f"K+,5,2,4,-1,3,{x:.17g},{-x:.17g},1,\n"
+    assert CSV_ROW % ("Zr", 0, 0, 0, 1, 0, -x, x, False, 17) == f"Zr,0,0,0,1,0,{-x:.17g},{x:.17g},0,17\n"
+    for index, signb, tag in ((7, 1, ""), (1234, -1, " excluded")):
+        line = f"  point {index:3d} masks(1,2,4) signb={signb:+d} (m,n)=(-3,5) coset=1 residual={x:.3e}{tag}\n"
+        assert POINT_LINE % (index, 1, 2, 4, signb, -3, 5, 1, x, tag) == line
 
 
 def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:

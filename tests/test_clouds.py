@@ -1,5 +1,6 @@
 import cmath
 import json
+import marshal
 import math
 import random
 import sys
@@ -22,8 +23,16 @@ from multiagm import (
     fit_cloud,
 )
 from multiagm.cli import main
-from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _extract, _mark_duplicates
-from multiagm.engine import run_quartet, sweep_quartet, sweep_sigma, zeta_sum
+from multiagm.clouds import DUPLICATE_RTOL, KIND_BITS, MultivaluePoint, _mark_duplicates
+from multiagm.engine import (
+    complete_E_of,
+    complete_K_of,
+    incomplete_F_of,
+    run_quartet,
+    sweep_quartet,
+    sweep_sigma,
+    zeta_sum,
+)
 from multiagm.lattice import LatticeSpec
 from multiagm.roots import principal_sqrt
 
@@ -128,6 +137,36 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
         cloud.schedule(len(cloud))
 
 
+@pytest.mark.parametrize(
+    "kind, bits",
+    [
+        ("K", {"sigma_bits": 6}),
+        ("K", {}),
+        ("F", {"sigma_bits": 3, "delta_bits": 4}),
+        ("Z", {"sigma_bits": 2, "delta_bits": 2, "gamma_bits": 3}),
+        ("Z_restricted", {"delta_bits": 6}),
+    ],
+)
+def test_schedule_rows_are_each_positions_schedule_and_generation(kind, bits):
+    cloud = enumerate_cloud(CloudRequest(kind, params(sinphi=0.8), **bits))
+    expected = [(*cloud.schedule(i), cloud.schedule(i).generation()) for i in range(len(cloud))]
+    assert list(cloud.schedule_rows()) == expected
+
+
+def leaf_value(kind, a_inf, s_sum, u_inf):
+    """The value of a K, E, N or F leaf, by the formulas that `complete_K`, `complete_E` and `incomplete_F` apply."""
+    if kind == "K":
+        return complete_K_of(a_inf)
+    if kind == "E":
+        return complete_E_of(a_inf, s_sum)
+    if kind == "N":
+        k_val = complete_K_of(a_inf)
+        if k_val == 0 or not cmath.isfinite(k_val):
+            return complex(math.nan, math.nan)
+        return complete_E_of(a_inf, s_sum) / k_val
+    return complex(math.nan, math.nan) if u_inf == 0 else incomplete_F_of(a_inf, u_inf, 0)
+
+
 def points_one_by_one(req):
     """The cloud's points, each built with its schedule as the sweep yields its leaf."""
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
@@ -142,11 +181,42 @@ def points_one_by_one(req):
         head = last - ((sigma << delta_bits | delta) << gamma_bits)
         for gamma in range(2**gamma_bits):
             schedule = SignSchedule(sigma, delta, delta << 1 if kind == "Z_restricted" else gamma)
-            values[head - gamma] = zeta_sum(terms, schedule.gamma_mask) if zeta else _extract(kind, a_inf, s_sum, u_inf)
-            flags[head - gamma] = ill or not converged or not cmath.isfinite(values[head - gamma])
+            value = zeta_sum(terms, schedule.gamma_mask) if zeta else leaf_value(kind, a_inf, s_sum, u_inf)
+            values[head - gamma] = value
+            flags[head - gamma] = ill or not converged or not cmath.isfinite(value)
             schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
     return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
+
+
+# sixteen limits: signed zeros, a subnormal, overflowing, infinite and NaN parts
+EDGE_LIMITS = (
+    0j, complex(-0.0, -0.0), complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, 0.0), 0.5 - 0.25j, -2 + 3j,
+    complex(5e-324, 0.0), complex(0.0, -5e-324), complex(1e308, 1e308), complex(-1e308, 1e-308),
+    complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0), complex(math.nan, math.nan),
+    complex(1e-200, -1e200),
+)
+
+
+@pytest.mark.parametrize("kind", ("K", "E", "N", "F"))
+def test_each_value_is_its_engine_function_bit_for_bit(kind, monkeypatch):
+    # every pair of edge limits as a leaf, fed to the cloud's value loop in place of the sweep
+    pairs = [(x, y) for x in EDGE_LIMITS for y in EDGE_LIMITS]
+    bits = {"sigma_bits": 4, "delta_bits": 4} if kind == "F" else {"sigma_bits": 8}
+    leaves = []
+    for j, (a_inf, other) in enumerate(pairs):
+        sigma, delta = divmod(j, 16) if kind == "F" else (j, 0)
+        s_sum, u_inf = (None, other) if kind == "F" else (other, None)
+        leaves.append((sigma, delta, a_inf, s_sum, u_inf, j % 3 != 0, j % 5 == 0, ()))
+    monkeypatch.setattr(clouds, "sweep_sigma", lambda *args, **kwargs: iter(leaves))
+    monkeypatch.setattr(clouds, "sweep_quartet", lambda *args, **kwargs: iter(leaves))
+    cloud = enumerate_cloud(CloudRequest(kind, params(sinphi=0.8), **bits))
+    last = len(cloud) - 1
+    for sigma, delta, a_inf, s_sum, u_inf, converged, ill, _ in leaves:
+        expected = leaf_value(kind, a_inf, s_sum, u_inf)
+        i = last - (sigma << bits.get("delta_bits", 0) | delta)
+        assert marshal.dumps(cloud.values[i]) == marshal.dumps(expected), (a_inf, s_sum, u_inf)
+        assert cloud.flags[i] is (ill or not converged or not cmath.isfinite(expected))
 
 
 @given(kind=st.sampled_from(tuple(KIND_BITS)), signb=st.sampled_from((1, -1)), data=st.data())
@@ -256,11 +326,13 @@ def test_links_are_found_once_on_first_read(monkeypatch):
     assert links == tuple(_mark_duplicates(cloud.values, cloud.flags))
 
 
-def test_fill_scans_each_cloud_once(monkeypatch, capsys):
+def test_fill_scans_each_cloud_once(monkeypatch, capsys, tmp_path):
+    # the rows and the SVG decode each position's masks: no point and no schedule is built
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
-    assert main(["fill-k", "--sigma-bits", "6", "--signb", "both"]) == 0
-    assert (len(scans), len(points)) == (2, 0)
+    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
+    assert main(["fill-k", "--sigma-bits", "6", "--signb", "both", "--svg", str(tmp_path / "k.svg")]) == 0
+    assert (len(scans), len(points), len(schedules)) == (2, 0, 0)
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 64
 
 
@@ -270,8 +342,9 @@ def test_verify_builds_no_point_and_looks_for_no_duplicate(kind, lines, fmt, mon
     # verify fits the columns of the clouds it built and prints each point's line from them
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
+    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
     assert main(["verify", "--kind", kind, "--sigma-bits", "10", "--format", fmt]) == 0
-    assert (len(points), len(scans)) == (0, 0)
+    assert (len(points), len(scans), len(schedules)) == (0, 0, 0)
     out = capsys.readouterr().out
     assert (out.count("\n  point ") if fmt == "text" else len(json.loads(out)["points"])) == lines
 

@@ -27,7 +27,7 @@ from multiagm import (
     reference_set,
     run_quartet,
 )
-from multiagm.clouds import KIND_BITS, _extract
+from multiagm.clouds import KIND_BITS
 from multiagm.engine import (
     CONV_TOL,
     ILL_CONDITION_RATIO,
@@ -327,6 +327,20 @@ def descending_schedules(req):
     ]
 
 
+def trace_value(kind, trace):
+    """The value a cloud of ``kind`` takes from one trace, by the trace's own functions."""
+    if kind in ("Z", "Z_restricted"):
+        return trace.z_sum
+    if kind == "K":
+        return complete_K(trace)
+    if kind == "E":
+        return complete_E(trace)
+    if kind == "N":
+        k_val = complete_K(trace)
+        return complete_E(trace) / k_val if k_val != 0 and cmath.isfinite(k_val) else complex(math.nan, math.nan)
+    return complex(math.nan, math.nan) if trace.u_inf == 0 else incomplete_F(trace)
+
+
 def walked_and_reference_cloud(req):
     """(repr of value, flag, schedule) of each point: from the walk, and from the reference loop per schedule.
 
@@ -336,8 +350,7 @@ def walked_and_reference_cloud(req):
     alone = []
     for schedule in descending_schedules(req):
         trace = reference_run_quartet(req.params, schedule, amplitude=req.kind not in ("K", "E", "N"))
-        value = trace.z_sum if req.kind in ("Z", "Z_restricted") else _extract(req.kind, *leaf_fields(trace)[:3])
-        alone.append((repr(value), trace.ill_conditioned or not trace.converged, schedule))
+        alone.append((repr(trace_value(req.kind, trace)), trace.ill_conditioned or not trace.converged, schedule))
     return walked, alone
 
 
