@@ -194,9 +194,10 @@ _NEIGHBOURS = tuple(complex(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
 
 def _mark_duplicates(values: Sequence[complex], flags: Sequence[bool]) -> list[int | None]:
     """Each position's ``duplicate_of``: the earliest unflagged finite match, or None."""
-    scale = max((abs(v) for v, flag in zip(values, flags) if not flag and cmath.isfinite(v)), default=0.0)
-    if scale == 0.0:
-        scale = 1.0
+    try:
+        scale = max((abs(v) for v, flag in zip(values, flags) if not flag and cmath.isfinite(v)), default=0.0) or 1.0
+    except OverflowError:
+        scale = sys.float_info.max  # a finite value whose modulus is too large for a float
     threshold = DUPLICATE_RTOL * scale
     # Points closer than the threshold lie in the same or adjacent grid
     # cells; the factor 2 leaves room for rounding in the division.  A

@@ -55,7 +55,6 @@ __all__ = [
     "DEFAULT_MAX_ITER",
     "CONV_TOL",
     "MAX_ITER_LIMIT",
-    "ILL_CONDITION_RATIO",
 ]
 
 DEFAULT_MAX_ITER = 20
@@ -65,9 +64,6 @@ CONV_TOL = 1e-12
 
 # The series weights reach 2**(max_iter-1), the largest finite power of two.
 MAX_ITER_LIMIT = 1024
-
-# |a_inf| below this fraction of |a_0| marks a trace as untrustworthy.
-ILL_CONDITION_RATIO = 1e-6
 
 Quartet = tuple[complex, complex, complex, complex]
 
@@ -154,10 +150,10 @@ class QuartetTrace(
     initial row, the fixed row repeated after a stop.  ``s_sum`` is the
     weighted sum of ``a**2 - g**2`` terms, ``z_sum`` the Zeta series.
     ``ill_conditioned`` is set on root collapse (``a * g == 0``), a
-    non-finite intermediate, an amplitude ``u`` that reaches zero (a zero
-    sum ``u + v`` gives that one row later, the limit included), or a mean
-    limit tiny compared to the start.  A cloud also flags a point whose
-    value is not finite.
+    non-finite intermediate, or an amplitude ``u`` that reaches zero (a
+    zero sum ``u + v`` gives that one row later, the limit included).  A
+    small mean limit is no fault: it is a far lattice point.  A cloud also
+    flags a point whose value is not finite.
 
     Only `run_quartet` builds one; a trace and a sweep leaf give their
     values through `complete_K_of`, `complete_E_of` and `incomplete_F_of`.
@@ -313,7 +309,7 @@ def sweep_sigma(
         scale = abs(a)
         converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
         # a finite g is zero exactly after a collapse, as the docstring proves
-        ill = not finite or not g or scale < ILL_CONDITION_RATIO  # relative to |a_0| = 1
+        ill = not finite or not g
         yield mask, 0, a, s_sum, None, converged, ill, ()
 
 

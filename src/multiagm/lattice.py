@@ -188,13 +188,19 @@ def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> t
     A value takes the lattice point, over every coset, with the least
     residual; a plane lattice of one coset, as K, K_both and E predict,
     takes one rounding per value.  A circle gives zeros for the integer
-    columns.  A residual that is not finite counts as infinite.
+    columns.  A residual that is not finite, or too large for a float,
+    counts as infinite.
     """
     inf = math.inf
     if isinstance(spec, CircleSpec):
         center, radius = spec.center, spec.radius
+        residual = []
+        for value in values:
+            try:
+                residual.append(abs(abs(value - center) - radius))
+            except OverflowError:
+                residual.append(inf)  # a modulus too large for a float
         zeros = [0] * len(values)
-        residual = [abs(abs(value - center) - radius) for value in values]
         return zeros, zeros, zeros, [r if r < inf else inf for r in residual]
     origin, gen1, gen2 = spec.origin, spec.gen1, spec.gen2
     cosets = tuple(enumerate(spec.cosets))
@@ -215,10 +221,9 @@ def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> t
                 try:
                     m = round((d_re * g2_im - g2_re * d_im) / det)
                     n = round((g1_re * d_im - d_re * g1_im) / det)
+                    residual = abs(d - m * gen1 - n * gen2)
                 except (OverflowError, ValueError):
                     m = n = 0
-                else:
-                    residual = abs(d - m * gen1 - n * gen2)
             m_col.append(m)
             n_col.append(n)
             residual_col.append(residual if residual < inf else inf)
@@ -238,10 +243,10 @@ def _fit_columns(spec: LatticeSpec | CircleSpec, values: Sequence[complex]) -> t
                         d_re, d_im = d.real, d.imag
                         m = round((d_re * g2_im - g2_re * d_im) / det)
                         n = round((g1_re * d_im - d_re * g1_im) / det)
+                    residual = abs(d - m * gen1 - n * gen2)
                 except (OverflowError, ValueError):
-                    # round() of an infinite or NaN coordinate
+                    # round() of an infinite or NaN coordinate, or a residual too large for a float
                     continue
-                residual = abs(d - m * gen1 - n * gen2)
                 if best is None or residual < best:
                     best_m, best_n, best_coset, best = m, n, ci, residual
         m_col.append(best_m)

@@ -58,11 +58,8 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
     if t < 0.0:
         return -w
     w = principal_sqrt(square)
-    if tie_positive_imag:
-        if w.imag > 0.0:
-            return w
-        if w.imag < 0.0:
-            return -w
+    if tie_positive_imag and w.imag < 0.0:
+        return -w
     return w
 
 

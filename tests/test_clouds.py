@@ -602,6 +602,13 @@ class TestDedupeMatchesPairwiseScan:
         links, scanned = grid_and_scan_links([5e-324, 5e-324, 0j, -5e-324])
         assert links == scanned
 
+    def test_value_whose_modulus_overflows_keeps_the_scale_finite(self):
+        # abs() of the finite value raises; the scale is then the largest float, and each value
+        # links only to its equal
+        huge = 1.5e308 + 1.5e308j
+        assert _mark_duplicates([huge, 1 + 0j], [False, False]) == [None, None]
+        assert _mark_duplicates([huge, 1 + 0j, huge], [False, False, False]) == [None, None, 0]
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_clusters_near_threshold(self, seed):
         rng = random.Random(seed)

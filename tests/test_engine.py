@@ -20,8 +20,10 @@ from multiagm import (
     complete_from_complement,
     engine,
     enumerate_cloud,
+    fit_cloud,
     incomplete_F,
     jacobi_Z,
+    predict_locus,
     quad_E_inc,
     quad_F,
     reference_set,
@@ -30,7 +32,6 @@ from multiagm import (
 from multiagm.clouds import KIND_BITS
 from multiagm.engine import (
     CONV_TOL,
-    ILL_CONDITION_RATIO,
     MAX_ITER_LIMIT,
     QuartetTrace,
     complete_E_of,
@@ -249,19 +250,12 @@ def reference_run_quartet(params, schedule, *, amplitude=True):
     if not amplitude:
         nan = complex(math.nan, math.nan)
         converged = bool(finite_ag and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale)
-        ill = not finite_ag or collapsed or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
+        ill = not finite_ag or collapsed
         rows = [(a, g, nan, nan) for a, g, _, _ in rows]
         return QuartetTrace(tuple(rows), s_sum, nan, a, nan, converged, ill, False)
     converged = bool(finite and scale > 0.0 and abs(d_ag) <= CONV_TOL * scale and abs(d_uv) <= CONV_TOL * scale)
     # a sum that halves to a zero u on the last row flags the leaf as a zero sum does
-    ill = (
-        not finite
-        or collapsed
-        or degenerate
-        or not zeta_defined
-        or u == 0
-        or scale < ILL_CONDITION_RATIO * abs(rows[0][0])
-    )
+    ill = not finite or collapsed or degenerate or not zeta_defined or u == 0
     return QuartetTrace(tuple(rows), s_sum, z_sum, a, u, converged, ill, zeta_defined)
 
 
@@ -455,17 +449,29 @@ def assert_sweep_matches_reference(p, top_bits, schedules=(SignSchedule(),)):
 
 def test_leaves_flagged_by_collapse_alone_match_the_reference():
     # the reference carries a collapse flag, a zero a * g on some step; the sweep reads a finite
-    # leaf's g instead.  A collapse zeroes g, and each later step halves a, so a late one leaves
-    # |a_inf| above ILL_CONDITION_RATIO: at 20 iterations and 10 free bits, 4 finite leaves of
-    # these sweeps are flagged for collapse alone (none at 64 iterations, where a has halved too often)
-    collapse_only = 0
-    for b in (0.01, 0.1):
-        for signb in (1, -1):
-            for alone in assert_sweep_matches_reference(params(b=b, signb=signb, max_iter=20), 10):
-                finite = all(cmath.isfinite(x) for a, g, _, _ in alone.rows for x in (a, g))
-                if alone.ill_conditioned and finite and abs(alone.a_inf) >= ILL_CONDITION_RATIO:
-                    collapse_only += 1
-    assert collapse_only == 4
+    # leaf's g instead.  Collapse is the one flag of a finite mean leaf, so each flagged finite
+    # leaf ends on a zero g.  At 10 free bits these sweeps hold 4 such leaves at 20 iterations
+    # and the same 4 at 64, where each later step has halved a below 1e-6
+    for max_iter in (20, 64):
+        collapsed = []
+        for b in (0.01, 0.1):
+            for signb in (1, -1):
+                for alone in assert_sweep_matches_reference(params(b=b, signb=signb, max_iter=max_iter), 10):
+                    finite = all(cmath.isfinite(x) for a, g, _, _ in alone.rows for x in (a, g))
+                    if alone.ill_conditioned and finite:
+                        assert alone.rows[-1][1] == 0
+                        collapsed.append(abs(alone.a_inf))
+        assert len(collapsed) == 4
+        assert max_iter == 20 or max(collapsed) < 1e-6
+
+
+def test_zero_sum_in_the_mean_sweep_matches_the_reference():
+    # with b = 0 the pair halves until q underflows, the flip at bit 540 makes the sum 0, and the
+    # next product a * (-0) is 0 again: the sweep's zero-sum branch runs on all three
+    p = QuartetParams(k=None, sinphi=0.5, complement=0, max_iter=600)
+    trace = run_quartet(p, SignSchedule(1 << 540))
+    assert repr(trace) == repr(reference_run_quartet(p, SignSchedule(1 << 540)))
+    assert trace.ill_conditioned
 
 
 @pytest.mark.parametrize(
@@ -961,3 +967,86 @@ def test_schedule_generation_is_last_nontrivial_bit(sigma, delta, gamma):
     expected = max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
     assert sched.generation() == expected
     assert all(not (sched.sigma_mask >> n) & 1 for n in range(sigma.bit_length(), 12))
+
+
+def deep_fit(p, refs, mask):
+    """A deep sigma mask's leaf against its lattice: ``(subnormal, k_err, e_err, f_err)``, or None if a cloud flags it.
+
+    ``k_err`` is K's relative distance from its nearest point of the K
+    lattice (K_both at signb -1), and ``e_err`` E's from the E point with
+    the same (m, n), whose second generator is ``4i(K' - E')``, or
+    ``2i(K' - E')`` at signb -1.  At signb +1 ``f_err`` is F's relative
+    distance from the F lattice, with a zero delta mask, and None where the
+    quartet is flagged; at -1 it is None.  ``subnormal`` tells whether the
+    mean path carries a subnormal sum or difference on some row up to the
+    one after its last flip, where a flip loses digits (ROADMAP item 16).
+    """
+    path = [None] * (p.max_iter + 1)
+    ((_, _, a_inf, s_sum, _, converged, ill, _),) = sweep_sigma(p, 0, mask, path=path)
+    K = complete_K_of(a_inf)
+    if ill or not converged or not cmath.isfinite(K):
+        return None
+    subnormal = any(
+        0 < abs(x) < sys.float_info.min for row in path[: min(mask.bit_length() + 1, p.max_iter)] for x in row[2:4]
+    )
+    fit = fit_cloud([K], predict_locus("K" if p.signb == 1 else "K_both", refs)).points
+    e_point = refs.E_k * (1 + 4 * fit.m[0]) + fit.n[0] * (4j if p.signb == 1 else 2j) * (refs.K_b - refs.E_b)
+    e_err = abs(complete_E_of(a_inf, s_sum) - e_point) / abs(e_point)
+    f_err = None
+    if p.signb == 1:
+        trace = run_quartet(p, SignSchedule(mask))
+        if trace.converged and not trace.ill_conditioned:
+            F = incomplete_F(trace)
+            f_err = fit_cloud([F], predict_locus("F", refs, phi=math.asin(p.sinphi))).max_residual / abs(F)
+    return subnormal, fit.residual[0] / abs(K), e_err, f_err
+
+
+def assert_on_lattice(fit):
+    _, k_err, e_err, f_err = fit
+    assert k_err <= 1e-12
+    assert e_err <= 1e-10
+    assert f_err is None or f_err <= 1e-10
+
+
+@pytest.mark.parametrize("signb", [1, -1])
+@pytest.mark.parametrize("bits,max_iter", [(40, 64), (60, 96)])
+def test_deep_uniform_masks_are_far_lattice_points(bits, max_iter, signb):
+    # a deep schedule gives a large value d*K + i*c*K', not a lost one: at b = 0.25 |K| reaches
+    # 1e10 at 60 bits, and a cloud flags no leaf for its small mean limit
+    p = params(sinphi=0.8, signb=signb, max_iter=max_iter)
+    refs = reference_set(b=0.25)
+    rng = random.Random(bits)
+    fits = [deep_fit(p, refs, rng.getrandbits(bits)) for _ in range(64)]
+    kept = [fit for fit in fits if fit is not None]
+    assert len(kept) >= 48
+    for fit in kept:
+        if not fit[0]:
+            assert_on_lattice(fit)
+
+
+@given(
+    b=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    signb=st.sampled_from((1, -1)),
+    mask=st.integers(32, 60).flatmap(lambda bits: st.integers(2 ** (bits - 1), 2**bits - 1)),
+)
+@settings(max_examples=60, deadline=None)
+def test_deep_masks_lie_on_their_lattice(b, signb, mask):
+    p = params(b=b, sinphi=0.8, signb=signb, max_iter=mask.bit_length() + 36)
+    fit = deep_fit(p, reference_set(b=b), mask)
+    path = [None] * (p.max_iter + 1)
+    ((*_, converged, _, _),) = sweep_sigma(p, 0, mask, path=path)
+    # a converged leaf is flagged only for collapse, a zero last root, never for its size
+    assert fit is not None or not converged or not path[-1][1]
+    # a subnormal sum or difference before the last flip loses digits: ROADMAP item 16
+    if fit is not None and not fit[0]:
+        assert_on_lattice(fit)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_flip_onto_a_subnormal_difference_keeps_its_digits():
+    # |d_ag| is 6.6e-158 on row 37, and the flip there leaves |s_ag| = 2.6e-311: unflagged, and
+    # 1.14e-11 relative off its K lattice point at |K| = 1.24e10
+    p = params(sinphi=0.8, max_iter=96)
+    fit = deep_fit(p, reference_set(b=0.25), 0b100000110001101000101110000000011010001011110110000110011000)
+    assert fit is not None
+    assert fit[1] <= 1e-12

@@ -195,6 +195,17 @@ class TestFitCloud:
                                           excluded=(False, False))
         assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
 
+    def test_finite_value_whose_residual_overflows_fits_nowhere_on_a_line(self):
+        # the coordinate rounds, but the residual's finite parts have a modulus too large for a float
+        report = fit_cloud([1.5e308 - 1.5e308j], LatticeSpec(origin=0j, gen1=1 + 1j, gen2=0j))
+        assert report.points == PointFits(m=(0,), n=(0,), coset=(0,), residual=(math.inf,), excluded=(False,))
+        assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 0)
+
+    def test_finite_value_whose_distance_overflows_fits_no_circle(self):
+        report = fit_cloud([0.2 + 0j, 1.5e308 + 1.5e308j], CircleSpec(0.2, 1.0))
+        assert report.points.residual[0] < 1e-15 and report.points.residual[1] == math.inf
+        assert (report.passed, report.max_residual, report.worst_point) == (False, math.inf, 1)
+
     def test_no_fitted_point_does_not_pass(self):
         spec = LatticeSpec(origin=0j, gen1=1.0, gen2=1j)
         for values, flags in (([], None), ([0j, 0j], [True, True])):
