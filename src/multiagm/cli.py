@@ -6,7 +6,8 @@ with the same flags are byte-identical.  ``verify`` fits a cloud against
 its predicted locus and exits nonzero when the residual exceeds the
 tolerance.  Each row, and each of ``verify``'s point lines, is formatted in
 one step from its cloud's columns and the masks and generation shifted out
-of its position, so no schedule or point is built per row.
+of its position, so no schedule or point is built per row; a fill's JSON
+record is its row's fields in one more template.
 
 The front end restates nothing the library decides: each kind's defaults
 come from one table, the sign bits a kind reads from `KIND_BITS`, and the
@@ -73,6 +74,9 @@ POINT_FIT_KEYS = ("index", *PointFits.__slots__)
 # index, masks, start sign and fit.  ``%.17g`` and ``%.3e`` print a float as the format specs ``.17g`` and ``.3e`` do.
 CSV_ROW = "%s,%d,%d,%d,%d,%d,%.17g,%.17g,%d,%s\n"
 POINT_LINE = "  point %3d masks(%d,%d,%d) signb=%+d (m,n)=(%d,%d) coset=%d residual=%.3e%s\n"
+# A fill's JSON record: the separator that goes before it, then its CSV line's fields as strings, laid out as
+# `json.dump(records, indent=2)` lays out a list of dicts.  No field holds a comma or a character JSON escapes.
+JSON_RECORD = "%s  {\n" + ",\n".join(f'    "{name}": "%s"' for name in CSV_HEADER) + "\n  }"
 
 # complementary modulus of the standard configuration
 DEFAULT_B = 0.25
@@ -117,23 +121,12 @@ def _write_csv(stream, series_list: list[tuple[str, Cloud]]) -> None:
 
 
 def _write_json(stream, series_list: list[tuple[str, Cloud]]) -> None:
-    import json  # only JSON output pays for the import
-
-    # the same fields as the CSV rows, none of which holds a comma
-    records = [dict(zip(CSV_HEADER, line[:-1].split(","))) for line in _csv_lines(series_list)]
-    json.dump(records, stream, indent=2)
-    stream.write("\n")
-
-
-def _strict_json(obj):
-    """``obj`` with complex numbers as ``[re, im]`` and non-finite floats as None: JSON has no NaN or Infinity."""
-    if isinstance(obj, dict):
-        return {key: _strict_json(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_strict_json(item) for item in obj]
-    if isinstance(obj, complex):
-        return [_strict_json(obj.real), _strict_json(obj.imag)]
-    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+    # record by record, as `_write_csv` writes its rows; a cloud is never empty
+    stream.writelines([
+        JSON_RECORD % (",\n" if index else "[\n", *line[:-1].split(","))
+        for index, line in enumerate(_csv_lines(series_list))
+    ])
+    stream.write("\n]\n")
 
 
 def _write_svg(path: str, series_list: list[tuple[str, Cloud]], title: str) -> None:
@@ -231,16 +224,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     values = tuple(value for cloud in clouds for value in cloud.values)
     report = fit_cloud(values, spec, tol=args.tol, flags=tuple(flag for cloud in clouds for flag in cloud.flags))
     fits = report.points
-    columns = (fits.m, fits.n, fits.coset, fits.residual, fits.excluded)
 
     if args.format == "json":
         import json
 
+        # JSON has no Infinity: an infinite residual prints as null, and any other non-finite value fails to print.
+        # A complex value of the spec prints as [re, im]
         payload = report._asdict()
-        payload["points"] = [dict(zip(POINT_FIT_KEYS, row)) for row in zip(range(len(values)), *columns)]
+        payload["max_residual"] = None if report.max_residual == math.inf else report.max_residual
+        residual = [None if r == math.inf else r for r in fits.residual]
+        rows = zip(range(len(values)), fits.m, fits.n, fits.coset, residual, fits.excluded)
+        payload["points"] = [dict(zip(POINT_FIT_KEYS, row)) for row in rows]
         payload["kind"] = args.kind
         payload["circle" if isinstance(spec, CircleSpec) else "lattice"] = spec._asdict()
-        print(json.dumps(_strict_json(payload), indent=2, allow_nan=False))
+        print(json.dumps(payload, indent=2, allow_nan=False, default=lambda z: [z.real, z.imag]))
     else:
         if isinstance(spec, CircleSpec):
             print(f"circle locus: crossings {spec.x1:.17g}, {spec.x2:.17g}")
@@ -252,7 +249,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 print(f"  cosets {[format(c, '.12g') for c in spec.cosets]}")
         # each position's masks are decoded from its cloud and its line formatted in one step; no point is built.
         # zip reads a cloud's positions first, so it stops at the cloud's end without taking the next cloud's fit
-        fits = enumerate(zip(*columns))
+        fits = enumerate(zip(fits.m, fits.n, fits.coset, fits.residual, fits.excluded))
         lines = [
             POINT_LINE % (index, sigma, delta, gamma, cloud.request.params.signb, m, n, coset, residual,
                           " excluded" if excluded else "")

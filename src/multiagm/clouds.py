@@ -43,11 +43,6 @@ KIND_BITS = {
 DUPLICATE_RTOL = 1e-9
 
 
-def _gamma_mask(kind: str, delta: int, gamma: int) -> int:
-    """The gamma mask of a schedule: Z_restricted's zeta sign at iteration n repeats its forward sign of n-1."""
-    return delta << 1 if kind == "Z_restricted" else gamma
-
-
 class MultivaluePoint(
     namedtuple("MultivaluePoint", "value schedule signb ill_conditioned duplicate_of", defaults=(None,))
 ):
@@ -148,13 +143,15 @@ class Cloud(Sequence):
         gamma = number & ((1 << req.gamma_bits) - 1)
         number >>= req.gamma_bits
         delta = number & ((1 << req.delta_bits) - 1)
-        return SignSchedule(number >> req.delta_bits, delta, _gamma_mask(req.kind, delta, gamma))
+        # Z_restricted's zeta sign at iteration n repeats its forward sign of n-1
+        return SignSchedule(number >> req.delta_bits, delta, delta << 1 if req.kind == "Z_restricted" else gamma)
 
     def schedule_rows(self):
         """Each position's ``(sigma_mask, delta_mask, gamma_mask, generation)``, in order, as `schedule` gives it.
 
-        The masks are shifted out of ``last - i`` and the generation taken
-        from their bit lengths, so no schedule is built.
+        The masks are shifted out of ``last - i``, so no schedule is built.
+        The generation, 1 + the last iteration any mask sets (0 if none), is
+        their largest bit length.
         """
         req = self.request
         delta_bits, gamma_bits = req.delta_bits, req.gamma_bits
@@ -164,7 +161,7 @@ class Cloud(Sequence):
         for number in range(len(self.values) - 1, -1, -1):
             sigma = number >> sigma_shift
             delta = number >> gamma_bits & delta_low
-            # `_gamma_mask`, inline
+            # Z_restricted's gamma mask, as `schedule` gives it
             gamma = delta << 1 if restricted else number & gamma_low
             yield sigma, delta, gamma, max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
 
@@ -241,7 +238,7 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     Position ``i`` holds the schedule whose masks, read as one number with
     sigma highest and gamma lowest, equal ``last - i``: masks run in
     descending order, and the all-plus schedule is the last point;
-    `_gamma_mask` gives Z_restricted's gamma mask.  K, E and N read the
+    `Cloud.schedule` gives Z_restricted's gamma mask.  K, E and N read the
     mean pair alone, so their leaves come from `sweep_sigma`, one per sigma
     mask; K reads no series, so it passes ``series=False`` and its leaves
     carry ``s_sum`` None, while E and N keep the series.  F, Z and
@@ -284,7 +281,7 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     elif kind == "Z_restricted":
         for sigma, delta, _, _, _, converged, ill, terms in leaves:
             i = last - (sigma << delta_bits | delta)
-            # `_gamma_mask`: the zeta signs repeat the forward signs one iteration later
+            # the zeta signs repeat the forward signs one iteration later, as `Cloud.schedule` gives them
             value = values[i] = zeta_sum(terms, delta << 1)
             flags[i] = ill or not converged or not isfinite(value)
     elif kind == "F":

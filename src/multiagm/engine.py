@@ -83,14 +83,6 @@ class SignSchedule(namedtuple("SignSchedule", "sigma_mask delta_mask gamma_mask"
     delta_mask: int
     gamma_mask: int
 
-    def generation(self) -> int:
-        """1 + index of the last iteration carrying a nontrivial sign (0 if none)."""
-        return max(
-            self.sigma_mask.bit_length(),
-            self.delta_mask.bit_length(),
-            self.gamma_mask.bit_length(),
-        )
-
 
 class QuartetParams(
     namedtuple("QuartetParams", "k sinphi signb max_iter complement", defaults=(1, DEFAULT_MAX_ITER, None))

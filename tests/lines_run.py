@@ -7,9 +7,11 @@ Run from anywhere, with pytest and hypothesis installed::
 It runs the test suite with ``--hypothesis-seed=0`` under `sys.settrace`,
 then prints each line of ``src/multiagm/*.py`` that some code object of the
 file lists (``co_lines()``) but no frame ran.  Lines that only a
-subprocess started by a test runs are allowed; `SUBPROCESS_LINES` names the
-test for each.  Exits 1 when the tests fail or a line is listed, so a line
-that stops being run, or a new line no test runs, fails here.
+subprocess started by a test runs are allowed; `SUBPROCESS_LINES` names each
+by its source text, which must be that of exactly one line of its file, and
+names the test that runs it.  Exits 1 when such a text names no line or
+several, when the tests fail, or when a line is listed, so a line that stops
+being run, or a new line no test runs, fails here.
 """
 
 from __future__ import annotations
@@ -24,13 +26,31 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "multiagm"
 
-# (file, line) -> the test whose subprocess runs it
+# (file, stripped source text of one line) -> the test whose subprocess runs that line
 SUBPROCESS_LINES = {
-    ("cli.py", 437): "test_cli.py::test_closed_stdout_pipe_exits_1_quietly",  # main re-raises BrokenPipeError
-    ("cli.py", 450): "test_cli.py::test_closed_stdout_pipe_exits_1_quietly",  # console_main's EPIPE recipe
-    ("cli.py", 451): "test_cli.py::test_closed_stdout_pipe_exits_1_quietly",
-    ("cli.py", 456): "test_cli.py::TestSharedParser::test_a_call_carries_nothing_to_the_next",  # python -m multiagm.cli
+    # main re-raises BrokenPipeError
+    ("cli.py", "raise"): "test_cli.py::test_closed_stdout_pipe_exits_1_quietly",
+    # console_main's EPIPE recipe
+    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"): (
+        "test_cli.py::test_closed_stdout_pipe_exits_1_quietly"
+    ),
+    ("cli.py", "sys.exit(1)"): "test_cli.py::test_closed_stdout_pipe_exits_1_quietly",
+    # python -m multiagm.cli
+    ("cli.py", "console_main()"): "test_cli.py::TestSharedParser::test_a_call_carries_nothing_to_the_next",
 }
+
+
+def allowed_lines() -> tuple[set[tuple[str, int]], list[str]]:
+    """The ``(file, line)`` of each entry of `SUBPROCESS_LINES`, and a message for each text of no line or several."""
+    allowed, errors = set(), []
+    for (name, text), test in SUBPROCESS_LINES.items():
+        lines = (SRC / name).read_text(encoding="utf-8").splitlines()
+        found = [number for number, line in enumerate(lines, 1) if line.strip() == text]
+        if len(found) == 1:
+            allowed.add((name, found[0]))
+        else:
+            errors.append(f"{name}: {len(found)} lines read {text!r}, not 1 (allowed for {test})")
+    return allowed, errors
 
 
 def executable_lines(path: Path) -> set[int]:
@@ -73,14 +93,18 @@ def run_traced(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
 
 def main(argv: list[str]) -> int:
+    allowed, errors = allowed_lines()
+    if errors:
+        print("\n".join(errors))
+        return 1
     code, ran = run_traced(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(TESTS), *argv])
     unrun = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
         for line in sorted(executable_lines(path) - ran[str(path)])
-        if (path.name, line) not in SUBPROCESS_LINES
+        if (path.name, line) not in allowed
     ]
-    print(f"{len(unrun)} line(s) of {SRC} not run in process (allowed: {len(SUBPROCESS_LINES)} run by subprocesses)")
+    print(f"{len(unrun)} line(s) of {SRC} not run in process (allowed: {len(allowed)} run by subprocesses)")
     for where in unrun:
         print(f"  {where}")
     return 1 if code or unrun else 0

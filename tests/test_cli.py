@@ -22,7 +22,7 @@ from multiagm.cli import (
 )
 from multiagm.clouds import KIND_BITS
 from multiagm.engine import DEFAULT_MAX_ITER
-from multiagm.lattice import DEFAULT_FIT_TOL
+from multiagm.lattice import DEFAULT_FIT_TOL, FitReport, PointFits
 from multiagm.magm import DEFAULT_ROWS
 from multiagm.roots import principal_sqrt
 
@@ -76,6 +76,17 @@ class TestFillCommands:
         records = json.loads(data)
         assert len(records) == 64
         assert records[-1]["sigma_mask"] == "0"
+
+    @pytest.mark.parametrize(
+        "argv", [[name] for name in COMMANDS if name.startswith("fill-")] + [["fill-k", "--signb", "-1"]], ids=" ".join
+    )
+    def test_json_records_are_the_csv_rows_as_strings(self, argv, capsys):
+        # fill-k's default is both start signs: the records of two series in one list
+        assert main(argv) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert main([*argv, "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)
+        assert records == [dict(zip(header.split(","), row.split(","))) for row in rows]
 
     def test_svg_output(self, tmp_path):
         svg = tmp_path / "k.svg"
@@ -217,6 +228,25 @@ DEEP_PATH_DIGESTS = {
     "fill-z --sigma-bits 3 --delta-bits 3 --gamma-bits 3 --format json": (
         0,
         "f8647677eea093ccf25cb8e63974a6fb827afa8ebfacef4319a718c1bb9004f1",
+    ),
+    # recorded while JSON still went through the json module: a fill's records in two series, an amplitude
+    # cloud, and 512 "nan" fields; verify's 256 and 129 infinite residuals as null
+    "fill-k --signb both --sigma-bits 8 --format json": (
+        0,
+        "d3bc9ad4fb3b7e19981464481859480fc7a769cbdc4a2ed0375433a3ae00ff64",
+    ),
+    "fill-f --format json": (0, "57393515ca224bdc0ebafb2a60e1dd690b3a5e10839825d387c5580b682973aa"),
+    "fill-z-restricted --delta-bits 9 --format json": (
+        0,
+        "8a8a8c8e71daf0ff5ba33d1f7062ae83d252fa467d31a83d82850c88400ff545",
+    ),
+    "verify --kind z-restricted --delta-bits 9 --format json": (
+        1,
+        "f9ff3645d541b63a7ce82c9a1149b495bbaf5aa334d597ff02b7afe39043f4e3",
+    ),
+    "verify --kind f --sinphi 1e-300 --format json": (
+        1,
+        "6f881df97ba6e3d76d163f054f373b40b33716169c2f973507b406c9a770ad02",
     ),
 }
 
@@ -541,6 +571,26 @@ class TestVerify:
         assert len(payload["points"]) == 128 == payload["flagged_excluded"]
         assert {point["residual"] for point in payload["points"]} == {None}
 
+    def test_infinite_max_residual_prints_as_null(self, monkeypatch, capsys):
+        # no argv tried reaches it, so the fit is replaced by one with every residual infinite and none excluded
+        def unbounded_fit(values, spec, **kwargs):
+            fits = fit_cloud(values, spec, **kwargs).points
+            residual = (math.inf,) * len(fits)
+            points = PointFits(fits.m, fits.n, fits.coset, residual, fits.excluded)
+            return FitReport(kwargs["tol"], False, math.inf, 0, 0, points)
+
+        monkeypatch.setattr(multiagm.cli, "fit_cloud", unbounded_fit)
+        assert main(["verify", "--kind", "k", "--format", "json"]) == 1
+        out = capsys.readouterr().out
+        assert '\n  "max_residual": null,\n' in out
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["max_residual"] is None
+        assert {point["residual"] for point in payload["points"]} == {None}
+
     def test_k_passes_at_any_sinphi(self, capsys):
         assert main(["verify", "--kind", "k", "--sinphi", "1e200"]) == 0
         last = capsys.readouterr().out.splitlines()[-1]
@@ -716,6 +766,14 @@ def test_closed_stdout_pipe_ends_verify_text_quietly():
     assert lines[0].startswith(b"lattice locus: origin") and lines[1].startswith(b"  gen1 ")
 
 
+def test_closed_stdout_pipe_ends_fill_json_quietly():
+    # about 2.1 MB of records, written one by one as the CSV rows are, must fail as the rows do
+    code, err, lines = _closed_pipe_run(["fill-k", "--sigma-bits", "12", "--format", "json"])
+    assert code == 1
+    assert err == b""
+    assert lines == [b"[\n", b"  {\n"]
+
+
 EDGE_FLOATS = (
     math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
     -0.1, 2.5, -1e-300, 123456.78901234567,
@@ -788,15 +846,24 @@ class TestSharedParser:
         # main parses with its command's parser alone; output, errors and help must not show it
         assert _in_process(argv, capsys) == _full_parser_run(argv, capsys)
 
-    def test_cold_ref_builds_one_parser_and_loads_no_json(self):
+    @staticmethod
+    def _cold_main(argv: list[str]) -> list[str]:
+        """Whether ``json`` is loaded, and how many full parsers are built, after a new interpreter runs ``argv``."""
         code = (
             "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); from multiagm import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()): cli.main(['ref'])\n"
+            f"with contextlib.redirect_stdout(io.StringIO()): cli.main({argv!r})\n"
             "print('json' in sys.modules, cli.build_parser.cache_info().currsize)"
         )
         src = str(Path(multiagm.__file__).parents[1])
         done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src], capture_output=True, text=True, check=True)
-        assert done.stdout.split() == ["False", "0"]
+        return done.stdout.split()
+
+    def test_cold_ref_builds_one_parser_and_loads_no_json(self):
+        assert self._cold_main(["ref"]) == ["False", "0"]
+
+    def test_cold_fill_json_loads_no_json(self):
+        # a fill writes its JSON records by the CSV rows' template; only verify imports json
+        assert self._cold_main(["fill-e", "--format", "json"]) == ["False", "0"]
 
     def test_a_call_carries_nothing_to_the_next(self, capsys):
         # each command follows one that set flags it leaves unset, or one that failed

@@ -149,7 +149,8 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
 )
 def test_schedule_rows_are_each_positions_schedule_and_generation(kind, bits):
     cloud = enumerate_cloud(CloudRequest(kind, params(sinphi=0.8), **bits))
-    expected = [(*cloud.schedule(i), cloud.schedule(i).generation()) for i in range(len(cloud))]
+    schedules = [cloud.schedule(i) for i in range(len(cloud))]
+    expected = [(*schedule, max(mask.bit_length() for mask in schedule)) for schedule in schedules]
     assert list(cloud.schedule_rows()) == expected
 
 
@@ -397,7 +398,7 @@ class TestKCloud:
         base = k_cloud()[-1]
         assert base.schedule == SignSchedule()
         assert abs(base.value - K_k) <= 1e-9 * abs(K_k)
-        assert base.schedule.generation() == 0
+        assert list(k_cloud().schedule_rows())[-1] == (0, 0, 0, 0)
         assert not base.ill_conditioned
 
     def test_first_flip_lands_four_quarter_periods_away(self):
@@ -415,15 +416,14 @@ class TestKCloud:
         assert dist < 1e-9
 
     def test_generations(self):
-        for p in k_cloud():
-            assert p.schedule.generation() == p.schedule.sigma_mask.bit_length()
-            assert p.schedule.generation() <= 5
+        for sigma, _, _, generation in k_cloud().schedule_rows():
+            assert generation == sigma.bit_length() <= 5
 
     def test_generation_is_read_from_the_schedule(self):
         # a stored copy could disagree with the schedule that fixes it
         assert MultivaluePoint._fields == ("value", "schedule", "signb", "ill_conditioned", "duplicate_of")
         point = MultivaluePoint(0j, SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2), 1, False)
-        assert point.schedule.generation() == 3
+        assert max(mask.bit_length() for mask in point.schedule) == 3
 
     def test_duplicate_report_is_produced(self):
         for i, p in enumerate(k_cloud()):

@@ -956,19 +956,6 @@ class TestTraceValues:
             jacobi_Z(broken)
 
 
-@given(
-    sigma=st.integers(min_value=0, max_value=255),
-    delta=st.integers(min_value=0, max_value=255),
-    gamma=st.integers(min_value=0, max_value=255),
-)
-@settings(max_examples=50, deadline=None)
-def test_schedule_generation_is_last_nontrivial_bit(sigma, delta, gamma):
-    sched = SignSchedule(sigma, delta, gamma)
-    expected = max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
-    assert sched.generation() == expected
-    assert all(not (sched.sigma_mask >> n) & 1 for n in range(sigma.bit_length(), 12))
-
-
 def deep_fit(p, refs, mask):
     """A deep sigma mask's leaf against its lattice: ``(subnormal, k_err, e_err, f_err)``, or None if a cloud flags it.
 

@@ -308,7 +308,7 @@ class TestCloudFits:
         cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=5))
         report = fit_cloud(cloud, predict_locus("K", refs))
         for i, (m, n) in enumerate(zip(report.points.m, report.points.n)):
-            generation = cloud.schedule(i).generation()
+            generation = max(mask.bit_length() for mask in cloud.schedule(i))
             bound = 2 ** (generation - 1) if generation else 0
             assert max(abs(m), abs(n)) <= bound
 
