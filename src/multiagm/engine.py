@@ -11,7 +11,9 @@ the member that a subtraction would cancel from the exact identity
 ``sum' * diff' = diff**2 / 4``.  Sign flips applied
 after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
-entirely.
+entirely.  The loops take every square root with the sign test of
+`roots.signed_root` inline and hand on only a tie: a mean tie to
+`signed_root`, a forward or Zeta tie to `roots.principal_sqrt`.
 
 The three kinds of sign bit reach different state.  The mean pair reads
 the sigma bits alone, the amplitude pair the sigma and delta bits, and a
@@ -202,9 +204,9 @@ def sweep_sigma(
     root (``cmath.sqrt`` maps every non-finite value to a non-finite one),
     so ``g`` is not finite on any later row, flipped or not.  Hence every
     row so far was finite exactly when the current ``a`` and ``g`` are, and
-    that is what the leaf's flags read.  The amplitude pair keeps its flag:
-    a delta flip divides by the infinite sum and can bring it back to
-    finite values.
+    that is what the leaf's flags read.  The amplitude pair keeps its flag
+    on the rows below its last delta bit: a delta flip divides by the
+    infinite sum and can bring it back to finite values (see `_sweep_delta`).
 
     Collapse.  Nor does a node carry a collapse flag, set by a zero product
     ``a * g`` on some step: in a finite leaf the final ``g`` gives it.  A
@@ -316,17 +318,20 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     term ``2**n * d_uv * zr / u`` is finished at once.  Yields one leaf per
     delta mask in the layout of `sweep_quartet`, with ``terms`` ``()``
     without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits only,
-    collects ``(u, v)`` per row.  The forward root and the pair update are
-    inline, as in `sweep_sigma`; the Zeta root is a `signed_root` call.
+    collects ``(u, v)`` per row.  The forward and Zeta roots and the pair
+    update are inline, as in `sweep_sigma`.  A forward or Zeta tie, where
+    the sign test reads 0 or NaN, takes ``principal_sqrt(square)``, which is
+    what `signed_root` returns there without ``tie_positive_imag``; only
+    the mean's ties go to `signed_root`.
 
     Stop.  Past its last flip a node of either sweep stops after a step
     that leaves its finite state bit for bit as it was, with a zero
     difference: ``(a, g, s_ag, d_ag)`` on the mean pair, which
     `sweep_sigma` shows to be finite, and ``(u, s_uv)`` on the amplitude
-    pair once its path is fixed.  Every later step would
-    repeat the state and add a signed zero to each series, or, for a Zeta
-    root that is not finite, the NaN that the series already holds; a sum
-    from +0 never changes by adding a signed zero.
+    pair once its path is fixed, finite as Finite below shows.  Every later
+    step would repeat the state and add a signed zero to each series, or,
+    for a Zeta root that is not finite, the NaN that the series already
+    holds; a sum from +0 never changes by adding a signed zero.
 
     Settle.  Without ``zeta`` a node past its last flip may finish sooner.
     Say a step on row ``n`` leaves ``s_uv`` unchanged, and on this row and
@@ -339,16 +344,47 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     bit for bit.  ``ulp(x) / 4`` is 0 for every ``|x| < 2**-1020``, zero
     included, so both components of ``s_uv`` are at least ``2**-1020`` in
     size, and ``u = s_uv / 2`` is nonzero: no later row has a zero sum or a
-    zero ``u``, and the leaf's ``not u`` reads as a stepped leaf's would.
-    Nor can ``finite`` change, as every later row would recompute it
-    from the ``s_uv`` and ``w`` that this row's step read.  Only
+    zero ``u``, and the leaf's ``not u`` reads as a stepped leaf's would,
+    and so does ``finite``, which reads the last sum.  Only
     ``d_uv = q / s_uv`` still moves, and only ``converged`` reads it, once,
     after the last row.  That row's ``q`` is ``fixed[5]``: a stepped finish
     either runs to the last row or stops on a row of the mean's fixed path,
     all of which are the last.  So one division finishes the leaf.  The
     check reads the rows only up to the mean's stop, since every row from
-    there on is the one fixed object.  Zeta keeps stepping: its root reads
-    ``a`` on every row.
+    there on is the one fixed object, and it reads them once per sigma
+    mask: each row's ``s_ag``, and the largest parts of ``|d_ag|`` from
+    each row to the stop, inf from a row that is not finite (whose parts
+    meet no bound).  So the check on row ``n`` reads one entry, at
+    ``min(n, stop)``, and a slice of the sums.  Zeta keeps stepping: its
+    root reads ``a`` on every row.
+
+    Finite.  A leaf's ``finite`` says that ``u`` and ``v`` were finite on
+    every row, as each step's ``s_uv`` and ``w`` tell (``u = s_uv / 2``,
+    ``v = +-w``).  A node checks them only on rows below ``top``, where a
+    flip may still divide a sum that is not finite back to a finite one.
+    A node that stepped a row from ``top`` on checks its last sum instead,
+    which tells the same of those rows:
+    (a) On a row that does not flip, an ``s_uv`` or ``w`` that is not
+    finite makes the next sum not finite: ``u = s_uv / 2`` keeps the part
+    that is not finite, and so does ``u + w``.
+    (b) From a finite ``s_uv`` and ``w``, ``u + w`` cannot overflow: each
+    part of ``u`` is at most half the largest double, and ``|w|`` at most
+    ``2**0.25 * sqrt(max)``, as the root of a finite complex.
+    (c) Only a finite amplitude state stops, so the stop test reads no
+    flag.  A stop needs a zero ``d_uv``.  A sum with a NaN part that an
+    unflipped step made has ``d_uv = q / added`` NaN, and the first sum
+    ``u + v`` has one only when ``u - v`` has.  After a flip ``d_uv`` is
+    ``added``, zero only for a flip onto a zero ``added`` with ``q != 0``,
+    which follows a finite ``u`` that the NaN ``s_uv / 2`` cannot repeat.
+    A sum with an infinite part halves to a ``u`` with a NaN part, as the
+    complex ``2 + 0j`` divides it, so the next sum has one too and
+    ``(u, s_uv)`` never repeats bit for bit.  A finite sum with a root that
+    is not finite steps to a sum that is not finite.
+    (d) Nor does a settle fire on such a row: by (a) ``s_uv == s_in``
+    fails there.
+    So a stop or a settle leaves the last sum that the steps past ``top``
+    would, finite exactly when they all were.  A child pushed on the last
+    row steps no row, and its flipped sum is never checked.
 
     Zero sum.  A node carries no flag for a zero sum ``s_uv`` on some row:
     the leaf's ``terms is None or not u`` gives it.  Say row ``n`` starts
@@ -372,6 +408,22 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     stop_from = max(delta_bits - 1, delta_mask.bit_length())
     top = max(delta_bits, delta_mask.bit_length())
     sigma_mask, _, a_inf, s_sum, _, mean_converged, mean_ill, _ = mean
+    if not zeta:
+        # the settle's view of the rows up to the mean's stop: each row's sum, and the largest
+        # |d_ag| parts from each row to the stop, inf from a row that is not finite
+        stop = 0
+        while path[stop] is not fixed:
+            stop += 1
+        sums = [row[2] for row in path[: stop + 1]]
+        top_re, top_im = [0.0] * (stop + 1), [0.0] * (stop + 1)
+        high_re = high_im = 0.0
+        for k in range(stop, -1, -1):
+            d_ag = path[k][3]
+            if isfinite(d_ag):
+                high_re, high_im = max(high_re, abs(d_ag.real)), max(high_im, abs(d_ag.imag))
+            else:
+                high_re = high_im = math.inf
+            top_re[k], top_im[k] = high_re, high_im
     sp = complex(params.sinphi)
     u = 1 / sp
     # full amplitude: the second pair is an exact copy of the first
@@ -389,25 +441,28 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 if not u:
                     terms = None
                 elif zeta:
-                    terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)
+                    # roots.signed_root inline, as the forward root below; u is nonzero here
+                    square = u * u - a * a
+                    zr = sqrt(square)
+                    t = (zr / u).real
+                    if not t > 0.0:
+                        zr = -zr if t < 0.0 else principal_sqrt(square)
+                    terms.append(2.0**n * d_uv * zr / u)
             if s_uv == s_ag and d_uv == d_ag:
                 # coinciding pairs: (u+v)**2 - (a-g)**2 == 4ag, so reuse the
                 # mean-pair root and keep the copy exact bit for bit
                 w = near
             else:
-                # roots.signed_root inline, as in `sweep_sigma`
+                # roots.signed_root inline, as in `sweep_sigma`; a tie takes the root it would
                 square = (s_uv - d_ag) * (s_uv + d_ag)
                 w = sqrt(square)
                 t = (w / s_uv).real if s_uv else 0.0
                 if not t > 0.0:
-                    w = -w if t < 0.0 else signed_root(square, s_uv)
+                    w = -w if t < 0.0 else principal_sqrt(square)
                 w /= 2
-            if finite:
-                # both children step to (s_uv / 2, +-w)
-                finite = isfinite(s_uv) and isfinite(w)
             # a fixed path has q == 0, so d_uv stays 0 and every later Zeta term is a signed
             # zero, or NaN as this step's term already is if the Zeta root is not finite
-            before = None if d_uv or n < stop_from or not finite or path[n] is not fixed else dumps((u, s_uv), 2)
+            before = None if d_uv or n < stop_from or path[n] is not fixed else dumps((u, s_uv), 2)
             s_in = s_uv
             # roots.pair_step inline, operation for operation
             u = s_uv / 2
@@ -418,6 +473,10 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 divided = complex(0.0) if q == 0 else complex(math.nan, math.nan)
             v, s_uv, d_uv = w, added, divided
             if n < top:
+                if finite:
+                    # both children step to (s_uv / 2, +-w), and a flip may divide a sum that is
+                    # not finite back to a finite one
+                    finite = isfinite(s_in) and isfinite(w)
                 # as in `sweep_sigma`: the flipped step swaps sum and difference and negates v
                 if n < delta_bits:
                     stack.append((n + 1, mask | 1 << n, u, d_uv, s_uv, finite, None if terms is None else terms[:]))
@@ -431,20 +490,15 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 break
             if not zeta and n >= stop_from and s_uv == s_in:
                 # this row and every later one up to the mean's stop, after which each row is the fixed one
-                bound_re, bound_im = ulp(s_uv.real) / 4, ulp(s_uv.imag) / 4
-                row, later = path[n], n
-                while row[2] != s_uv and abs(row[3].real) < bound_re and abs(row[3].imag) < bound_im:
-                    if row is fixed:
-                        break
-                    later += 1
-                    row = path[later]
-                else:
-                    # a row fails: keep stepping
-                    continue
-                # settled: the last row's q over the sum that every later row repeats
-                d_uv = fixed[5] / s_uv
-                break
+                k = n if n < stop else stop
+                if top_re[k] < ulp(s_uv.real) / 4 and top_im[k] < ulp(s_uv.imag) / 4 and s_uv not in sums[k:]:
+                    # settled: the last row's q over the sum that every later row repeats
+                    d_uv = fixed[5] / s_uv
+                    break
 
+        if finite and top <= n < max_iter:
+            # a node that stepped a row past its last flip: its last sum tells, as the docstring proves
+            finite = isfinite(s_uv)
         converged = bool(mean_converged and finite and abs(d_uv) <= CONV_TOL * abs(a_inf))
         # a zero sum on some row leaves terms None or the last u zero, as the docstring proves
         ill = mean_ill or not finite or terms is None or not u

@@ -1,9 +1,12 @@
 """Complex square roots with explicit branch selection, and the pair update.
 
 The sign conventions live in the selectors below.  Every square root
-outside the two sweep loops of `engine` goes through one of them; those
-loops take their mean and forward roots with `signed_root`'s operations
-inline, so that a step makes no Python call, and hand it every tie.
+outside the two sweep loops of `engine` goes through one of them.  Those
+loops take every root, mean, forward and Zeta, with `signed_root`'s
+operations inline, so that a step makes no Python call.  They hand a mean
+tie to `signed_root`, and a forward or Zeta tie to `principal_sqrt`,
+which is what `signed_root` returns at a tie without
+``tie_positive_imag``.
 `pair_step` carries a pair as sum and difference and gets the difference,
 which would cancel, from the exact identity ``sum' * diff' = diff**2 / 4``.
 The oracle's AGM loop calls it, and the sweeps repeat its operations inline

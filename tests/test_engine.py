@@ -595,28 +595,34 @@ SWEEPS = {engine.sweep_sigma.__code__: "mean", engine._sweep_delta.__code__: "fo
 
 @contextmanager
 def counting_roots():
-    """Count the roots the sweeps take: ``mean``, ``forward`` and ``zeta``, and the ties among the first two.
+    """Count the roots the sweeps take: ``mean``, ``forward`` and ``zeta``, and the ties among them.
 
-    The sweeps take the mean and forward roots inline, one ``cmath.sqrt``
-    each, and call ``signed_root`` on a tie, which takes that root again,
-    and for every Zeta root.  A profiler counts the square roots and the
-    ``signed_root`` calls of the sweeps' own frames; a call from the Zeta
-    term's line is a Zeta root and any other a tie, ``mean ties`` or
-    ``forward ties``.
+    The sweeps take every root inline, one ``cmath.sqrt`` each, and hand a
+    tie on, which takes that root again: a mean tie to ``signed_root``, a
+    forward or Zeta tie to ``principal_sqrt``.  A profiler counts the square
+    roots of the sweeps' own frames, a root on the Zeta root's line as
+    ``zeta``, and the calls from the tie lines as ``mean ties``, ``forward
+    ties`` and ``zeta ties``.
     """
     counts = Counter()
-    zeta_line = line_number(engine._sweep_delta, "terms.append(2.0**n * d_uv * signed_root(u * u - a * a, u) / u)")
+    zeta_line = line_number(engine._sweep_delta, "zr = sqrt(square)")
+    tie_lines = {
+        line_number(engine._sweep_delta, "w = -w if t < 0.0 else principal_sqrt(square)"): "forward ties",
+        line_number(engine._sweep_delta, "zr = -zr if t < 0.0 else principal_sqrt(square)"): "zeta ties",
+    }
 
     def profile(frame, event, arg):
         if event == "c_call" and arg is cmath.sqrt:
             sweep = SWEEPS.get(frame.f_code)
             if sweep:
-                counts[sweep] += 1
+                counts["zeta" if frame.f_lineno == zeta_line else sweep] += 1
         elif event == "call" and frame.f_code is signed_root.__code__:
+            if frame.f_back.f_code is engine.sweep_sigma.__code__:
+                counts["mean ties"] += 1
+        elif event == "call" and frame.f_code is principal_sqrt.__code__:
             caller = frame.f_back
-            sweep = SWEEPS.get(caller.f_code)
-            if sweep:
-                counts["zeta" if caller.f_lineno == zeta_line else sweep + " ties"] += 1
+            if caller.f_code is engine._sweep_delta.__code__ and caller.f_lineno in tie_lines:
+                counts[tie_lines[caller.f_lineno]] += 1
 
     outer = sys.getprofile()
     sys.setprofile(profile)
@@ -685,6 +691,11 @@ def test_cloud_steps_each_shared_prefix_once():
     with counting_roots() as roots:
         run_quartet(params())
     assert roots == {"mean": 10, "forward": 10, "zeta": 10}
+    # Z_restricted at 10 delta bits, real b and sinphi: most forward squares are negative reals,
+    # whose imaginary root ties against a real s_uv; each tie takes principal_sqrt alone
+    with counting_roots() as roots:
+        enumerate_cloud(CloudRequest("Z_restricted", params(sinphi=0.8), 0, 10))
+    assert roots == {"mean": 10, "forward": 2621, "forward ties": 1851, "zeta": 1853, "zeta ties": 27}
 
 
 def test_k_cloud_steps_each_node_once():
@@ -841,6 +852,17 @@ def test_settled_f_leaves_finish_on_their_difference():
 # zero sum: flagged by the zero u that its step makes, with terms still defined.
 @example(kind="F", b=1.0, sinphi=0.5, signb=1, max_iter=2, bits=(0, 1, 0))
 @example(kind="Z", b=1.0, sinphi=0.5, signb=1, max_iter=2, bits=(0, 1, 1))
+# `finite` is checked on the rows below the last flip and, past it, on the last sum alone.
+# max_iter == delta_bits: q = d_ag**2 / 4 overflows on the last row, so the child pushed there has a
+# flipped sum q / added that is not finite and that no row steps; its leaf is finite, and checking
+# that sum would flag it.
+@example(kind="F", b=1e155, sinphi=1.0, signb=1, max_iter=1, bits=(0, 1, 0))
+# q overflows on row 0, so d_ag is inf from row 1 on while a and g stay finite and unflagged: each
+# amplitude leaf of sigma mask 0 turns non-finite only after its flip on row 0, flagged by its last sum.
+@example(kind="F", b=1e155, sinphi=1.0, signb=-1, max_iter=11, bits=(2, 1, 0))
+# a * g overflows on row 2: the mean paths hold rows that are not finite before their stop, the
+# last row, and the settle's maxima of |d_ag| read inf from there back to row 0.
+@example(kind="F", b=1e300, sinphi=0.5, signb=1, max_iter=6, bits=(1, 2, 0))
 @settings(max_examples=60, deadline=None)
 def test_every_amplitude_leaf_is_bit_identical_to_the_reference(kind, b, sinphi, signb, max_iter, bits):
     # a settled F leaf ends in one division; Zeta leaves step every row.  marshal writes
