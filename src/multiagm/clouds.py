@@ -7,7 +7,8 @@ dropped.  A cloud keeps its values and flags as columns by position and
 finds its duplicate links the first time they are read.  The values are
 taken from the sweep's leaves in one loop per kind, with no call per
 point except Zeta's sum.  Nothing in the package reads a cloud by point; a
-point is built only when one is read by position or iteration.
+point, a position's value, flag and link, is built only when one is read by
+position or iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .engine import QuartetParams, SignSchedule, sweep_quartet, sweep_sigma, zeta_sum
+from .engine import QuartetParams, sweep_quartet, sweep_sigma, zeta_sum
 
 __all__ = [
     "KIND_BITS",
@@ -43,21 +44,18 @@ KIND_BITS = {
 DUPLICATE_RTOL = 1e-9
 
 
-class MultivaluePoint(
-    namedtuple("MultivaluePoint", "value schedule signb ill_conditioned duplicate_of", defaults=(None,))
-):
-    """One computed multivalue with its provenance.
+class MultivaluePoint(namedtuple("MultivaluePoint", "value ill_conditioned duplicate_of", defaults=(None,))):
+    """One computed multivalue, its flag and its duplicate link.
 
     ``duplicate_of`` points at the earliest unflagged point of the same
     cloud carrying the same value, if any.  ``ill_conditioned`` is set
     when the trace was flagged or failed to converge, or the value is not
-    finite.
+    finite.  The schedule of a position is `Cloud.schedule_rows`'s, and
+    the start sign the request's.
     """
 
     __slots__ = ()
     value: complex
-    schedule: SignSchedule
-    signb: int
     ill_conditioned: bool
     duplicate_of: int | None
 
@@ -101,11 +99,10 @@ class Cloud(Sequence):
     ``values`` and ``flags`` hold each position's value and
     ``ill_conditioned``.  ``links`` holds each position's
     ``duplicate_of``: the duplicate scan runs the first time it or a point
-    is read, and its result is kept.  Position ``i`` carries the schedule
-    `schedule` decodes from ``last - i`` and the request's bit counts;
-    `schedule_rows` gives every position's masks and generation without
-    building one.
-    Indexing, slicing and iteration build `MultivaluePoint` objects on
+    is read, and its result is kept.  Position ``i`` carries the masks
+    that `schedule_rows`, the one decoder of a position, shifts out of
+    ``last - i`` by the request's bit counts.  Indexing, slicing and
+    iteration build `MultivaluePoint` objects from the three columns on
     access, and ``repr`` is that of the list of points.  A cloud is read
     only, and equal only to itself.
     """
@@ -136,22 +133,12 @@ class Cloud(Sequence):
     def __len__(self) -> int:
         return len(self.values)
 
-    def schedule(self, i: int) -> SignSchedule:
-        """The schedule of position ``i``, which may count from the end, decoded from ``last - i``."""
-        req = self.request
-        number = len(self.values) - 1 - range(len(self.values))[i]
-        gamma = number & ((1 << req.gamma_bits) - 1)
-        number >>= req.gamma_bits
-        delta = number & ((1 << req.delta_bits) - 1)
-        # Z_restricted's zeta sign at iteration n repeats its forward sign of n-1
-        return SignSchedule(number >> req.delta_bits, delta, delta << 1 if req.kind == "Z_restricted" else gamma)
-
     def schedule_rows(self):
-        """Each position's ``(sigma_mask, delta_mask, gamma_mask, generation)``, in order, as `schedule` gives it.
+        """Each position's ``(sigma_mask, delta_mask, gamma_mask, generation)``, in order.
 
-        The masks are shifted out of ``last - i``, so no schedule is built.
-        The generation, 1 + the last iteration any mask sets (0 if none), is
-        their largest bit length.
+        The masks are shifted out of ``last - i``, sigma highest and gamma
+        lowest, so no schedule is built.  The generation, 1 + the last
+        iteration any mask sets (0 if none), is their largest bit length.
         """
         req = self.request
         delta_bits, gamma_bits = req.delta_bits, req.gamma_bits
@@ -161,22 +148,17 @@ class Cloud(Sequence):
         for number in range(len(self.values) - 1, -1, -1):
             sigma = number >> sigma_shift
             delta = number >> gamma_bits & delta_low
-            # Z_restricted's gamma mask, as `schedule` gives it
+            # Z_restricted's zeta sign at iteration n repeats its forward sign of n-1
             gamma = delta << 1 if restricted else number & gamma_low
             yield sigma, delta, gamma, max(sigma.bit_length(), delta.bit_length(), gamma.bit_length())
 
-    def _item(self, i: int) -> MultivaluePoint:
-        signb = self.request.params.signb
-        return MultivaluePoint(self.values[i], self.schedule(i), signb, self.flags[i], self.links[i])
-
     def __getitem__(self, index):
-        positions = range(len(self))[index]
         if isinstance(index, slice):
-            return list(map(self._item, positions))
-        return self._item(positions)
+            return list(map(MultivaluePoint, self.values[index], self.flags[index], self.links[index]))
+        return MultivaluePoint(self.values[index], self.flags[index], self.links[index])
 
     def __iter__(self):
-        return map(self._item, range(len(self)))
+        return map(MultivaluePoint, self.values, self.flags, self.links)
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -238,14 +220,14 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     Position ``i`` holds the schedule whose masks, read as one number with
     sigma highest and gamma lowest, equal ``last - i``: masks run in
     descending order, and the all-plus schedule is the last point;
-    `Cloud.schedule` gives Z_restricted's gamma mask.  K, E and N read the
-    mean pair alone, so their leaves come from `sweep_sigma`, one per sigma
-    mask; K reads no series, so it passes ``series=False`` and its leaves
-    carry ``s_sum`` None, while E and N keep the series.  F, Z and
-    Z_restricted take theirs from `sweep_quartet`, one per sigma and delta
-    mask, in the same layout.  Each leaf gives one point, except on Z,
-    whose gamma bits only sign the Zeta terms: `zeta_sum` adds them once
-    per gamma mask.  Ill-conditioned or unconverged leaves, and values that
+    `Cloud.schedule_rows` gives Z_restricted's gamma mask.  K, E and N read
+    the mean pair alone, so their leaves come from `sweep_sigma`, one per
+    sigma mask at position ``last - sigma``; K reads no series, so it passes
+    ``series=False`` and its leaves carry ``s_sum`` None, while E and N keep
+    the series.  F, Z and Z_restricted take theirs from `sweep_quartet`, one
+    per sigma and delta mask, in the same layout.  Each leaf gives one
+    point, except on Z, whose gamma bits only sign the Zeta terms:
+    `zeta_sum` adds them once per gamma mask.  Ill-conditioned or unconverged leaves, and values that
     are not finite, yield flagged points, never omissions.  The value
     formula is chosen once per cloud: one loop per kind writes each leaf's
     value and flag, by the operations of `complete_K_of`, `complete_E_of`
@@ -281,7 +263,7 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
     elif kind == "Z_restricted":
         for sigma, delta, _, _, _, converged, ill, terms in leaves:
             i = last - (sigma << delta_bits | delta)
-            # the zeta signs repeat the forward signs one iteration later, as `Cloud.schedule` gives them
+            # the zeta signs repeat the forward signs one iteration later, as `Cloud.schedule_rows` gives them
             value = values[i] = zeta_sum(terms, delta << 1)
             flags[i] = ill or not converged or not isfinite(value)
     elif kind == "F":
@@ -292,19 +274,19 @@ def enumerate_cloud(req: CloudRequest) -> Cloud:
             value = values[i] = (asin(a_inf / u_inf) + 0.0) / a_inf if u_inf and a_inf else nan
             flags[i] = ill or not converged or not isfinite(value)
     elif kind == "K":
-        for sigma, delta, a_inf, _, _, converged, ill, _ in leaves:
-            i = last - (sigma << delta_bits | delta)
+        for sigma, _, a_inf, _, _, converged, ill, _ in leaves:
+            i = last - sigma
             value = values[i] = half_pi / a_inf if a_inf else nan
             flags[i] = ill or not converged or not isfinite(value)
     elif kind == "E":
-        for sigma, delta, a_inf, s_sum, _, converged, ill, _ in leaves:
-            i = last - (sigma << delta_bits | delta)
+        for sigma, _, a_inf, s_sum, _, converged, ill, _ in leaves:
+            i = last - sigma
             # `complete_E_of`: `complete_K_of` times one less the series
             value = values[i] = (half_pi / a_inf if a_inf else nan) * (1 - s_sum)
             flags[i] = ill or not converged or not isfinite(value)
     else:
-        for sigma, delta, a_inf, s_sum, _, converged, ill, _ in leaves:
-            i = last - (sigma << delta_bits | delta)
+        for sigma, _, a_inf, s_sum, _, converged, ill, _ in leaves:
+            i = last - sigma
             # N: E/K, NaN where K is zero or not finite
             k_val = half_pi / a_inf if a_inf else nan
             value = values[i] = k_val * (1 - s_sum) / k_val if k_val and isfinite(k_val) else nan

@@ -13,7 +13,8 @@ after the pair has nearly converged are therefore evaluated to full
 relative precision, where the textbook recurrences would lose the value
 entirely.  The loops take every square root with the sign test of
 `roots.signed_root` inline and hand on only a tie: a mean tie to
-`signed_root`, a forward or Zeta tie to `roots.principal_sqrt`.
+`signed_root`, which takes the root with positive imaginary part, and a
+forward or Zeta tie to `roots.principal_sqrt`.
 
 The three kinds of sign bit reach different state.  The mean pair reads
 the sigma bits alone, the amplitude pair the sigma and delta bits, and a
@@ -271,7 +272,7 @@ def sweep_sigma(
             near = sqrt(p_ag)
             t = (near / s_ag).real if s_ag else 0.0
             if not t > 0.0:
-                near = -near if t < 0.0 else signed_root(p_ag, s_ag, tie_positive_imag=True)
+                near = -near if t < 0.0 else signed_root(p_ag, s_ag)
             q = d_ag * d_ag / 4
             if path:
                 path[n] = (a, g, s_ag, d_ag, near, q)
@@ -320,9 +321,9 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
     without ``zeta``; ``uv_rows``, with ``zeta`` and no free bits only,
     collects ``(u, v)`` per row.  The forward and Zeta roots and the pair
     update are inline, as in `sweep_sigma`.  A forward or Zeta tie, where
-    the sign test reads 0 or NaN, takes ``principal_sqrt(square)``, which is
-    what `signed_root` returns there without ``tie_positive_imag``; only
-    the mean's ties go to `signed_root`.
+    the sign test reads 0 or NaN, takes the principal root,
+    ``principal_sqrt(square)``; only the mean's ties go to `signed_root`,
+    which takes the root with positive imaginary part.
 
     Stop.  Past its last flip a node of either sweep stops after a step
     that leaves its finite state bit for bit as it was, with a zero
@@ -441,7 +442,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 if not u:
                     terms = None
                 elif zeta:
-                    # roots.signed_root inline, as the forward root below; u is nonzero here
+                    # roots.signed_root's sign test inline, as the forward root below; u is nonzero here
                     square = u * u - a * a
                     zr = sqrt(square)
                     t = (zr / u).real
@@ -453,7 +454,7 @@ def _sweep_delta(params: QuartetParams, path: list, mean: tuple, delta_bits: int
                 # mean-pair root and keep the copy exact bit for bit
                 w = near
             else:
-                # roots.signed_root inline, as in `sweep_sigma`; a tie takes the root it would
+                # roots.signed_root's sign test inline, as in `sweep_sigma`; a tie takes the principal root
                 square = (s_uv - d_ag) * (s_uv + d_ag)
                 w = sqrt(square)
                 t = (w / s_uv).real if s_uv else 0.0

@@ -60,7 +60,7 @@ def magm_step(t: MagmTriplet, sign: int = 1) -> MagmTriplet:
     factors, matching the geometric-mean convention used everywhere else.
     """
     p, r = t.x - t.z, t.y - t.z
-    y_next = t.z + sign * signed_root(p * r, p + r, tie_positive_imag=True)
+    y_next = t.z + sign * signed_root(p * r, p + r)
     x_next = (t.x + t.y) / 2
     return MagmTriplet(x=x_next, y=y_next, z=2 * t.z - y_next)
 

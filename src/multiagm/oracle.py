@@ -52,7 +52,7 @@ def agm_series(b: complex) -> Iterator[tuple[complex, complex, complex]]:
     for n in count():
         total += 2.0 ** (n - 1) * (s * d)
         yield a, d, total
-        near = signed_root(a * g, s, tie_positive_imag=True)
+        near = signed_root(a * g, s)
         a, g, s, d = pair_step(s, d * d / 4, near)
 
 

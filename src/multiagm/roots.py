@@ -3,10 +3,9 @@
 The sign conventions live in the selectors below.  Every square root
 outside the two sweep loops of `engine` goes through one of them.  Those
 loops take every root, mean, forward and Zeta, with `signed_root`'s
-operations inline, so that a step makes no Python call.  They hand a mean
-tie to `signed_root`, and a forward or Zeta tie to `principal_sqrt`,
-which is what `signed_root` returns at a tie without
-``tie_positive_imag``.
+sign test inline, so that a step makes no Python call.  They hand a mean
+tie to `signed_root`, which takes the root with positive imaginary part,
+and a forward or Zeta tie to `principal_sqrt`.
 `pair_step` carries a pair as sum and difference and gets the difference,
 which would cancel, from the exact identity ``sum' * diff' = diff**2 / 4``.
 The oracle's AGM loop calls it, and the sweeps repeat its operations inline
@@ -45,13 +44,13 @@ def complement(x: complex) -> complex:
     return principal_sqrt((1 - x) * (1 + x))
 
 
-def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool = False) -> complex:
+def signed_root(square: complex, reference: complex) -> complex:
     """Root ``w`` of ``square`` lying within 90 degrees of ``reference``.
 
     Of the two roots ``+-w`` the one with ``Re(w/reference) >= 0`` is
     returned.  Exact ties (including ``reference == 0``) resolve to the
-    root with positive imaginary part when ``tie_positive_imag`` is set
-    and to the principal root otherwise.
+    root with positive imaginary part, and to the principal root when its
+    imaginary part is zero.
     """
     # either root decides: negating w negates w/reference exactly, so the principal one is needed only on a tie
     w = cmath.sqrt(square)
@@ -61,9 +60,7 @@ def signed_root(square: complex, reference: complex, *, tie_positive_imag: bool 
     if t < 0.0:
         return -w
     w = principal_sqrt(square)
-    if tie_positive_imag and w.imag < 0.0:
-        return -w
-    return w
+    return -w if w.imag < 0.0 else w
 
 
 def pair_step(s: complex, q: complex, root: complex) -> tuple[complex, complex, complex, complex]:

@@ -54,7 +54,9 @@ def draw(rng: random.Random) -> dict:
         lambda: rng.uniform(0.01, 0.99),
         lambda: rng.uniform(-2.0, 2.0),
         lambda: complex(rng.uniform(-1.0, 1.5), rng.uniform(-1.0, 1.0)),
-        lambda: rng.choice((1e300, -1e300, complex(1e308, 1e308), complex(1e200, -1e250), 1e154)),
+        # from |b| near 1e155 on, d_ag**2 overflows on the first row
+        lambda: rng.choice((1e300, -1e300, complex(1e308, 1e308), complex(1e200, -1e250), 1e154,
+                            1e155, -3e155, complex(1e155, -1e155), complex(2e154, 2e155))),
         lambda: rng.choice((1e-320, -5e-324, complex(1e-320, 1e-310), complex(0.5, 1e-310))),
         lambda: rng.choice((math.nan, complex(math.nan, 0.5), complex(0.25, math.nan), math.inf)),
         lambda: rng.choice((0.0, 1.0, -1.0, 1j, -1j)),
@@ -62,8 +64,11 @@ def draw(rng: random.Random) -> dict:
     sinphi = rng.choice((1.0, rng.uniform(-1.0, 1.0) or 0.5, complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
                          rng.choice((1e-300, 1e200, complex(1.0, 2.0**-51)))))
     roll = rng.random()
-    max_iter = 1024 if roll < 0.02 else 400 if roll < 0.05 else rng.randint(1, 64)
+    # as many delta bits as iterations: a child pushed on the last row steps no row
+    last_row = 0.05 <= roll < 0.25
+    max_iter = 1024 if roll < 0.02 else 400 if roll < 0.05 else rng.randint(1, 2) if last_row else rng.randint(1, 64)
     sigma_bits = rng.randint(0, min(max_iter, 6))
+    quartet_sigma = rng.randint(0, min(max_iter, 4))
     return {
         "b": complex(b),
         "sinphi": sinphi,
@@ -72,7 +77,7 @@ def draw(rng: random.Random) -> dict:
         "sigma_bits": sigma_bits,
         # fixed bits above the free ones, at most a few past max_iter, which never apply
         "sigma_mask": fixed_bits(rng, sigma_bits, max_iter),
-        "quartet_bits": (rng.randint(0, min(max_iter, 4)), rng.randint(0, min(max_iter, 4))),
+        "quartet_bits": (quartet_sigma, max_iter if last_row else rng.randint(0, min(max_iter, 4))),
         "schedule": tuple(fixed_bits(rng, 0, max_iter) for _ in range(3)),
     }
 

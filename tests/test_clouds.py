@@ -5,7 +5,6 @@ import math
 import random
 import sys
 from collections.abc import Sequence
-from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -121,20 +120,21 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
     bits = {name: data.draw(st.integers(0, 3), label=name) for name in KIND_BITS[kind]}
     cloud = enumerate_cloud(CloudRequest(kind=kind, params=params(sinphi=0.8), **bits))
     last = 2 ** sum(bits.values()) - 1
-    assert len(cloud) == last + 1
+    rows = list(cloud.schedule_rows())
+    assert len(cloud) == len(rows) == last + 1
     delta_bits, gamma_bits = bits.get("delta_bits", 0), bits.get("gamma_bits", 0)
-    for i, point in enumerate(cloud):
-        sched = point.schedule
+    for i, (sigma, delta, gamma, _) in enumerate(rows):
         if kind == "Z_restricted":
             # its gamma mask follows from the delta mask and is no part of the number
-            assert sched.gamma_mask == sched.delta_mask << 1
-            assert sched.delta_mask == last - i
+            assert gamma == delta << 1
+            assert delta == last - i
         else:
-            assert (sched.sigma_mask << delta_bits | sched.delta_mask) << gamma_bits | sched.gamma_mask == last - i
-    assert cloud[-1].schedule == SignSchedule()
-    assert [cloud.schedule(i) for i in range(-len(cloud), len(cloud))] == [p.schedule for p in cloud] * 2
+            assert (sigma << delta_bits | delta) << gamma_bits | gamma == last - i
+    assert rows[-1][:3] == SignSchedule()
+    # a position may count from either end, as a point is read
+    assert [cloud[i] for i in range(-len(cloud), len(cloud))] == list(cloud) * 2
     with pytest.raises(IndexError):
-        cloud.schedule(len(cloud))
+        cloud[len(cloud)]
 
 
 @pytest.mark.parametrize(
@@ -148,8 +148,9 @@ def test_positions_count_down_through_the_bits_a_kind_reads(kind, data):
     ],
 )
 def test_schedule_rows_are_each_positions_schedule_and_generation(kind, bits):
-    cloud = enumerate_cloud(CloudRequest(kind, params(sinphi=0.8), **bits))
-    schedules = [cloud.schedule(i) for i in range(len(cloud))]
+    req = CloudRequest(kind, params(sinphi=0.8), **bits)
+    cloud = enumerate_cloud(req)
+    _, schedules = points_one_by_one(req)
     expected = [(*schedule, max(mask.bit_length() for mask in schedule)) for schedule in schedules]
     assert list(cloud.schedule_rows()) == expected
 
@@ -169,7 +170,7 @@ def leaf_value(kind, a_inf, s_sum, u_inf):
 
 
 def points_one_by_one(req):
-    """The cloud's points, each built with its schedule as the sweep yields its leaf."""
+    """The cloud's points and each position's schedule, built as the sweep yields its leaf."""
     kind, delta_bits, gamma_bits = req.kind, req.delta_bits, req.gamma_bits
     zeta = kind in ("Z", "Z_restricted")
     if "delta_bits" in KIND_BITS[kind]:
@@ -187,7 +188,7 @@ def points_one_by_one(req):
             flags[head - gamma] = ill or not converged or not cmath.isfinite(value)
             schedules[head - gamma] = schedule
     links = _mark_duplicates(values, flags)
-    return list(map(MultivaluePoint, values, schedules, repeat(req.params.signb), flags, links))
+    return list(map(MultivaluePoint, values, flags, links)), schedules
 
 
 # sixteen limits: signed zeros, a subnormal, overflowing, infinite and NaN parts
@@ -226,12 +227,13 @@ def test_cloud_reads_as_its_points(kind, signb, data):
     bits = {name: data.draw(st.integers(0, 3), label=name) for name in KIND_BITS[kind]}
     req = CloudRequest(kind=kind, params=params(sinphi=0.8, signb=signb), **bits)
     cloud = enumerate_cloud(req)
-    expected = points_one_by_one(req)
+    expected, schedules = points_one_by_one(req)
     assert isinstance(cloud, Sequence)
     assert repr(list(cloud)) == repr(expected) == repr(cloud)
     n = len(cloud)
     assert n == len(expected) == len(cloud.values) == len(cloud.flags) == len(cloud.links)
-    assert repr(cloud[-1]) == repr(expected[-1]) and cloud[-1].schedule == SignSchedule()
+    assert [SignSchedule(*row[:3]) for row in cloud.schedule_rows()] == schedules
+    assert repr(cloud[-1]) == repr(expected[-1]) and schedules[-1] == SignSchedule()
     assert repr(cloud[-n]) == repr(expected[0])
     for piece in (slice(None), slice(1, 3), slice(None, None, -1), slice(-2, None), slice(n, None), slice(0, n, 3)):
         assert repr(cloud[piece]) == repr(expected[piece])
@@ -295,15 +297,39 @@ def counting_builds(monkeypatch, module, name):
 def test_cloud_and_fit_build_no_per_point_objects(monkeypatch):
     # a cloud and a fit are columns: neither builds an object per point, nor looks for duplicates
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
-    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
     cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=10))
     report = fit_cloud(cloud, LatticeSpec(origin=1.0, gen1=4.0, gen2=4j))
-    assert (len(points), len(schedules), len(scans)) == (0, 0, 0)
+    assert (len(points), len(scans)) == (0, 0)
     assert len(report.points) == len(cloud) == 1024
-    # reading a point builds it and its schedule, and runs the one scan of the cloud
-    assert cloud[-1].schedule.sigma_mask == 0
-    assert (len(points), len(schedules), len(scans)) == (1, 1, 1)
+    # reading a point builds it alone, and runs the one scan of the cloud; its masks are the last row's
+    assert cloud[-1].value is cloud.values[-1]
+    assert (len(points), len(scans)) == (1, 1)
+    assert list(cloud.schedule_rows())[-1][0] == 0
+    assert not hasattr(clouds, "SignSchedule")
+
+
+def test_reading_points_decodes_no_schedule(monkeypatch):
+    # a point is its position's value, flag and link; `schedule_rows` alone decodes a position's masks
+    built = []
+    new = SignSchedule.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(None)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SignSchedule, "__new__", counting_new)
+    cloud = k_cloud(sigma_bits=6)
+    n = len(cloud)
+    read = list(cloud), [cloud[i] for i in range(-n, n)], cloud[::-3], cloud[5:9]
+    assert not built
+    # the count sees every schedule built
+    assert SignSchedule(1) == (1, 0, 0) and len(built) == 1
+    assert MultivaluePoint._fields == ("value", "ill_conditioned", "duplicate_of")
+    assert all(type(point) is MultivaluePoint for points in read for point in points)
+    columns = list(zip(cloud.values, cloud.flags, cloud.links))
+    assert read == (columns, columns * 2, columns[::-3], columns[5:9])
+    assert not hasattr(cloud, "schedule")
 
 
 @pytest.mark.parametrize("kind", tuple(KIND_BITS))
@@ -328,12 +354,12 @@ def test_links_are_found_once_on_first_read(monkeypatch):
 
 
 def test_fill_scans_each_cloud_once(monkeypatch, capsys, tmp_path):
-    # the rows and the SVG decode each position's masks: no point and no schedule is built
+    # the rows and the SVG decode each position's masks, and clouds has no schedule to build: no point is built
+    assert not hasattr(clouds, "SignSchedule")
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
-    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
     assert main(["fill-k", "--sigma-bits", "6", "--signb", "both", "--svg", str(tmp_path / "k.svg")]) == 0
-    assert (len(scans), len(points), len(schedules)) == (2, 0, 0)
+    assert (len(scans), len(points)) == (2, 0)
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 64
 
 
@@ -341,11 +367,11 @@ def test_fill_scans_each_cloud_once(monkeypatch, capsys, tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_verify_builds_no_point_and_looks_for_no_duplicate(kind, lines, fmt, monkeypatch, capsys):
     # verify fits the columns of the clouds it built and prints each point's line from them
+    assert not hasattr(clouds, "SignSchedule")
     points = counting_builds(monkeypatch, clouds, "MultivaluePoint")
     scans = counting_builds(monkeypatch, clouds, "_mark_duplicates")
-    schedules = counting_builds(monkeypatch, clouds, "SignSchedule")
     assert main(["verify", "--kind", kind, "--sigma-bits", "10", "--format", fmt]) == 0
-    assert (len(points), len(scans), len(schedules)) == (0, 0, 0)
+    assert (len(points), len(scans)) == (0, 0)
     out = capsys.readouterr().out
     assert (out.count("\n  point ") if fmt == "text" else len(json.loads(out)["points"])) == lines
 
@@ -359,7 +385,7 @@ def test_cloud_holds_its_request():
 
 def restricted_schedules(delta_bits):
     cloud = enumerate_cloud(CloudRequest(kind="Z_restricted", params=params(sinphi=0.8), delta_bits=delta_bits))
-    return [p.schedule for p in cloud]
+    return [SignSchedule(*row[:3]) for row in cloud.schedule_rows()]
 
 
 class TestRestrictedSchedule:
@@ -390,28 +416,30 @@ class TestKCloud:
     def test_size_and_order(self):
         cloud = k_cloud()
         assert len(cloud) == 32
-        masks = [p.schedule.sigma_mask for p in cloud]
+        masks = [sigma for sigma, _, _, _ in cloud.schedule_rows()]
         assert masks == list(range(31, -1, -1))
 
     def test_all_plus_reproduces_oracle(self):
         K_k, _ = complete_from_complement(0.25)
-        base = k_cloud()[-1]
-        assert base.schedule == SignSchedule()
+        cloud = k_cloud()
+        base = cloud[-1]
         assert abs(base.value - K_k) <= 1e-9 * abs(K_k)
-        assert list(k_cloud().schedule_rows())[-1] == (0, 0, 0, 0)
+        assert list(cloud.schedule_rows())[-1] == (0, 0, 0, 0)
         assert not base.ill_conditioned
 
     def test_first_flip_lands_four_quarter_periods_away(self):
         K_k, _ = complete_from_complement(0.25)
         K_b, _ = complete_from_complement(complex(K_SQRT09375))
-        point = next(p for p in k_cloud() if p.schedule.sigma_mask == 1)
+        cloud = k_cloud()
+        point = next(p for p, (sigma, *_) in zip(cloud, cloud.schedule_rows()) if sigma == 1)
         dist = min(abs(point.value - (K_k + 4j * K_b)), abs(point.value - (K_k - 4j * K_b)))
         assert dist < 1e-9
 
     def test_negative_start_interleaves(self):
         K_k, _ = complete_from_complement(0.25)
         K_b, _ = complete_from_complement(complex(K_SQRT09375))
-        point = next(p for p in k_cloud(signb=-1) if p.schedule.sigma_mask == 0)
+        cloud = k_cloud(signb=-1)
+        point = next(p for p, (sigma, *_) in zip(cloud, cloud.schedule_rows()) if sigma == 0)
         dist = min(abs(point.value - (K_k + 2j * K_b)), abs(point.value - (K_k - 2j * K_b)))
         assert dist < 1e-9
 
@@ -420,10 +448,11 @@ class TestKCloud:
             assert generation == sigma.bit_length() <= 5
 
     def test_generation_is_read_from_the_schedule(self):
-        # a stored copy could disagree with the schedule that fixes it
-        assert MultivaluePoint._fields == ("value", "schedule", "signb", "ill_conditioned", "duplicate_of")
-        point = MultivaluePoint(0j, SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2), 1, False)
-        assert max(mask.bit_length() for mask in point.schedule) == 3
+        # a stored copy could disagree with the schedule that fixes it: a point holds neither
+        assert MultivaluePoint._fields == ("value", "ill_conditioned", "duplicate_of")
+        cloud = enumerate_cloud(CloudRequest("Z", params(sinphi=0.8), sigma_bits=1, delta_bits=3, gamma_bits=2))
+        generations = {tuple(row[:3]): row[3] for row in cloud.schedule_rows()}
+        assert generations[SignSchedule(sigma_mask=1, delta_mask=6, gamma_mask=2)] == 3
 
     def test_duplicate_report_is_produced(self):
         for i, p in enumerate(k_cloud()):
@@ -433,10 +462,9 @@ class TestKCloud:
     def test_points_carry_slots_not_dicts(self):
         # a deep cloud holds millions of these; slots keep each one small
         point = k_cloud(sigma_bits=2)[0]
-        for obj in (point, point.schedule):
-            assert not hasattr(obj, "__dict__")
+        assert not hasattr(point, "__dict__")
         moved = point._replace(duplicate_of=3)
-        assert (moved.value, moved.schedule, moved.duplicate_of) == (point.value, point.schedule, 3)
+        assert (moved.value, moved.ill_conditioned, moved.duplicate_of) == (point.value, point.ill_conditioned, 3)
         assert repr(moved._replace(duplicate_of=None)) == repr(point)
 
     def test_finite_values(self):
@@ -449,18 +477,19 @@ class TestOtherKinds:
             CloudRequest(kind="F", params=params(sinphi=0.8), sigma_bits=3, delta_bits=4)
         )
         assert len(cloud) == 128
-        assert cloud[0].schedule.sigma_mask == 7
-        assert cloud[0].schedule.delta_mask == 15
-        assert cloud[-1].schedule == SignSchedule()
+        rows = list(cloud.schedule_rows())
+        assert rows[0][0] == 7
+        assert rows[0][1] == 15
+        assert rows[-1][:3] == SignSchedule()
 
     def test_restricted_zeta_cloud(self):
         cloud = enumerate_cloud(
             CloudRequest(kind="Z_restricted", params=params(sinphi=0.8), delta_bits=4)
         )
         assert len(cloud) == 16
-        for p in cloud:
-            assert p.schedule.sigma_mask == 0
-            assert p.schedule.gamma_mask == p.schedule.delta_mask << 1
+        for sigma, delta, gamma, _ in cloud.schedule_rows():
+            assert sigma == 0
+            assert gamma == delta << 1
 
     @pytest.mark.parametrize(
         "kind,start",
@@ -480,7 +509,7 @@ class TestOtherKinds:
         # exactly, and F divides by it
         p = QuartetParams(k=0, sinphi=0.3 + 0.4j, max_iter=3)
         cloud = enumerate_cloud(CloudRequest(kind="F", params=p, sigma_bits=3, delta_bits=3))
-        zero = [point for point in cloud if point.schedule.sigma_mask & 3 == 2]
+        zero = [point for point, (sigma, *_) in zip(cloud, cloud.schedule_rows()) if sigma & 3 == 2]
         assert len(zero) == 2 * 2**3
         assert all(cmath.isnan(point.value) and point.ill_conditioned for point in zero)
 
@@ -522,7 +551,7 @@ def reference_mark_duplicates(points):
 
 def synthetic(values, flagged=()):
     return [
-        MultivaluePoint(value=complex(v), schedule=SignSchedule(), signb=1, ill_conditioned=i in flagged)
+        MultivaluePoint(value=complex(v), ill_conditioned=i in flagged)
         for i, v in enumerate(values)
     ]
 

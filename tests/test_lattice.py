@@ -307,8 +307,7 @@ class TestCloudFits:
     def test_generation_extent_bound(self, refs):
         cloud = enumerate_cloud(CloudRequest(kind="K", params=params(), sigma_bits=5))
         report = fit_cloud(cloud, predict_locus("K", refs))
-        for i, (m, n) in enumerate(zip(report.points.m, report.points.n)):
-            generation = max(mask.bit_length() for mask in cloud.schedule(i))
+        for m, n, (*_, generation) in zip(report.points.m, report.points.n, cloud.schedule_rows()):
             bound = 2 ** (generation - 1) if generation else 0
             assert max(abs(m), abs(n)) <= bound
 

@@ -100,7 +100,7 @@ def reference_gauss_series_rows(b, rows):
     for n in range(rows):
         total += 2.0 ** (n - 1) * (s * d)
         out.append(1 - total)
-        near = signed_root(a * g, s, tie_positive_imag=True)
+        near = signed_root(a * g, s)
         a, g = s / 2, near
         q = d * d / 4
         s = a + near

@@ -32,7 +32,7 @@ def reference_complete_from_complement(b):
         total += 2.0 ** (n - 1) * (s * d)
         if abs(d) <= 1e-17 * abs(a):
             break
-        near = signed_root(a * g, s, tie_positive_imag=True)
+        near = signed_root(a * g, s)
         a, g = s / 2, near
         q = d * d / 4
         s = a + near

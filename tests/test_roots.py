@@ -48,7 +48,7 @@ class TestPrincipalSqrt:
 
 
 
-def principal_then_select(square, reference, *, tie_positive_imag=False):
+def principal_then_select(square, reference):
     """`signed_root` as it read when it took the principal root before choosing a sign."""
     w = principal_sqrt(square)
     t = (w / reference).real if reference else 0.0
@@ -56,11 +56,10 @@ def principal_then_select(square, reference, *, tie_positive_imag=False):
         return w
     if t < 0.0:
         return -w
-    if tie_positive_imag:
-        if w.imag > 0.0:
-            return w
-        if w.imag < 0.0:
-            return -w
+    if w.imag > 0.0:
+        return w
+    if w.imag < 0.0:
+        return -w
     return w
 
 
@@ -70,28 +69,28 @@ edge_component = st.one_of(st.sampled_from(EDGE_FLOATS + tuple(-x for x in EDGE_
 edge_complex = st.builds(complex, edge_component, edge_component)
 
 
-def same_bits(square, reference, tie_positive_imag):
+def same_bits(square, reference):
     # marshal format 2 writes both doubles as they are and, unlike format 3 on, no reference flag
-    expected = principal_then_select(square, reference, tie_positive_imag=tie_positive_imag)
-    actual = signed_root(square, reference, tie_positive_imag=tie_positive_imag)
+    expected = principal_then_select(square, reference)
+    actual = signed_root(square, reference)
     return marshal.dumps(actual, 2) == marshal.dumps(expected, 2)
 
 
-@given(square=edge_complex, reference=edge_complex, tie_positive_imag=st.booleans())
+@given(square=edge_complex, reference=edge_complex)
 @settings(max_examples=500)
-def test_signed_root_matches_principal_then_select_bit_for_bit(square, reference, tie_positive_imag):
+def test_signed_root_matches_principal_then_select_bit_for_bit(square, reference):
     # negating a root negates its ratio to the reference exactly, so either root chooses the same sign
-    assert same_bits(square, reference, tie_positive_imag)
+    assert same_bits(square, reference)
 
 
 def test_signed_root_matches_principal_then_select_on_every_edge_pair():
     grid = [complex(x, y) for x in EDGE_FLOATS for y in EDGE_FLOATS for x, y in ((x, y), (-x, y), (x, -y), (-x, -y))]
-    assert all(same_bits(square, reference, tie) for square in grid for reference in grid for tie in (False, True))
+    assert all(same_bits(square, reference) for square in grid for reference in grid)
 
 
 def near_root(a, g):
     """The root of ``a*g`` nearer to the mean ``(a+g)/2``, spelled as the mean loops and `magm_step` take it."""
-    return signed_root(a * g, a + g, tie_positive_imag=True)
+    return signed_root(a * g, a + g)
 
 
 class TestNearRoot:
@@ -240,10 +239,11 @@ class TestSignedRoot:
     def test_tie_principal_vs_positive_imag(self):
         # square -4 has roots +-2j; reference 0 forces the tie path
         assert signed_root(-4, 0) == 2j
-        assert signed_root(-4, 0, tie_positive_imag=True) == 2j
         # a real-root tie keeps the principal (positive real) value
         assert signed_root(4, 1j) == 2
-        assert signed_root(4, 1j, tie_positive_imag=True) == 2
+        # where the principal root has a negative imaginary part, a tie takes the other root
+        assert principal_sqrt(-2j) == pytest.approx(1 - 1j)
+        assert signed_root(-2j, 0) == -principal_sqrt(-2j)
 
     @given(z=finite_complex, ref=finite_complex)
     @settings(max_examples=200)
